@@ -35,13 +35,11 @@ from .genrand import (
     Rng,
     constant,
     default_delay_gen,
-    gen_bool,
     gen_commands,
     gen_enabled_commands,
     gen_int,
     gen_int_in_range,
     gen_invariant,
-    gen_string,
     shrink_sequence,
     weighted,
 )
@@ -91,6 +89,7 @@ from .statemodel import (
     format_state,
     spec_consistency,
     step,
+    successors,
 )
 from .suts import (
     RobotConfig,

@@ -20,14 +20,8 @@ from enum import Enum
 from typing import Any, Callable, Generic, Optional, Protocol, TypeVar, Union
 
 from .genrand import Command, CommandSequence, Generator, NotFailing, Rng, shrink_sequence
-from .spatial import Invariant, Observation, OccupancyFact, evaluate, normalize
-from .statemodel import (
-    NextStates,
-    State,
-    StateModel,
-    UnknownOperation,
-    step,
-)
+from .spatial import Invariant, Observation, OccupancyFact, _eval_normalized, normalize
+from .statemodel import State, StateModel, successors
 
 A = TypeVar("A")
 
@@ -43,16 +37,16 @@ class NotAFailure(ValueError):
 class Deferred(Generic[A]):
     """Single-assignment asynchronous result.
 
-    Resolve with :meth:`complete` or :meth:`fail`; consume with
-    :meth:`wait` or a single :meth:`on_complete` callback. The callback
-    fires on the resolving thread (or immediately if already resolved).
+    Resolve once with :meth:`complete` or :meth:`fail`; a second
+    resolution, from any thread, raises :class:`AlreadyCompleted`.
+    Consume with :meth:`wait`, which blocks until the outcome is set or
+    the timeout passes.
     """
 
     def __init__(self) -> None:
         self._event = threading.Event()
         self._lock = threading.Lock()
         self._outcome: Optional[tuple[str, Any]] = None
-        self._callback: Optional[Callable[[tuple[str, Any]], None]] = None
 
     @classmethod
     def successful(cls, value: A) -> Deferred[A]:
@@ -77,20 +71,7 @@ class Deferred(Generic[A]):
             if self._outcome is not None:
                 raise AlreadyCompleted("deferred already resolved")
             self._outcome = outcome
-            callback = self._callback
         self._event.set()
-        if callback is not None:
-            callback(outcome)
-
-    def on_complete(self, callback: Callable[[tuple[str, Any]], None]) -> None:
-        with self._lock:
-            if self._callback is not None:
-                raise ValueError("on_complete supports a single callback")
-            if self._outcome is None:
-                self._callback = callback
-                return
-            outcome = self._outcome
-        callback(outcome)
 
     def wait(self, timeout: Optional[float] = None) -> Optional[tuple[str, Any]]:
         """Outcome tuple ("ok", value) / ("failed", error), or None on timeout."""
@@ -182,6 +163,7 @@ def check_against(
     model rejects (unknown or disabled everywhere in the consistent set)
     fails before it ever reaches the SUT.
     """
+    # normalised once per replay, then judged without renormalising
     invariants = tuple(normalize(inv) for inv in st_invariants)
     settled = adapter.reset().wait(timeout)
     if settled is None:
@@ -220,8 +202,8 @@ def check_against(
             ),
         )
     for index, (command, at_time) in enumerate(zip(seq, seq.timestamps)):
-        outcomes = [step(model, s, command.op) for s in consistent]
-        if all(isinstance(o, UnknownOperation) for o in outcomes):
+        expected = successors(model, consistent, command.op)
+        if expected is None:
             return Fail(
                 FailKind.UNKNOWN_OPERATION,
                 Witness(
@@ -231,13 +213,7 @@ def check_against(
                     note=f"operation {command.op!r} not declared in model",
                 ),
             )
-        successors: list[State] = []
-        for outcome in outcomes:
-            if isinstance(outcome, NextStates):
-                for s in outcome.states:
-                    if s not in successors:
-                        successors.append(s)
-        if not successors:
+        if not expected:
             return Fail(
                 FailKind.DISABLED_ACTION,
                 Witness(
@@ -258,7 +234,7 @@ def check_against(
                 Witness(
                     sequence=seq,
                     fail_index=index,
-                    expected_states=tuple(successors),
+                    expected_states=tuple(expected),
                     note=f"no completion within {timeout}s",
                 ),
             )
@@ -269,13 +245,13 @@ def check_against(
                 Witness(
                     sequence=seq,
                     fail_index=index,
-                    expected_states=tuple(successors),
+                    expected_states=tuple(expected),
                     note=f"SUT raised {value!r}",
                 ),
             )
         raw = value
         observed = abstraction(raw)
-        consistent = [s for s in successors if s == observed]
+        consistent = [s for s in expected if s == observed]
         if not consistent:
             return Fail(
                 FailKind.SUT_MISMATCH,
@@ -283,15 +259,16 @@ def check_against(
                     sequence=seq,
                     fail_index=index,
                     expected_states=tuple(
-                        sorted(successors, key=lambda s: s.sort_key)
+                        sorted(expected, key=lambda s: s.sort_key)
                     ),
                     observed_state=observed,
                     note="observed state matches no model successor",
                 ),
             )
+        observations = _spatial_observations(raw) if invariants else []
         for invariant in invariants:
-            for observation in _spatial_observations(raw):
-                if not evaluate(invariant, observation):
+            for observation in observations:
+                if not _eval_normalized(invariant, observation):
                     return Fail(
                         FailKind.SPATIAL_VIOLATION,
                         Witness(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Generic, Mapping, Optional, Sequence, TypeVar
 
 from .spatial import And, Box, Implies, Invariant, OccupyBox, Owner, TimeInterval, TimeWindow, normalize
-from .statemodel import NextStates, StateModel, enabled_actions, step
+from .statemodel import StateModel, enabled_actions, successors
 
 A = TypeVar("A")
 B = TypeVar("B")
@@ -125,14 +125,6 @@ def gen_int_in_range(lo: int, hi: int) -> Generator[int]:
                 return lo + acc % span, rng
 
     return Generator(go)
-
-
-def gen_bool() -> Generator[bool]:
-    return gen_int().map(lambda v: v >= 0)
-
-
-def gen_string() -> Generator[str]:
-    return gen_int().map(str)
 
 
 def weighted(choices: Mapping[A, int]) -> Generator[A]:
@@ -254,12 +246,13 @@ def gen_enabled_commands(
 ) -> Generator[CommandSequence]:
     """Model-aware sequence generator: only currently enabled ops are drawn.
 
-    Walks the model alongside generation, tracking the set of states the
-    run could be in, and restricts each weighted pick to operations
-    enabled in at least one of them. Such sequences never trip the
-    harness's disabled-operation check. Generation stops early when no
-    weighted operation is enabled, so sequences may be shorter than the
-    drawn length (or empty).
+    Walks the model alongside generation. The states the run could be in
+    start at the model's init states, and each drawn operation moves them
+    to their :func:`~stpt.statemodel.successors`. Each weighted pick is
+    restricted to operations enabled in at least one of those states, so
+    such sequences never trip the harness's disabled-operation check.
+    Generation stops early when no weighted operation is enabled, so
+    sequences may be shorter than the drawn length (or empty).
     """
     if max_len < 1:
         raise InvalidRange("max_len must be >= 1")
@@ -284,14 +277,7 @@ def gen_enabled_commands(
             op, rng = weighted(table).run(rng)
             delay, rng = delays.run(rng)
             commands.append(Command(op, delay))
-            successors: list = []
-            for s in current:
-                outcome = step(model, s, op)
-                if isinstance(outcome, NextStates):
-                    for nxt in outcome.states:
-                        if nxt not in successors:
-                            successors.append(nxt)
-            current = successors
+            current = successors(model, current, op)
         return CommandSequence(tuple(commands)), rng
 
     return Generator(go)

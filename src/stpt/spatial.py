@@ -15,11 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
-# Rasterized coverage is exact on the integer grid but costs one membership
-# test per cell; targets above this cell count use rectangle subtraction.
-RASTER_AREA_CAP = 4096
-
-
 class NonMonotonicTrace(ValueError):
     """Raised when trace observation times decrease."""
 
@@ -327,25 +322,20 @@ def _subtract(rect: Box, hole: Box) -> list[Box]:
     return pieces
 
 
-def box_covered(target: Box, boxes: Sequence[Box], raster_cap: int = RASTER_AREA_CAP) -> bool:
+def box_covered(target: Box, boxes: Sequence[Box]) -> bool:
     """Whether ``target`` is fully covered by the union of ``boxes``.
 
-    Small targets are decided cell by cell on the integer grid; larger ones
-    by subtracting each box from the target and checking nothing remains.
-    Both routes are exact.
+    Subtracts each box in turn from what is left of the target and stops
+    as soon as nothing is left. Every remainder piece is a closed integer
+    rectangle, so the answer is exact on the integer grid, and its cost
+    grows with the number of pieces rather than with the target's area.
     """
-    target = target.normalized()
-    boxes = [b.normalized() for b in boxes]
-    if target.cell_count <= raster_cap:
-        return all(
-            any(b.contains_point(x, y) for b in boxes) for x, y in target.cells()
-        )
-    pending = [target]
+    pending = [target.normalized()]
     for b in boxes:
         pending = [piece for rect in pending for piece in _subtract(rect, b)]
         if not pending:
             return True
-    return not pending
+    return False
 
 
 def _eval_normalized(inv: Invariant, obs: Observation) -> bool:

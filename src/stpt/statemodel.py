@@ -254,6 +254,26 @@ def step(model: StateModel, s: State, op_name: str) -> StepOutcome:
     return NextStates(tuple(states))
 
 
+def successors(
+    model: StateModel, states: Iterable[State], op_name: str
+) -> Optional[list[State]]:
+    """Distinct successors of ``op_name`` from any of ``states``, first seen first.
+
+    None when the model declares no action with that name; an empty list
+    when the operation is disabled in every one of ``states``.
+    """
+    if all(action.name != op_name for action in model.actions):
+        return None
+    found: list[State] = []
+    for s in states:
+        outcome = step(model, s, op_name)
+        if isinstance(outcome, NextStates):
+            for nxt in outcome.states:
+                if nxt not in found:
+                    found.append(nxt)
+    return found
+
+
 def enabled_actions(model: StateModel, s: State) -> list[str]:
     """Duplicate-free action names with a true guard at ``s``, declaration order."""
     model.check_state(s)
@@ -288,10 +308,7 @@ def correct_behaviours(
         for behaviour in frontier:
             last = behaviour.states[-1]
             for name in names:
-                outcome = step(model, last, name)
-                if not isinstance(outcome, NextStates):
-                    continue
-                for nxt in outcome.states:
+                for nxt in successors(model, (last,), name):
                     if nxt not in visited:
                         visited.add(nxt)
                         if len(visited) > state_cap:
@@ -316,21 +333,16 @@ def _reachable_states(model: StateModel, state_cap: int) -> list[State]:
     seen_set = set(seen)
     if len(seen_set) > state_cap:
         raise StateCapExceeded(state_cap, len(seen_set))
-    queue = list(seen)
-    while queue:
-        current = queue.pop(0)
-        for action in model.actions:
-            if not action.guard(current):
-                continue
-            nxt = action.effect(current)
-            model.check_state(nxt)
-            if nxt in seen_set:
-                continue
-            seen_set.add(nxt)
-            if len(seen_set) > state_cap:
-                raise StateCapExceeded(state_cap, len(seen_set))
-            seen.append(nxt)
-            queue.append(nxt)
+    names = model.action_names
+    for current in seen:  # breadth first: ``seen`` grows while it is walked
+        for name in names:
+            for nxt in successors(model, (current,), name):
+                if nxt in seen_set:
+                    continue
+                seen_set.add(nxt)
+                if len(seen_set) > state_cap:
+                    raise StateCapExceeded(state_cap, len(seen_set))
+                seen.append(nxt)
     return seen
 
 

@@ -113,27 +113,26 @@ class TestDeferred:
         with pytest.raises(AlreadyCompleted):
             d.fail(RuntimeError())
 
-    def test_callback_fires_immediately_when_already_resolved(self):
-        seen = []
-        Deferred.successful(3).on_complete(seen.append)
-        assert seen == [("ok", 3)]
-
-    def test_single_callback_only(self):
+    def test_racing_resolutions_have_one_winner(self):
         d: Deferred[int] = Deferred()
-        d.on_complete(lambda outcome: None)
-        with pytest.raises(ValueError):
-            d.on_complete(lambda outcome: None)
+        start = threading.Barrier(4)
+        winners = []
 
-    def test_callback_runs_on_the_resolving_thread(self):
-        d: Deferred[int] = Deferred()
-        seen = []
-        d.on_complete(lambda outcome: seen.append((outcome, threading.get_ident())))
-        worker = threading.Thread(target=lambda: d.complete(9))
-        worker.start()
-        worker.join()
-        (outcome, thread_id) = seen[0]
-        assert outcome == ("ok", 9)
-        assert thread_id != threading.get_ident()
+        def resolve(value: int) -> None:
+            start.wait()
+            try:
+                d.complete(value)
+                winners.append(value)
+            except AlreadyCompleted:
+                pass
+
+        threads = [threading.Thread(target=resolve, args=(v,)) for v in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert len(winners) == 1
+        assert d.wait(0) == ("ok", winners[0])
 
     def test_wait_blocks_until_cross_thread_completion(self):
         d: Deferred[int] = Deferred()

@@ -11,13 +11,11 @@ from stpt import (
     Rng,
     constant,
     default_delay_gen,
-    gen_bool,
     gen_commands,
     gen_enabled_commands,
     gen_int,
     gen_int_in_range,
     gen_invariant,
-    gen_string,
     shrink_sequence,
     weighted,
 )
@@ -108,16 +106,6 @@ class TestGenerators:
         values = draw_many(gen_int_in_range(lo, hi), Rng.from_seed(11), 200)
         assert all(lo <= v <= hi for v in values)
         assert any(abs(v) > (1 << 64) for v in values)
-
-    def test_bool_is_roughly_fair(self):
-        counts = Counter(draw_many(gen_bool(), Rng.from_seed(2), 10_000))
-        assert 4500 <= counts[True] <= 5500
-
-    def test_string_mirrors_int_stream(self):
-        rng = Rng.from_seed(13)
-        ints = draw_many(gen_int(), rng, 50)
-        strings = draw_many(gen_string(), rng, 50)
-        assert strings == [str(v) for v in ints]
 
     @pytest.mark.parametrize("seed", range(20))
     def test_functor_and_monad_laws(self, seed):

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import oracle_behaviours, random_model
 from stpt import (
@@ -21,6 +23,7 @@ from stpt import (
     format_state,
     spec_consistency,
     step,
+    successors,
 )
 from stpt.suts import robot_suite, therac_suite
 
@@ -154,6 +157,49 @@ class TestStep:
     def test_state_outside_model_rejected(self):
         with pytest.raises(ValueError):
             step(counter_model(), State({"m": 0}), "inc")
+
+
+class TestSuccessors:
+    def test_undeclared_operation_is_none(self):
+        assert successors(counter_model(), [State({"n": 0})], "jump") is None
+
+    def test_declared_operation_from_no_states_is_empty(self):
+        assert successors(counter_model(), [], "inc") == []
+
+    def test_disabled_in_every_state_is_empty(self):
+        model = counter_model(limit=2)
+        assert successors(model, [State({"n": 2})], "inc") == []
+        assert successors(model, [State({"n": 0})], "reset") == []
+
+    def test_first_seen_order_without_duplicates(self):
+        model = counter_model()
+        states = [State({"n": 2}), State({"n": 1}), State({"n": 2})]
+        assert successors(model, states, "inc") == [State({"n": 3}), State({"n": 2})]
+        assert successors(model, states, "reset") == [State({"n": 0})]
+
+    @given(st.integers(0, 10_000), st.data())
+    @settings(max_examples=200)
+    def test_matches_union_of_step_outcomes(self, seed, data):
+        model = random_model(seed)
+        pool = sorted(
+            {s for states, _ in oracle_behaviours(model, 2) for s in states},
+            key=lambda s: s.sort_key,
+        )
+        states = data.draw(st.lists(st.sampled_from(pool), max_size=5))
+        # random_model draws its action names from the first four only
+        op = data.draw(st.sampled_from(["alpha", "beta", "gamma", "delta", "omega"]))
+        got = successors(model, states, op)
+        if all(action.name != op for action in model.actions):
+            assert got is None
+            return
+        outcomes = [step(model, s, op) for s in states]
+        union = [
+            nxt for o in outcomes if isinstance(o, NextStates) for nxt in o.states
+        ]
+        assert len(got) == len(set(got))
+        assert got == sorted(set(union), key=union.index)
+        if all(isinstance(o, Disabled) for o in outcomes):
+            assert got == []
 
 
 class TestEnabledActions:
