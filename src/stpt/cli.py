@@ -276,11 +276,13 @@ def _load_trace(path: str) -> list[Observation]:
     observations = []
     for index, entry in enumerate(data):
         try:
+            time = entry["time"]
+            # bool is an int subclass, but true is not a time
+            if not isinstance(time, int) or isinstance(time, bool):
+                raise TypeError(f"time must be an integer, got {time!r}")
             boxes = tuple(Box(*item) for item in entry.get("boxes", []))
             observations.append(
-                Observation(
-                    time=entry["time"], owner=entry["owner"], occupied=boxes
-                )
+                Observation(time=time, owner=entry["owner"], occupied=boxes)
             )
         except (AttributeError, KeyError, TypeError) as err:
             raise CliError(f"{path}: bad observation {index}: {err}")
@@ -334,3 +336,7 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 def main_entry() -> None:
     sys.exit(main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main_entry()

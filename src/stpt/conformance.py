@@ -44,8 +44,10 @@ class Deferred(Generic[A]):
     """
 
     def __init__(self) -> None:
-        self._event = threading.Event()
         self._lock = threading.Lock()
+        # Held while unresolved; each waiter that gets it passes it on.
+        self._pending = threading.Lock()
+        self._pending.acquire()
         self._outcome: Optional[tuple[str, Any]] = None
 
     @classmethod
@@ -71,12 +73,20 @@ class Deferred(Generic[A]):
             if self._outcome is not None:
                 raise AlreadyCompleted("deferred already resolved")
             self._outcome = outcome
-        self._event.set()
+        self._pending.release()
 
     def wait(self, timeout: Optional[float] = None) -> Optional[tuple[str, Any]]:
-        """Outcome tuple ("ok", value) / ("failed", error), or None on timeout."""
-        if not self._event.wait(timeout):
-            return None
+        """Outcome tuple ("ok", value) / ("failed", error), or None on timeout.
+
+        A timeout of zero or less polls without blocking.
+        """
+        if self._outcome is None:
+            # Lock.acquire reads -1 as "forever", so a negative timeout polls
+            limit = -1 if timeout is None else max(timeout, 0)
+            if self._pending.acquire(timeout=limit):
+                self._pending.release()
+        # None only on timeout: a poll that lost the lock to another waiter
+        # still finds the outcome, which is set before the lock is released
         return self._outcome
 
 

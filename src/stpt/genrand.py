@@ -252,29 +252,35 @@ def gen_enabled_commands(
     restricted to operations enabled in at least one of those states, so
     such sequences never trip the harness's disabled-operation check.
     Generation stops early when no weighted operation is enabled, so
-    sequences may be shorter than the drawn length (or empty).
+    sequences may be shorter than the drawn length (or empty). ``weights``
+    is read once, when the generator is built.
     """
     if max_len < 1:
         raise InvalidRange("max_len must be >= 1")
     if not weights:
         raise InvalidRange("weights must be nonempty")
+    weights = dict(weights)
     delays = delay_gen if delay_gen is not None else default_delay_gen()
     length_gen = gen_int_in_range(1, max_len)
+    # One weighted pick per distinct enabled set, None when nothing weighted
+    # is enabled; shared by every run of this generator.
+    picks: dict[frozenset[str], Optional[Generator[str]]] = {}
 
     def go(rng: Rng) -> tuple[CommandSequence, Rng]:
         length, rng = length_gen.run(rng)
         current = list(model.init)
         commands = []
         for _ in range(length):
-            enabled: list[str] = []
-            for s in current:
-                for name in enabled_actions(model, s):
-                    if name not in enabled:
-                        enabled.append(name)
-            table = {op: w for op, w in weights.items() if op in enabled}
-            if not table:
+            enabled = frozenset(
+                name for s in current for name in enabled_actions(model, s)
+            )
+            if enabled not in picks:
+                table = {op: w for op, w in weights.items() if op in enabled}
+                picks[enabled] = weighted(table) if table else None
+            pick = picks[enabled]
+            if pick is None:
                 break
-            op, rng = weighted(table).run(rng)
+            op, rng = pick.run(rng)
             delay, rng = delays.run(rng)
             commands.append(Command(op, delay))
             current = successors(model, current, op)

@@ -46,11 +46,6 @@ class Box:
     def is_normalized(self) -> bool:
         return self.x1 <= self.x2 and self.y1 <= self.y2
 
-    @property
-    def cell_count(self) -> int:
-        """Number of integer grid cells covered (normalized boxes only)."""
-        return (self.x2 - self.x1 + 1) * (self.y2 - self.y1 + 1)
-
     def contains_point(self, x: int, y: int) -> bool:
         return self.x1 <= x <= self.x2 and self.y1 <= y <= self.y2
 

@@ -159,6 +159,11 @@ class StateModel:
     Init is stored deduplicated in a canonical order so every derived
     collection is deterministic. An empty init is constructible (the
     consistency scan reports it) but yields no behaviours.
+
+    Guards and effects are pure, so each instance memoises its transition
+    relation: :func:`successors` and :func:`enabled_actions` evaluate them
+    at most once per (state, operation). The memo tables are not fields,
+    so equality and ``repr`` ignore them.
     """
 
     variables: tuple[str, ...]
@@ -183,6 +188,10 @@ class StateModel:
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "init", tuple(states))
         object.__setattr__(self, "actions", tuple(actions))
+        object.__setattr__(self, "_names", frozenset(a.name for a in self.actions))
+        # Filled from any thread: a racing fill stores the same value twice.
+        object.__setattr__(self, "_successors", {})
+        object.__setattr__(self, "_enabled", {})
 
     @staticmethod
     def _require_binds(variables: tuple[str, ...], s: State) -> None:
@@ -260,28 +269,38 @@ def successors(
     """Distinct successors of ``op_name`` from any of ``states``, first seen first.
 
     None when the model declares no action with that name; an empty list
-    when the operation is disabled in every one of ``states``.
+    when the operation is disabled in every one of ``states``. Each
+    (state, operation) pair is stepped, and its state checked, only the
+    first time the model sees it.
     """
-    if all(action.name != op_name for action in model.actions):
+    if op_name not in model._names:
         return None
+    memo = model._successors
     found: list[State] = []
     for s in states:
-        outcome = step(model, s, op_name)
-        if isinstance(outcome, NextStates):
-            for nxt in outcome.states:
-                if nxt not in found:
-                    found.append(nxt)
+        key = (s, op_name)
+        nexts = memo.get(key)
+        if nexts is None:
+            outcome = step(model, s, op_name)
+            nexts = outcome.states if isinstance(outcome, NextStates) else ()
+            memo[key] = nexts
+        for nxt in nexts:
+            if nxt not in found:
+                found.append(nxt)
     return found
 
 
 def enabled_actions(model: StateModel, s: State) -> list[str]:
     """Duplicate-free action names with a true guard at ``s``, declaration order."""
-    model.check_state(s)
-    names = []
-    for action in model.actions:
-        if action.name not in names and action.guard(s):
-            names.append(action.name)
-    return names
+    names = model._enabled.get(s)
+    if names is None:
+        model.check_state(s)
+        seen: list[str] = []
+        for action in model.actions:
+            if action.name not in seen and action.guard(s):
+                seen.append(action.name)
+        names = model._enabled[s] = tuple(seen)
+    return list(names)
 
 
 def correct_behaviours(

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import stpt
 from helpers import oracle_behaviours
 from stpt import cli, therac_suite
 from stpt.suts import OP_CURSOR_UP, OP_SELECT_ELECTRON, OP_SELECT_PHOTON
@@ -337,6 +341,19 @@ class TestTraceCheck:
         assert cli.main(["--suite", "trace-check"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "time", ["2", 2.0, True, None, [2]],
+        ids=["string", "float", "bool", "null", "list"],
+    )
+    def test_non_integer_time_exits_two(self, tmp_path, capsys, time):
+        argv = self.write_inputs(
+            tmp_path, [PAPER_FORMULA], [{**self.OCCUPIED, "time": time}]
+        )
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert "bad observation 0" in err
+        assert "time must be an integer" in err
+
 
 class TestDumpBehaviours:
     def dump(self, capsys, *argv):
@@ -418,3 +435,29 @@ class TestRobotConfigFlag:
         missing = str(tmp_path / "absent.json")
         assert cli.main(["--suite", "robot", "--robot-config", missing]) == 2
         capsys.readouterr()
+
+
+class TestModuleEntry:
+    ARGV = [
+        "--suite", "therac25",
+        "--fault", "sequenceBug",
+        "--seed", "7",
+        "--num-tests", "40",
+        "--report", "json",
+    ]
+
+    @pytest.mark.parametrize("module", ["stpt", "stpt.cli"])
+    def test_runs_the_cli(self, module, capsys):
+        assert cli.main(self.ARGV) == 1
+        expected = capsys.readouterr().out
+        src = os.path.dirname(os.path.dirname(stpt.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-m", module, *self.ARGV],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert done.returncode == 1, done.stderr
+        assert done.stdout == expected

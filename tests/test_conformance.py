@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import threading
+import time
 
 import pytest
 
@@ -138,6 +139,41 @@ class TestDeferred:
         d: Deferred[int] = Deferred()
         threading.Timer(0.01, lambda: d.complete(7)).start()
         assert d.wait(2) == ("ok", 7)
+
+    @pytest.mark.parametrize("timeout", [0, -1, -0.5])
+    def test_pending_poll_returns_none_at_once(self, timeout):
+        d: Deferred[int] = Deferred()
+        started = time.monotonic()
+        assert d.wait(timeout) is None
+        assert time.monotonic() - started < 0.5
+
+    def test_every_blocked_waiter_gets_the_outcome(self):
+        d: Deferred[int] = Deferred()
+        waiters = 4
+        start = threading.Barrier(waiters + 1)
+        got = []
+
+        def wait(timeout) -> None:
+            start.wait()
+            got.append(d.wait(timeout))
+
+        threads = [
+            threading.Thread(target=wait, args=(t,), daemon=True)
+            for t in [None, 10.0] * (waiters // 2)
+        ]
+        for t in threads:
+            t.start()
+        start.wait()
+        time.sleep(0.05)  # let the waiters block
+        resolver = threading.Thread(target=d.complete, args=(7,))
+        resolver.start()
+        resolver.join(5)
+        for t in threads:
+            t.join(5)
+        assert not resolver.is_alive()
+        assert not any(t.is_alive() for t in threads)
+        assert got == [("ok", 7)] * waiters
+        assert d.wait(0) == ("ok", 7)
 
 
 class TestCheckAgainst:

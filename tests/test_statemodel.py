@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -200,6 +203,138 @@ class TestSuccessors:
         assert got == sorted(set(union), key=union.index)
         if all(isinstance(o, Disabled) for o in outcomes):
             assert got == []
+
+
+def brute_successors(model, states, op):
+    """Union of uncached ``step`` outcomes, first seen first."""
+    if all(action.name != op for action in model.actions):
+        return None
+    union = [
+        nxt
+        for s in states
+        for outcome in [step(model, s, op)]
+        if isinstance(outcome, NextStates)
+        for nxt in outcome.states
+    ]
+    return sorted(set(union), key=union.index)
+
+
+def brute_enabled(model, s):
+    """Names whose ``step`` is enabled, in the order of the first true guard."""
+    names = [a.name for a in model.actions if a.guard(s)]
+    assert set(names) == {
+        name for name in model.action_names
+        if isinstance(step(model, s, name), NextStates)
+    }
+    return sorted(set(names), key=names.index)
+
+
+OPS = ["alpha", "beta", "gamma", "delta", "omega"]
+
+
+def state_pool(model, depth=2):
+    return sorted(
+        {s for states, _ in oracle_behaviours(model, depth) for s in states},
+        key=lambda s: s.sort_key,
+    )
+
+
+class TestTransitionMemo:
+    @given(st.integers(0, 10_000), st.data())
+    @settings(max_examples=100)
+    def test_cold_and_warm_match_step(self, seed, data):
+        model = random_model(seed)
+        pool = state_pool(model)
+        states = data.draw(st.lists(st.sampled_from(pool), max_size=5))
+        for _ in ("cold", "warm"):
+            for op in OPS:
+                assert successors(model, states, op) == brute_successors(
+                    model, states, op
+                )
+            for s in pool:
+                assert enabled_actions(model, s) == brute_enabled(model, s)
+
+    def test_guards_and_effects_run_once_per_state_and_operation(self):
+        calls = {"guard": 0, "effect": 0}
+
+        def guard(s):
+            calls["guard"] += 1
+            return True
+
+        def effect(s):
+            calls["effect"] += 1
+            return s.assign(n=s["n"] + 1)
+
+        model = StateModel(["n"], [State({"n": 0})], [ActionSpec("inc", guard, effect)])
+        zero = State({"n": 0})
+        for _ in range(3):
+            assert successors(model, [zero], "inc") == [State({"n": 1})]
+            assert enabled_actions(model, zero) == ["inc"]
+        assert calls == {"guard": 2, "effect": 1}
+        # step is the uncached reference
+        step(model, zero, "inc")
+        assert calls == {"guard": 3, "effect": 2}
+
+    @pytest.mark.parametrize(
+        "bad", [State({"m": 0}), State({"n": 0, "m": 0}), State({})]
+    )
+    def test_misbound_state_raises_after_warm_up(self, bad):
+        model = counter_model()
+        for s in state_pool(model, 3):
+            enabled_actions(model, s)
+            for op in ("inc", "reset"):
+                successors(model, [s], op)
+        with pytest.raises(ValueError):
+            successors(model, [State({"n": 0}), bad], "inc")
+        with pytest.raises(ValueError):
+            enabled_actions(model, bad)
+
+    def test_mutating_a_result_leaves_later_results(self):
+        model = counter_model()
+        zero = State({"n": 0})
+        got = successors(model, [zero], "inc")
+        got.append(State({"n": 3}))
+        names = enabled_actions(model, zero)
+        names.append("reset")
+        assert successors(model, [zero], "inc") == [State({"n": 1})]
+        assert enabled_actions(model, zero) == ["inc"]
+
+    @pytest.mark.parametrize("seed", [3, 17, 42])
+    def test_concurrent_fills_match_one_thread(self, seed):
+        def table(model, order):
+            return (
+                {(s, op): successors(model, [s], op) for s in order for op in OPS},
+                {s: enabled_actions(model, s) for s in order},
+            )
+
+        pool = state_pool(random_model(seed), 3)
+        expected = table(random_model(seed), pool)
+        shared = random_model(seed)
+        workers = 4
+        start = threading.Barrier(workers)
+        got = []
+
+        def fill(order):
+            start.wait()
+            got.append(table(shared, order))
+
+        # each thread walks the pool from a different offset
+        threads = [
+            threading.Thread(target=fill, args=(pool[i:] + pool[:i],), daemon=True)
+            for i in range(workers)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == [expected] * workers
+        assert table(shared, pool) == expected
 
 
 class TestEnabledActions:
