@@ -218,11 +218,12 @@ def _run_replay(args: argparse.Namespace) -> int:
     )
     timeout = config.get("timeoutMs", 5000) / 1000.0
     failures = doc.get("failures", [])
-    reproduced = 0
+    reproduced = failed = 0
     lines = []
     for index, failure in enumerate(failures):
         try:
             seq = commands_from_json(failure["shrunkCommands"])
+            recorded = (failure["kind"], failure["failIndex"])
         except (KeyError, TypeError, ValueError) as err:
             raise CliError(f"bad failure record {index}: {err}")
         result = check_against(
@@ -233,14 +234,22 @@ def _run_replay(args: argparse.Namespace) -> int:
             suite.st_invariants,
             timeout,
         )
-        if isinstance(result, Fail):
-            reproduced += 1
-            lines.append(f"failure {index}: reproduced ({result.kind.value})")
-        else:
+        if not isinstance(result, Fail):
             lines.append(f"failure {index}: did not reproduce")
+            continue
+        failed += 1
+        got = (result.kind.value, result.witness.fail_index)
+        if got == recorded:
+            reproduced += 1
+            lines.append(f"failure {index}: reproduced ({got[0]})")
+        else:
+            lines.append(
+                f"failure {index}: different failure ({got[0]} at {got[1]}; "
+                f"recorded {recorded[0]} at {recorded[1]})"
+            )
     lines.append(f"reproduced {reproduced} of {len(failures)} failures")
     _emit("\n".join(lines) + "\n", args.out)
-    return 1 if reproduced else 0
+    return 1 if failed else 0
 
 
 def _load_invariants(path: str) -> list[tuple[int, Invariant]]:
@@ -263,6 +272,11 @@ def _load_invariants(path: str) -> list[tuple[int, Invariant]]:
     return out
 
 
+def _is_int(value: object) -> bool:
+    # bool is an int subclass, but true is neither a time nor a coordinate
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _load_trace(path: str) -> list[Observation]:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -276,14 +290,16 @@ def _load_trace(path: str) -> list[Observation]:
     observations = []
     for index, entry in enumerate(data):
         try:
-            time = entry["time"]
-            # bool is an int subclass, but true is not a time
-            if not isinstance(time, int) or isinstance(time, bool):
+            time, owner = entry["time"], entry["owner"]
+            boxes = [list(item) for item in entry.get("boxes", [])]
+            if not _is_int(time):
                 raise TypeError(f"time must be an integer, got {time!r}")
-            boxes = tuple(Box(*item) for item in entry.get("boxes", []))
-            observations.append(
-                Observation(time=time, owner=entry["owner"], occupied=boxes)
-            )
+            if not isinstance(owner, str):
+                raise TypeError(f"owner must be a string, got {owner!r}")
+            if not all(_is_int(v) for box in boxes for v in box):
+                raise TypeError(f"box corners must be integers, got {boxes!r}")
+            occupied = [Box(*box) for box in boxes]
+            observations.append(Observation(time=time, owner=owner, occupied=occupied))
         except (AttributeError, KeyError, TypeError) as err:
             raise CliError(f"{path}: bad observation {index}: {err}")
     return observations

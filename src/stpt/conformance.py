@@ -20,7 +20,7 @@ from enum import Enum
 from typing import Any, Callable, Generic, Optional, Protocol, TypeVar, Union
 
 from .genrand import Command, CommandSequence, Generator, NotFailing, Rng, shrink_sequence
-from .spatial import Invariant, Observation, OccupancyFact, _eval_normalized, normalize
+from .spatial import Invariant, Observation, OccupancyFact, evaluate
 from .statemodel import State, StateModel, successors
 
 A = TypeVar("A")
@@ -159,6 +159,25 @@ def _spatial_observations(raw: RawObservation) -> list[Observation]:
     ]
 
 
+def _settle(
+    deferred: Deferred[RawObservation],
+    timeout: float,
+    call: str,
+    seq: CommandSequence,
+    fail_index: Optional[int],
+    expected: tuple[State, ...],
+) -> Union[RawObservation, Fail]:
+    """The raw observation ``call`` completed with, or its Timeout/SutError."""
+    settled = deferred.wait(timeout)
+    if settled is None:
+        kind, note = FailKind.TIMEOUT, f"{call} did not complete within {timeout}s"
+    elif settled[0] == "failed":
+        kind, note = FailKind.SUT_ERROR, f"SUT {call} raised {settled[1]!r}"
+    else:
+        return settled[1]
+    return Fail(kind, Witness(seq, fail_index, expected, note=note))
+
+
 def check_against(
     model: StateModel,
     adapter: SutAdapter,
@@ -171,33 +190,11 @@ def check_against(
 
     Per command the model side is consulted first, so an operation the
     model rejects (unknown or disabled everywhere in the consistent set)
-    fails before it ever reaches the SUT.
+    fails before it ever reaches the SUT. Invariants are judged as given.
     """
-    # normalised once per replay, then judged without renormalising
-    invariants = tuple(normalize(inv) for inv in st_invariants)
-    settled = adapter.reset().wait(timeout)
-    if settled is None:
-        return Fail(
-            FailKind.TIMEOUT,
-            Witness(
-                sequence=seq,
-                fail_index=None,
-                expected_states=model.init,
-                note=f"reset did not complete within {timeout}s",
-            ),
-        )
-    status, value = settled
-    if status == "failed":
-        return Fail(
-            FailKind.SUT_ERROR,
-            Witness(
-                sequence=seq,
-                fail_index=None,
-                expected_states=model.init,
-                note=f"SUT reset raised {value!r}",
-            ),
-        )
-    raw = value
+    raw = _settle(adapter.reset(), timeout, "reset", seq, None, model.init)
+    if isinstance(raw, Fail):
+        return raw
     observed = abstraction(raw)
     consistent = [s for s in model.init if s == observed]
     if not consistent:
@@ -236,30 +233,16 @@ def check_against(
                     ),
                 ),
             )
-        deferred = adapter.apply(command, at_time)
-        settled = deferred.wait(timeout)
-        if settled is None:
-            return Fail(
-                FailKind.TIMEOUT,
-                Witness(
-                    sequence=seq,
-                    fail_index=index,
-                    expected_states=tuple(expected),
-                    note=f"no completion within {timeout}s",
-                ),
-            )
-        status, value = settled
-        if status == "failed":
-            return Fail(
-                FailKind.SUT_ERROR,
-                Witness(
-                    sequence=seq,
-                    fail_index=index,
-                    expected_states=tuple(expected),
-                    note=f"SUT raised {value!r}",
-                ),
-            )
-        raw = value
+        raw = _settle(
+            adapter.apply(command, at_time),
+            timeout,
+            f"apply {command.op!r}",
+            seq,
+            index,
+            tuple(expected),
+        )
+        if isinstance(raw, Fail):
+            return raw
         observed = abstraction(raw)
         consistent = [s for s in expected if s == observed]
         if not consistent:
@@ -275,10 +258,10 @@ def check_against(
                     note="observed state matches no model successor",
                 ),
             )
-        observations = _spatial_observations(raw) if invariants else []
-        for invariant in invariants:
+        observations = _spatial_observations(raw) if st_invariants else []
+        for invariant in st_invariants:
             for observation in observations:
-                if not _eval_normalized(invariant, observation):
+                if not evaluate(invariant, observation):
                     return Fail(
                         FailKind.SPATIAL_VIOLATION,
                         Witness(
@@ -390,32 +373,30 @@ def run_property(
         if isinstance(result, Pass):
             return None
         kind = result.kind
+        # shrink_sequence returns the last candidate still_fails accepted,
+        # so ``shrunk`` ends as that candidate's own failure
+        shrunk = result
 
         def still_fails(candidate: CommandSequence) -> bool:
+            nonlocal shrunk
             rerun = check_against(
                 model, sut, abstraction, candidate, st_invariants, timeout
             )
-            return isinstance(rerun, Fail) and rerun.kind == kind
+            if isinstance(rerun, Fail) and rerun.kind == kind:
+                shrunk = rerun
+                return True
+            return False
 
         try:
-            smaller = shrink_sequence(seq, still_fails)
+            shrink_sequence(seq, still_fails)
         except NotFailing:
-            # flaky SUT: keep the original witness
-            smaller = seq
-        if smaller is seq:
-            shrunk_witness = result.witness
-        else:
-            shrunk = check_against(
-                model, sut, abstraction, smaller, st_invariants, timeout
-            )
-            assert isinstance(shrunk, Fail) and shrunk.kind == kind
-            shrunk_witness = shrunk.witness
+            pass  # flaky SUT: the original witness stays
         return FailureRecord(
             test_index=test_index,
             kind=kind,
             classification=classify(result),
             original=result.witness,
-            shrunk=shrunk_witness,
+            shrunk=shrunk.witness,
         )
 
     records: list[Optional[FailureRecord]]

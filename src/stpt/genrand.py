@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Generic, Mapping, Optional, Sequence, TypeVar
 
-from .spatial import And, Box, Implies, Invariant, OccupyBox, Owner, TimeInterval, TimeWindow, normalize
+from .spatial import And, Box, Implies, Invariant, OccupyBox, Owner, TimeInterval, TimeWindow
 from .statemodel import StateModel, enabled_actions, successors
 
 A = TypeVar("A")
@@ -313,7 +313,7 @@ def gen_invariant(
             And((TimeInterval(TimeWindow(t1, t2)), Owner(owner_pool[index]))),
             OccupyBox(Box(x1, y1, x2, y2)),
         )
-        return normalize(inv), rng
+        return inv, rng
 
     return Generator(go)
 
@@ -330,7 +330,8 @@ def shrink_sequence(
 
     Alternates a single-command deletion pass with a delay-halving pass
     until neither changes anything. The result is 1-minimal: no single
-    deletion and no single delay halving still fails.
+    deletion and no single delay halving still fails. It is always the
+    last sequence on which ``fails`` returned true.
     """
     if not fails(seq):
         raise NotFailing("initial sequence does not fail")

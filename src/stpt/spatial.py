@@ -173,9 +173,12 @@ class Implies(Invariant):
 
 @dataclass(frozen=True)
 class TimeInterval(Invariant):
-    """True when the observation's time lies inside the window."""
+    """True when the observation's time lies inside the (ordered) window."""
 
     window: TimeWindow
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "window", self.window.normalized())
 
 
 @dataclass(frozen=True)
@@ -187,9 +190,12 @@ class Owner(Invariant):
 
 @dataclass(frozen=True)
 class OccupyBox(Invariant):
-    """True when the box is fully covered by the observation's occupied space."""
+    """True when the (ordered) box is covered by the observation's occupied space."""
 
     box: Box
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "box", self.box.normalized())
 
 
 @dataclass(frozen=True)
@@ -260,17 +266,14 @@ class TraceVerdict:
 
 
 def normalize(inv: Invariant) -> Invariant:
-    """Canonical form: corners and windows ordered, nested And/Or flattened.
+    """Canonical form: nested And/Or flattened; atoms are ordered when built.
 
     Semantics-preserving and idempotent. No other simplification is applied,
     so the term structure stays recognizable.
     """
-    if isinstance(inv, (TrueAtom, FalseAtom, Owner, OccupyPoint)):
+    atoms = (TrueAtom, FalseAtom, TimeInterval, Owner, OccupyBox, OccupyPoint)
+    if isinstance(inv, atoms):
         return inv
-    if isinstance(inv, TimeInterval):
-        return TimeInterval(inv.window.normalized())
-    if isinstance(inv, OccupyBox):
-        return OccupyBox(inv.box.normalized())
     if isinstance(inv, Not):
         return Not(normalize(inv.term))
     if isinstance(inv, Implies):
@@ -333,21 +336,20 @@ def box_covered(target: Box, boxes: Sequence[Box]) -> bool:
     return False
 
 
-def _eval_normalized(inv: Invariant, obs: Observation) -> bool:
+def evaluate(inv: Invariant, obs: Observation) -> bool:
+    """Whether one observation satisfies the formula, judged as given. Total."""
     if isinstance(inv, TrueAtom):
         return True
     if isinstance(inv, FalseAtom):
         return False
     if isinstance(inv, And):
-        return all(_eval_normalized(t, obs) for t in inv.terms)
+        return all(evaluate(t, obs) for t in inv.terms)
     if isinstance(inv, Or):
-        return any(_eval_normalized(t, obs) for t in inv.terms)
+        return any(evaluate(t, obs) for t in inv.terms)
     if isinstance(inv, Not):
-        return not _eval_normalized(inv.term, obs)
+        return not evaluate(inv.term, obs)
     if isinstance(inv, Implies):
-        return (not _eval_normalized(inv.antecedent, obs)) or _eval_normalized(
-            inv.consequent, obs
-        )
+        return not evaluate(inv.antecedent, obs) or evaluate(inv.consequent, obs)
     if isinstance(inv, TimeInterval):
         return inv.window.contains(obs.time)
     if isinstance(inv, Owner):
@@ -357,11 +359,6 @@ def _eval_normalized(inv: Invariant, obs: Observation) -> bool:
     if isinstance(inv, OccupyPoint):
         return any(b.contains_point(inv.x, inv.y) for b in obs.occupied)
     raise TypeError(f"unknown invariant term: {inv!r}")
-
-
-def evaluate(inv: Invariant, obs: Observation) -> bool:
-    """Whether one observation satisfies the formula. Total."""
-    return _eval_normalized(normalize(inv), obs)
 
 
 def check_trace(inv: Invariant, trace: Sequence[Observation]) -> TraceVerdict:
@@ -377,9 +374,8 @@ def check_trace(inv: Invariant, trace: Sequence[Observation]) -> TraceVerdict:
                 f"observation {index} at time {obs.time} after time {previous}"
             )
         previous = obs.time
-    normalized = normalize(inv)
     for index, obs in enumerate(trace):
-        if not _eval_normalized(normalized, obs):
+        if not evaluate(inv, obs):
             return TraceVerdict(holds=False, first_violation=index)
     return TraceVerdict(holds=True)
 

@@ -382,23 +382,16 @@ def spec_consistency(
     if not model.init:
         warnings.append(EmptyInit())
     reachable = _reachable_states(model, state_cap)
-    enabled_somewhere: set[str] = set()
-    changed_somewhere: set[str] = set()
-    for action in model.actions:
-        for s in reachable:
-            if not action.guard(s):
-                continue
-            enabled_somewhere.add(action.name)
-            if action.effect(s) != s:
-                changed_somewhere.add(action.name)
+    never_enabled: list[SpecWarning] = []
+    no_op: list[SpecWarning] = []
     for name in model.action_names:
-        if name not in enabled_somewhere:
-            warnings.append(NeverEnabled(name))
-    for name in model.action_names:
-        if name in enabled_somewhere and name not in changed_somewhere:
-            if name not in suppress:
-                warnings.append(NoOpEffect(name))
-    return warnings
+        # _reachable_states stepped every (state, name) pair: memo reads only
+        moves = [(s, nxt) for s in reachable for nxt in successors(model, (s,), name)]
+        if not moves:
+            never_enabled.append(NeverEnabled(name))
+        elif name not in suppress and all(nxt == s for s, nxt in moves):
+            no_op.append(NoOpEffect(name))
+    return warnings + never_enabled + no_op
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,11 @@ from stpt import (
     And,
     Box,
     CollisionWitness,
+    EmptyInit,
     FalseAtom,
     Implies,
+    NeverEnabled,
+    NoOpEffect,
     Not,
     Observation,
     OccupancyFact,
@@ -127,6 +130,34 @@ def random_model(seed: int) -> StateModel:
             ActionSpec(rnd.choice(names), make_guard(), make_effect())
         )
     return StateModel(variables, init, actions)
+
+
+def oracle_spec_consistency(model: StateModel, suppress_noop=()) -> list:
+    """The consistency scan by calling every guard and effect directly.
+
+    Reachable states by a plain breadth-first walk, then per action: is its
+    guard true somewhere, and does its effect change some such state.
+    """
+    reachable = list(model.init)
+    for s in reachable:
+        for action in model.actions:
+            if action.guard(s):
+                nxt = action.effect(s)
+                if nxt not in reachable:
+                    reachable.append(nxt)
+    enabled = {a.name for a in model.actions for s in reachable if a.guard(s)}
+    changed = {
+        a.name for a in model.actions for s in reachable
+        if a.guard(s) and a.effect(s) != s
+    }
+    names = list(dict.fromkeys(a.name for a in model.actions))
+    warnings = [EmptyInit()] if not model.init else []
+    warnings += [NeverEnabled(n) for n in names if n not in enabled]
+    warnings += [
+        NoOpEffect(n) for n in names
+        if n in enabled and n not in changed and n not in suppress_noop
+    ]
+    return warnings
 
 
 # ---------------------------------------------------------------------------

@@ -173,10 +173,14 @@ class TestJsonReport:
         assert cli.main(args + ["--out", str(second)]) == 1
         assert first.read_bytes() == second.read_bytes()
 
-    def test_worker_count_does_not_change_the_bytes(self, tmp_path):
+    # wrongMove: nearly every robot test fails and shrinks, against invariants
+    @pytest.mark.parametrize(
+        "suite, fault", [("therac25", "sequenceBug"), ("robot", "wrongMove")]
+    )
+    def test_worker_count_does_not_change_the_bytes(self, tmp_path, suite, fault):
         args = [
-            "--suite", "therac25",
-            "--fault", "sequenceBug",
+            "--suite", suite,
+            "--fault", fault,
             "--seed", "4",
             "--num-tests", "30",
             "--report", "json",
@@ -271,6 +275,34 @@ class TestReplay:
         assert code == 0
         assert "did not reproduce" in out
 
+    @pytest.mark.parametrize("field", ["kind", "failIndex"])
+    def test_changed_record_is_a_different_failure(self, tmp_path, capsys, field):
+        path = tmp_path / "report.json"
+        run_json_campaign(
+            tmp_path,
+            [
+                "--suite", "therac25",
+                "--fault", "sequenceBug",
+                "--seed", "7",
+                "--num-tests", "200",
+            ],
+        )
+        doc = json.loads(path.read_text())
+        first = doc["failures"][0]
+        kind, at = first["kind"], first["failIndex"]
+        first[field] = {"kind": "Timeout", "failIndex": at + 1}[field]
+        path.write_text(json.dumps(doc))
+        code = cli.main(["--replay", str(path)])
+        out = capsys.readouterr().out
+        assert code == 1
+        recorded = (first["kind"], first["failIndex"])
+        assert (
+            f"failure 0: different failure ({kind} at {at}; "
+            f"recorded {recorded[0]} at {recorded[1]})"
+        ) in out
+        count = len(doc["failures"])
+        assert f"reproduced {count - 1} of {count} failures" in out
+
     def test_missing_report_is_an_error(self, tmp_path, capsys):
         assert cli.main(["--replay", str(tmp_path / "nope.json")]) == 2
         assert "error:" in capsys.readouterr().err
@@ -353,6 +385,31 @@ class TestTraceCheck:
         err = capsys.readouterr().err
         assert "bad observation 0" in err
         assert "time must be an integer" in err
+
+    @pytest.mark.parametrize(
+        "box", [[1.5, 1, 5, 5], [True, 1, 5, 5], [1, "1", 5, 5], [1, 1, 5, None]],
+        ids=["float", "bool", "string", "null"],
+    )
+    def test_non_integer_box_corner_exits_two(self, tmp_path, capsys, box):
+        argv = self.write_inputs(
+            tmp_path, [PAPER_FORMULA], [{**self.OCCUPIED, "boxes": [box]}]
+        )
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert "bad observation 0" in err
+        assert "box corners must be integers" in err
+
+    @pytest.mark.parametrize(
+        "owner", [7, None, ["AreaOfInterest"]], ids=["int", "null", "list"]
+    )
+    def test_non_string_owner_exits_two(self, tmp_path, capsys, owner):
+        argv = self.write_inputs(
+            tmp_path, [PAPER_FORMULA], [{**self.OCCUPIED, "owner": owner}]
+        )
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert "bad observation 0" in err
+        assert "owner must be a string" in err
 
 
 class TestDumpBehaviours:

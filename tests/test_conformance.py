@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 import threading
 import time
 
@@ -23,6 +24,7 @@ from stpt import (
     Owner,
     Pass,
     RawObservation,
+    RunReport,
     State,
     StateModel,
     TimeInterval,
@@ -33,6 +35,7 @@ from stpt import (
     gen_enabled_commands,
     run_property,
 )
+from stpt import conformance
 from stpt.statemodel import NextStates, step
 
 
@@ -91,6 +94,23 @@ class ToggleSut:
             self.value = False
         reported = (not self.value) if at_time in self.lie_times else self.value
         return Deferred.successful(RawObservation(reported, self.facts, at_time))
+
+
+class RandomSut(ToggleSut):
+    """Toggle whose answers are drawn from a seeded stream: right, wrong or an error."""
+
+    def __init__(self, seed: int):
+        super().__init__()
+        self.rnd = random.Random(seed)
+
+    def apply(self, command: Command, at_time: int) -> Deferred[RawObservation]:
+        reply = super().apply(command, at_time)
+        roll = self.rnd.random()
+        if roll < 0.2:
+            return Deferred.failed(RuntimeError("flaky"))
+        if roll < 0.5:
+            return Deferred.successful(RawObservation(not self.value, (), at_time))
+        return reply
 
 
 class TestDeferred:
@@ -302,6 +322,18 @@ class TestSpatialChecking:
             facts=(OccupancyFact("cart", TimeWindow(0, 100), Box(0, 0, 1, 1)),)
         )
         assert self.check(cart_only, ["turnOn"], (self.WANT_BIG,)) == Pass()
+
+    def test_invariant_is_judged_and_reported_as_given(self):
+        # a reversed window, corners in the wrong order and a nested And
+        given = Implies(
+            And((And((TimeInterval(TimeWindow(100, 0)),)), Owner("arm"))),
+            OccupyBox(Box(9, 9, 0, 0)),
+        )
+        sut = ToggleSut(facts=(self.ARM_FACT,))
+        result = self.check(sut, ["turnOn"], (given,))
+        assert isinstance(result, Fail)
+        assert result.kind == FailKind.SPATIAL_VIOLATION
+        assert result.witness.invariant is given
 
     def test_stale_facts_outside_window_are_ignored(self):
         later = ToggleSut(
@@ -654,6 +686,56 @@ class TestRunProperty:
             for r in rep.failures
         ]
         assert pick(serial) == pick(parallel)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_answers_never_crash_the_campaign(self, seed):
+        notes = {
+            FailKind.SUT_MISMATCH: "observed state matches no model successor",
+            FailKind.SUT_ERROR: "raised RuntimeError('flaky')",
+        }
+        report = run_property(
+            toggle_model(),
+            RandomSut(seed),
+            toggle_abstraction,
+            self.GEN,
+            num_tests=50,
+            seed=seed,
+        )
+        assert isinstance(report, RunReport)
+        assert report.tests_failed == len(report.failures) > 0
+        for record in report.failures:
+            # the shrunk witness comes from a failure of the recorded kind
+            assert notes[record.kind] in record.shrunk.note
+
+    def test_each_failure_costs_one_reset_per_shrink_call(self, monkeypatch):
+        calls = []
+        shrink = conformance.shrink_sequence
+
+        def counting_shrink(seq, fails):
+            count = 0
+
+            def counted(candidate):
+                nonlocal count
+                count += 1
+                return fails(candidate)
+
+            try:
+                return shrink(seq, counted)
+            finally:
+                calls.append(count)
+
+        monkeypatch.setattr(conformance, "shrink_sequence", counting_shrink)
+        sut = ToggleSut(lie_times={7, 14, 21, 28, 35})
+        report = run_property(
+            toggle_model(), sut, toggle_abstraction, self.GEN, num_tests=60
+        )
+        assert len(calls) == report.tests_failed > 0
+        assert any(
+            len(r.shrunk.sequence) < len(r.original.sequence) for r in report.failures
+        )
+        # every test replays once; a failing one once more per shrink call,
+        # and never again after the shrinker returns
+        assert sut.resets == report.tests_run + sum(calls)
 
     def test_failures_arrive_in_test_order(self):
         report = self.lying_report(seed=1)

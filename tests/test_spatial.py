@@ -110,6 +110,14 @@ class TestNormalize:
             Box(1051, 3056, 1505, 3603)
         )
 
+    def test_atoms_are_normal_when_built(self):
+        reversed_window = TimeInterval(TimeWindow(5, 1))
+        assert reversed_window == TimeInterval(TimeWindow(1, 5))
+        assert reversed_window.window == TimeWindow(1, 5)
+        swapped = OccupyBox(Box(1505, 3603, 1051, 3056))
+        assert swapped == OccupyBox(Box(1051, 3056, 1505, 3603))
+        assert swapped.box == Box(1051, 3056, 1505, 3603)
+
     def test_flattens_nested_conjunctions(self):
         a, b, c = Owner("a"), Owner("b"), Owner("c")
         assert normalize(And((And((a, b)), c))) == And((a, b, c))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import oracle_behaviours, random_model
+from helpers import oracle_behaviours, oracle_spec_consistency, random_model
 from stpt import (
     ActionSpec,
     Behaviour,
@@ -515,6 +515,30 @@ class TestSpecConsistency:
         )
         with pytest.raises(StateCapExceeded):
             spec_consistency(model, state_cap=3)
+
+    @given(st.integers(0, 10_000), st.sets(st.sampled_from(OPS)))
+    @settings(max_examples=100)
+    def test_matches_a_scan_of_every_guard_and_effect(self, seed, suppress):
+        model = random_model(seed)
+        assert spec_consistency(model, suppress_noop=suppress) == (
+            oracle_spec_consistency(model, suppress)
+        )
+
+    def test_scan_reads_the_memo_of_the_reachable_walk(self):
+        calls = {"guard": 0, "effect": 0}
+
+        def guard(s):
+            calls["guard"] += 1
+            return s["n"] < 3
+
+        def effect(s):
+            calls["effect"] += 1
+            return s.assign(n=s["n"] + 1)
+
+        model = StateModel(["n"], [State({"n": 0})], [ActionSpec("inc", guard, effect)])
+        assert spec_consistency(model) == []
+        # n = 0..3 reachable: one guard per state, one effect per enabled state
+        assert calls == {"guard": 4, "effect": 3}
 
 
 class TestFormatting:
