@@ -65,6 +65,7 @@ from .spatial import (
     box_covered,
     box_intersection,
     check_trace,
+    compile_invariant,
     detect_collisions,
     evaluate,
     normalize,

@@ -16,6 +16,7 @@ from .conformance import Fail, check_against, run_property
 from .formula_text import FormulaParseError, parse_invariant
 from .genrand import gen_enabled_commands
 from .reports import (
+    RESET_POSITION,
     commands_from_json,
     config_echo,
     load_report,
@@ -204,6 +205,11 @@ def _run_dump(suite: Suite, args: argparse.Namespace) -> int:
     return 0
 
 
+def _position(fail_index: Optional[int]) -> str:
+    """A failure's command index, or where the text report puts a reset failure."""
+    return RESET_POSITION if fail_index is None else str(fail_index)
+
+
 def _run_replay(args: argparse.Namespace) -> int:
     try:
         doc = load_report(args.replay)
@@ -244,8 +250,8 @@ def _run_replay(args: argparse.Namespace) -> int:
             lines.append(f"failure {index}: reproduced ({got[0]})")
         else:
             lines.append(
-                f"failure {index}: different failure ({got[0]} at {got[1]}; "
-                f"recorded {recorded[0]} at {recorded[1]})"
+                f"failure {index}: different failure ({got[0]} at {_position(got[1])}; "
+                f"recorded {recorded[0]} at {_position(recorded[1])})"
             )
     lines.append(f"reproduced {reproduced} of {len(failures)} failures")
     _emit("\n".join(lines) + "\n", args.out)

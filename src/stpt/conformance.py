@@ -20,7 +20,14 @@ from enum import Enum
 from typing import Any, Callable, Generic, Optional, Protocol, TypeVar, Union
 
 from .genrand import Command, CommandSequence, Generator, NotFailing, Rng, shrink_sequence
-from .spatial import Invariant, Observation, OccupancyFact, evaluate
+from .spatial import (
+    Invariant,
+    Observation,
+    OccupancyFact,
+    Predicate,
+    always_true,
+    compile_invariant,
+)
 from .statemodel import State, StateModel, successors
 
 A = TypeVar("A")
@@ -159,6 +166,18 @@ def _spatial_observations(raw: RawObservation) -> list[Observation]:
     ]
 
 
+def _obligations(
+    st_invariants: tuple[Invariant, ...],
+) -> list[tuple[Invariant, Predicate]]:
+    """Each invariant with its compiled predicate, less those that fold to TRUE."""
+    out = []
+    for invariant in st_invariants:
+        holds = compile_invariant(invariant)
+        if holds is not always_true:
+            out.append((invariant, holds))
+    return out
+
+
 def _settle(
     deferred: Deferred[RawObservation],
     timeout: float,
@@ -191,6 +210,9 @@ def check_against(
     Per command the model side is consulted first, so an operation the
     model rejects (unknown or disabled everywhere in the consistent set)
     fails before it ever reaches the SUT. Invariants are judged as given.
+    They are compiled once per call, when the first command's observation
+    is to be judged, so a replay that diverges on its first command pays
+    nothing for them; one that folds to TRUE is never judged.
     """
     raw = _settle(adapter.reset(), timeout, "reset", seq, None, model.init)
     if isinstance(raw, Fail):
@@ -208,6 +230,7 @@ def check_against(
                 note="initial SUT state is not an init state of the model",
             ),
         )
+    obligations = None
     for index, (command, at_time) in enumerate(zip(seq, seq.timestamps)):
         expected = successors(model, consistent, command.op)
         if expected is None:
@@ -258,10 +281,12 @@ def check_against(
                     note="observed state matches no model successor",
                 ),
             )
-        observations = _spatial_observations(raw) if st_invariants else []
-        for invariant in st_invariants:
+        if obligations is None:
+            obligations = _obligations(st_invariants)
+        observations = _spatial_observations(raw) if obligations else []
+        for invariant, holds in obligations:
             for observation in observations:
-                if not evaluate(invariant, observation):
+                if not holds(observation):
                     return Fail(
                         FailKind.SPATIAL_VIOLATION,
                         Witness(

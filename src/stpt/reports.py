@@ -16,6 +16,8 @@ from .genrand import Command, CommandSequence
 from .statemodel import format_state
 
 SCHEMA_VERSION = 1
+# Where a failure that happened before any command took place is reported.
+RESET_POSITION = "(reset)"
 
 
 def command_to_json(command: Command) -> dict:
@@ -83,7 +85,7 @@ def format_sequence(seq: CommandSequence) -> str:
 
 def _api_code(witness: Witness) -> str:
     if witness.fail_index is None:
-        return "(reset)"
+        return RESET_POSITION
     return witness.sequence.commands[witness.fail_index].op
 
 

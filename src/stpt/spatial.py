@@ -13,7 +13,7 @@ degenerate (zero-width) box.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 class NonMonotonicTrace(ValueError):
     """Raised when trace observation times decrease."""
@@ -45,9 +45,6 @@ class Box:
     @property
     def is_normalized(self) -> bool:
         return self.x1 <= self.x2 and self.y1 <= self.y2
-
-    def contains_point(self, x: int, y: int) -> bool:
-        return self.x1 <= x <= self.x2 and self.y1 <= y <= self.y2
 
     def contains_box(self, other: Box) -> bool:
         other = other.normalized()
@@ -303,21 +300,17 @@ def normalize(inv: Invariant) -> Invariant:
 # Satisfaction
 
 
-def _subtract(rect: Box, hole: Box) -> list[Box]:
-    """Remove ``hole`` from ``rect``, returning up to four remainder rects."""
-    overlap = box_intersection(rect, hole)
-    if overlap is None:
-        return [rect]
-    pieces = []
-    if rect.x1 < overlap.x1:
-        pieces.append(Box(rect.x1, rect.y1, overlap.x1 - 1, rect.y2))
-    if overlap.x2 < rect.x2:
-        pieces.append(Box(overlap.x2 + 1, rect.y1, rect.x2, rect.y2))
-    if rect.y1 < overlap.y1:
-        pieces.append(Box(overlap.x1, rect.y1, overlap.x2, overlap.y1 - 1))
-    if overlap.y2 < rect.y2:
-        pieces.append(Box(overlap.x1, overlap.y2 + 1, overlap.x2, rect.y2))
-    return pieces
+Predicate = Callable[[Observation], bool]
+
+
+def always_true(obs: Observation) -> bool:
+    """The predicate of every term that folds to TRUE."""
+    return True
+
+
+def always_false(obs: Observation) -> bool:
+    """The predicate of every term that folds to FALSE."""
+    return False
 
 
 def box_covered(target: Box, boxes: Sequence[Box]) -> bool:
@@ -325,40 +318,202 @@ def box_covered(target: Box, boxes: Sequence[Box]) -> bool:
 
     Subtracts each box in turn from what is left of the target and stops
     as soon as nothing is left. Every remainder piece is a closed integer
-    rectangle, so the answer is exact on the integer grid, and its cost
-    grows with the number of pieces rather than with the target's area.
+    rectangle, held as an ``(x1, y1, x2, y2)`` tuple, so the answer is
+    exact on the integer grid, and its cost grows with the number of
+    pieces rather than with the target's area. The target and each box
+    may have unordered corners.
     """
-    pending = [target.normalized()]
-    for b in boxes:
-        pending = [piece for rect in pending for piece in _subtract(rect, b)]
-        if not pending:
+    x1, y1, x2, y2 = target.x1, target.y1, target.x2, target.y2
+    if x1 > x2:
+        x1, x2 = x2, x1
+    if y1 > y2:
+        y1, y2 = y2, y1
+    pending = [(x1, y1, x2, y2)]
+    for box in boxes:
+        bx1, by1, bx2, by2 = box.x1, box.y1, box.x2, box.y2
+        if bx1 > bx2:
+            bx1, bx2 = bx2, bx1
+        if by1 > by2:
+            by1, by2 = by2, by1
+        rest = []
+        for piece in pending:
+            px1, py1, px2, py2 = piece
+            if bx1 > px2 or bx2 < px1 or by1 > py2 or by2 < py1:
+                rest.append(piece)
+                continue
+            # the overlap is [ox1, ox2] x [oy1, oy2]; keep what lies around it
+            ox1 = bx1 if bx1 > px1 else px1
+            ox2 = bx2 if bx2 < px2 else px2
+            oy1 = by1 if by1 > py1 else py1
+            oy2 = by2 if by2 < py2 else py2
+            if px1 < ox1:
+                rest.append((px1, py1, ox1 - 1, py2))
+            if ox2 < px2:
+                rest.append((ox2 + 1, py1, px2, py2))
+            if py1 < oy1:
+                rest.append((ox1, py1, ox2, oy1 - 1))
+            if oy2 < py2:
+                rest.append((ox1, oy2 + 1, ox2, py2))
+        if not rest:
             return True
+        pending = rest
     return False
 
 
-def evaluate(inv: Invariant, obs: Observation) -> bool:
-    """Whether one observation satisfies the formula, judged as given. Total."""
-    if isinstance(inv, TrueAtom):
-        return True
-    if isinstance(inv, FalseAtom):
-        return False
-    if isinstance(inv, And):
-        return all(evaluate(t, obs) for t in inv.terms)
-    if isinstance(inv, Or):
-        return any(evaluate(t, obs) for t in inv.terms)
-    if isinstance(inv, Not):
-        return not evaluate(inv.term, obs)
-    if isinstance(inv, Implies):
-        return not evaluate(inv.antecedent, obs) or evaluate(inv.consequent, obs)
-    if isinstance(inv, TimeInterval):
-        return inv.window.contains(obs.time)
-    if isinstance(inv, Owner):
-        return inv.name == obs.owner
-    if isinstance(inv, OccupyBox):
-        return box_covered(inv.box, obs.occupied)
-    if isinstance(inv, OccupyPoint):
-        return any(b.contains_point(inv.x, inv.y) for b in obs.occupied)
+def compile_invariant(inv: Invariant) -> Predicate:
+    """The formula as a predicate over observations, built in one walk.
+
+    Constants fold bottom-up: ``Implies(_, TRUE)``, ``Implies(FALSE, _)``,
+    ``Or(..., TRUE, ...)`` and ``Not(FALSE)`` fold to TRUE, their duals to
+    FALSE, TRUE (FALSE) operands drop out of ``And`` (``Or``), and
+    ``Implies(f, FALSE)`` becomes ``Not(f)``. A term
+    that folds to a constant compiles to :func:`always_true` or
+    :func:`always_false`. Every subterm is compiled, even one that folds
+    away, so an unknown term raises ``TypeError`` here and never when the
+    predicate runs. Nothing is stored on the terms.
+    """
+    compiled = _compile(inv)
+    if compiled is True:
+        return always_true
+    if compiled is False:
+        return always_false
+    return compiled
+
+
+def _compile(inv: Invariant) -> Union[bool, Predicate]:
+    """A constant the term folds to, or its predicate."""
+    for cls in type(inv).__mro__:
+        compiler = _COMPILERS.get(cls)
+        if compiler is not None:
+            return compiler(inv)
     raise TypeError(f"unknown invariant term: {inv!r}")
+
+
+def _negate(compiled: Union[bool, Predicate]) -> Union[bool, Predicate]:
+    if isinstance(compiled, bool):
+        return not compiled
+    return lambda obs: not compiled(obs)
+
+
+def _compile_implies(inv: Implies) -> Union[bool, Predicate]:
+    antecedent = _compile(inv.antecedent)
+    consequent = _compile(inv.consequent)
+    if antecedent is False or consequent is True:
+        return True
+    if antecedent is True:
+        return consequent
+    if consequent is False:
+        return _negate(antecedent)
+    return lambda obs: not antecedent(obs) or consequent(obs)
+
+
+def _junction(
+    terms: tuple[Invariant, ...],
+    absorbing: bool,
+    combine: Callable[[list[Predicate]], Predicate],
+) -> Union[bool, Predicate]:
+    """``And`` (``absorbing`` False) or ``Or`` (True) of the compiled terms.
+
+    Every term is compiled. The absorbing constant decides the whole, the
+    other constant drops out, and ``combine`` joins the predicates left.
+    """
+    preds = []
+    decided = False
+    for term in terms:
+        compiled = _compile(term)
+        if compiled is absorbing:
+            decided = True
+        elif not isinstance(compiled, bool):
+            preds.append(compiled)
+    if decided:
+        return absorbing
+    if not preds:
+        return not absorbing
+    return preds[0] if len(preds) == 1 else combine(preds)
+
+
+def _all_of(preds: list[Predicate]) -> Predicate:
+    if len(preds) == 2:
+        a, b = preds
+        return lambda obs: a(obs) and b(obs)
+    if len(preds) == 3:
+        a, b, c = preds
+        return lambda obs: a(obs) and b(obs) and c(obs)
+
+    def conjunction(obs: Observation) -> bool:
+        for p in preds:
+            if not p(obs):
+                return False
+        return True
+
+    return conjunction
+
+
+def _any_of(preds: list[Predicate]) -> Predicate:
+    if len(preds) == 2:
+        a, b = preds
+        return lambda obs: a(obs) or b(obs)
+    if len(preds) == 3:
+        a, b, c = preds
+        return lambda obs: a(obs) or b(obs) or c(obs)
+
+    def disjunction(obs: Observation) -> bool:
+        for p in preds:
+            if p(obs):
+                return True
+        return False
+
+    return disjunction
+
+
+def _compile_time(inv: TimeInterval) -> Predicate:
+    start, end = inv.window.start, inv.window.end
+    return lambda obs: start <= obs.time <= end
+
+
+def _compile_owner(inv: Owner) -> Predicate:
+    name = inv.name
+    return lambda obs: obs.owner == name
+
+
+def _compile_box(inv: OccupyBox) -> Predicate:
+    box = inv.box
+    return lambda obs: box_covered(box, obs.occupied)
+
+
+def _compile_point(inv: OccupyPoint) -> Predicate:
+    x, y = inv.x, inv.y
+
+    def occupies_point(obs: Observation) -> bool:
+        for b in obs.occupied:
+            if b.x1 <= x <= b.x2 and b.y1 <= y <= b.y2:
+                return True
+        return False
+
+    return occupies_point
+
+
+_COMPILERS = {
+    TrueAtom: lambda inv: True,
+    FalseAtom: lambda inv: False,
+    And: lambda inv: _junction(inv.terms, False, _all_of),
+    Or: lambda inv: _junction(inv.terms, True, _any_of),
+    Not: lambda inv: _negate(_compile(inv.term)),
+    Implies: _compile_implies,
+    TimeInterval: _compile_time,
+    Owner: _compile_owner,
+    OccupyBox: _compile_box,
+    OccupyPoint: _compile_point,
+}
+
+
+def evaluate(inv: Invariant, obs: Observation) -> bool:
+    """Whether one observation satisfies the formula, judged as given.
+
+    The one-off form of :func:`compile_invariant`; compile once to judge
+    many observations.
+    """
+    return compile_invariant(inv)(obs)
 
 
 def check_trace(inv: Invariant, trace: Sequence[Observation]) -> TraceVerdict:
@@ -367,6 +522,7 @@ def check_trace(inv: Invariant, trace: Sequence[Observation]) -> TraceVerdict:
     Raises :class:`NonMonotonicTrace` if observation times decrease. The
     verdict carries the smallest violating index, if any.
     """
+    holds = compile_invariant(inv)
     previous = None
     for index, obs in enumerate(trace):
         if previous is not None and obs.time < previous:
@@ -375,7 +531,7 @@ def check_trace(inv: Invariant, trace: Sequence[Observation]) -> TraceVerdict:
             )
         previous = obs.time
     for index, obs in enumerate(trace):
-        if not evaluate(inv, obs):
+        if not holds(obs):
             return TraceVerdict(holds=False, first_violation=index)
     return TraceVerdict(holds=True)
 

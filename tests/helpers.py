@@ -208,6 +208,54 @@ def covered_cells_bruteforce(boxes) -> set:
 
 
 # ---------------------------------------------------------------------------
+# Formula satisfaction oracle
+
+
+def oracle_evaluate(inv, obs: Observation) -> bool:
+    """Satisfaction read off the semantics, term by term, with no folding.
+
+    Time and space are decided on ticks and cells: a window contains the
+    time when one of its ticks equals it, and a box is covered when each
+    of its cells is in the rasterized union of the occupied boxes.
+    """
+    occupied = covered_cells_bruteforce(obs.occupied)
+
+    def holds(term) -> bool:
+        if isinstance(term, TrueAtom):
+            return True
+        if isinstance(term, FalseAtom):
+            return False
+        if isinstance(term, And):
+            return all([holds(t) for t in term.terms])
+        if isinstance(term, Or):
+            return any([holds(t) for t in term.terms])
+        if isinstance(term, Not):
+            return not holds(term.term)
+        if isinstance(term, Implies):
+            return (not holds(term.antecedent)) or holds(term.consequent)
+        if isinstance(term, TimeInterval):
+            low, high = sorted((term.window.start, term.window.end))
+            return obs.time in range(low, high + 1)
+        if isinstance(term, Owner):
+            return term.name == obs.owner
+        if isinstance(term, OccupyBox):
+            return set(term.box.normalized().cells()) <= occupied
+        if isinstance(term, OccupyPoint):
+            return (term.x, term.y) in occupied
+        raise TypeError(f"unknown invariant term: {term!r}")
+
+    return holds(inv)
+
+
+def oracle_first_violation(inv, trace) -> int | None:
+    """Index of the first observation the oracle says violates ``inv``."""
+    for index, obs in enumerate(trace):
+        if not oracle_evaluate(inv, obs):
+            return index
+    return None
+
+
+# ---------------------------------------------------------------------------
 # Therac trigger oracle
 
 

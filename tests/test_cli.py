@@ -303,6 +303,26 @@ class TestReplay:
         count = len(doc["failures"])
         assert f"reproduced {count - 1} of {count} failures" in out
 
+    def test_reset_failure_prints_its_position_as_reset(self, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        run_json_campaign(
+            tmp_path,
+            ["--suite", "robot", "--fault", "wrongInit", "--seed", "1", "--num-tests", "3"],
+        )
+        doc = json.loads(path.read_text())
+        first = doc["failures"][0]
+        assert (first["kind"], first["failIndex"]) == ("InitMismatch", None)
+        first["kind"] = "Timeout"
+        path.write_text(json.dumps(doc))
+        code = cli.main(["--replay", str(path)])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert (
+            "failure 0: different failure "
+            "(InitMismatch at (reset); recorded Timeout at (reset))"
+        ) in out
+        assert "None" not in out
+
     def test_missing_report_is_an_error(self, tmp_path, capsys):
         assert cli.main(["--replay", str(tmp_path / "nope.json")]) == 2
         assert "error:" in capsys.readouterr().err

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import copy
+from dataclasses import dataclass
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +14,8 @@ from helpers import (
     observations,
     occupancy_facts,
     oracle_collisions,
+    oracle_evaluate,
+    oracle_first_violation,
     windows,
 )
 from stpt import (
@@ -18,10 +23,12 @@ from stpt import (
     Box,
     FalseAtom,
     Implies,
+    Invariant,
     Not,
     Observation,
     OccupancyFact,
     OccupyBox,
+    OccupyPoint,
     Or,
     Owner,
     TimeInterval,
@@ -31,17 +38,74 @@ from stpt import (
     box_covered,
     box_intersection,
     check_trace,
+    compile_invariant,
     detect_collisions,
     evaluate,
     normalize,
     window_intersection,
 )
-from stpt.spatial import NonMonotonicTrace
+from stpt.spatial import NonMonotonicTrace, always_false, always_true
 
 AREA_FORMULA = Implies(
     And((TimeInterval(TimeWindow(300, 605)), Owner("AreaOfInterest"))),
     OccupyBox(Box(1051, 3056, 1505, 3603)),
 )
+ARM = Owner("arm")
+IN_BOUNDS = Implies(
+    And((TimeInterval(TimeWindow(0, 10**6)), ARM, OccupyBox(Box(8, 8, 12, 12)))),
+    TrueAtom(),
+)
+
+
+@dataclass(frozen=True)
+class Unknown(Invariant):
+    """A term no evaluator knows."""
+
+
+traces = st.lists(observations, max_size=6).map(
+    lambda obs: sorted(obs, key=lambda o: o.time)
+)
+
+
+def _swapped(box: Box, swap: bool) -> Box:
+    return Box(box.x2, box.y2, box.x1, box.y1) if swap else box
+
+
+@st.composite
+def near_covers(draw):
+    """A target and a tiling of it, one tile perhaps grown or shrunk by a cell.
+
+    Random boxes almost never cover a random target, so this is where the
+    remainder pieces of box_covered get exercised. Tiles and target may
+    come with their corners swapped.
+    """
+    target = draw(boxes).normalized()
+    cuts_x = sorted(draw(st.sets(st.integers(target.x1 + 1, target.x2 + 1), max_size=3)))
+    cuts_y = sorted(draw(st.sets(st.integers(target.y1 + 1, target.y2 + 1), max_size=3)))
+    xs = [target.x1] + [x for x in cuts_x if x <= target.x2] + [target.x2 + 1]
+    ys = [target.y1] + [y for y in cuts_y if y <= target.y2] + [target.y2 + 1]
+    tiles = [
+        Box(x1, y1, x2 - 1, y2 - 1)
+        for x1, x2 in zip(xs, xs[1:])
+        for y1, y2 in zip(ys, ys[1:])
+    ]
+    index = draw(st.integers(0, len(tiles) - 1))
+    tile = tiles[index]
+    tweak = draw(st.sampled_from(["none", "grow", "left", "right", "bottom", "top"]))
+    if tweak == "grow":
+        tiles[index] = Box(tile.x1 - 1, tile.y1 - 1, tile.x2 + 1, tile.y2 + 1)
+    elif tweak == "left" and tile.x1 < tile.x2:
+        tiles[index] = Box(tile.x1 + 1, tile.y1, tile.x2, tile.y2)
+    elif tweak == "right" and tile.x1 < tile.x2:
+        tiles[index] = Box(tile.x1, tile.y1, tile.x2 - 1, tile.y2)
+    elif tweak == "bottom" and tile.y1 < tile.y2:
+        tiles[index] = Box(tile.x1, tile.y1 + 1, tile.x2, tile.y2)
+    elif tweak == "top" and tile.y1 < tile.y2:
+        tiles[index] = Box(tile.x1, tile.y1, tile.x2, tile.y2 - 1)
+    tiles = draw(st.permutations(tiles))
+    swaps = draw(st.lists(st.booleans(), min_size=len(tiles) + 1, max_size=len(tiles) + 1))
+    cover = [_swapped(t, swap) for t, swap in zip(tiles, swaps)]
+    return _swapped(target, swaps[-1]), cover
 
 
 class TestBoxGeometry:
@@ -169,6 +233,86 @@ class TestEvaluate:
         assert evaluate(inv, obs) in (True, False)
 
 
+class TestCompile:
+    @pytest.mark.parametrize(
+        "term",
+        [
+            TrueAtom(),
+            Not(FalseAtom()),
+            Implies(ARM, TrueAtom()),
+            Implies(FalseAtom(), ARM),
+            Or((ARM, TrueAtom(), OccupyPoint(0, 0))),
+            And((TrueAtom(), Not(FalseAtom()))),
+            IN_BOUNDS,
+        ],
+    )
+    def test_folds_to_true(self, term):
+        assert compile_invariant(term) is always_true
+
+    @pytest.mark.parametrize(
+        "term",
+        [
+            FalseAtom(),
+            Not(TrueAtom()),
+            Implies(TrueAtom(), FalseAtom()),
+            And((ARM, FalseAtom(), OccupyPoint(0, 0))),
+            Or((FalseAtom(), Not(TrueAtom()))),
+            Not(IN_BOUNDS),
+        ],
+    )
+    def test_folds_to_false(self, term):
+        assert compile_invariant(term) is always_false
+
+    def test_false_consequent_leaves_the_negated_antecedent(self):
+        holds = compile_invariant(Implies(ARM, FalseAtom()))
+        assert holds(Observation(0, "cart", ())) is True
+        assert holds(Observation(0, "arm", ())) is False
+
+    @pytest.mark.parametrize(
+        "term",
+        [
+            Unknown(),
+            Not(Not(Unknown())),
+            Implies(Unknown(), TrueAtom()),
+            Implies(FalseAtom(), Unknown()),
+            Or((TrueAtom(), Unknown())),
+            And((FalseAtom(), Unknown())),
+            And((ARM, Or((ARM, Unknown())))),
+        ],
+    )
+    def test_unknown_term_raises_when_compiled(self, term):
+        with pytest.raises(TypeError):
+            compile_invariant(term)
+        with pytest.raises(TypeError):
+            evaluate(term, Observation(0, "arm", ()))
+        with pytest.raises(TypeError):
+            check_trace(term, [])
+
+    @given(boxes, st.booleans(), st.booleans(), st.integers(-1, 1), st.integers(-1, 1))
+    @settings(max_examples=300)
+    def test_point_on_and_beside_a_border(self, box, left, low, dx, dy):
+        x = box.x1 if left else box.x2
+        y = box.y1 if low else box.y2
+        inv = OccupyPoint(x + dx, y + dy)
+        obs = Observation(0, "arm", (box,))
+        assert evaluate(inv, obs) is oracle_evaluate(inv, obs)
+
+    @given(invariants, observations)
+    @settings(max_examples=400)
+    def test_agrees_with_oracle(self, inv, obs):
+        assert evaluate(inv, obs) is oracle_evaluate(inv, obs)
+        assert compile_invariant(inv)(obs) is oracle_evaluate(inv, obs)
+
+    @given(invariants)
+    @settings(max_examples=100)
+    def test_leaves_the_term_unchanged(self, inv):
+        before = copy.deepcopy(inv)
+        compile_invariant(inv)
+        assert inv == before
+        assert repr(inv) == repr(before)
+        assert hash(inv) == hash(before)
+
+
 class TestBoxCoverage:
     def test_exact_cover_by_two_halves(self):
         target = Box(0, 0, 9, 9)
@@ -190,6 +334,13 @@ class TestBoxCoverage:
     @given(boxes, st.lists(boxes, max_size=5))
     @settings(max_examples=300)
     def test_agrees_with_cell_brute_force(self, target, cover):
+        want = set(target.normalized().cells()) <= covered_cells_bruteforce(cover)
+        assert box_covered(target, cover) == want
+
+    @given(near_covers())
+    @settings(max_examples=300)
+    def test_agrees_with_cell_brute_force_on_near_covers(self, case):
+        target, cover = case
         want = set(target.normalized().cells()) <= covered_cells_bruteforce(cover)
         assert box_covered(target, cover) == want
 
@@ -215,6 +366,18 @@ class TestCheckTrace:
         assert check_trace(TrueAtom(), same).holds
         with pytest.raises(NonMonotonicTrace):
             check_trace(TrueAtom(), [Observation(3, "a", ()), Observation(2, "a", ())])
+
+
+    @pytest.mark.parametrize("term", [TrueAtom(), FalseAtom(), IN_BOUNDS, ARM])
+    def test_decreasing_times_rejected_whatever_the_formula(self, term):
+        with pytest.raises(NonMonotonicTrace):
+            check_trace(term, [Observation(3, "arm", ()), Observation(2, "arm", ())])
+
+    @given(invariants, traces)
+    @settings(max_examples=300)
+    def test_agrees_with_oracle(self, inv, trace):
+        at = oracle_first_violation(inv, trace)
+        assert check_trace(inv, trace) == TraceVerdict(holds=at is None, first_violation=at)
 
 
 class TestDetectCollisions:

@@ -7,23 +7,30 @@ import pytest
 
 from helpers import therac_first_disagreement
 from stpt import (
+    And,
     Box,
     Command,
     CommandSequence,
     Fail,
     FailKind,
     FalseAtom,
+    Implies,
     NextStates,
+    Observation,
+    OccupyBox,
+    Owner,
     Pass,
     RobotConfig,
     RobotSim,
     Rng,
     State,
     TheracSim,
+    TimeInterval,
     TimeWindow,
     TrueAtom,
     Waypoint,
     check_against,
+    compile_invariant,
     correct_behaviours,
     gen_enabled_commands,
     load_robot_config,
@@ -32,6 +39,7 @@ from stpt import (
     step,
     therac_suite,
 )
+from stpt.spatial import always_false, always_true
 from stpt.statemodel import Disabled
 from stpt.suts import (
     ARM_OWNER,
@@ -491,7 +499,26 @@ class TestRobotProperties:
     def test_escaping_footprint_is_a_spatial_violation(self):
         waypoints = dict(RobotConfig().waypoints)
         waypoints["B"] = Waypoint(at=(200, 200), footprint=Box(199, 199, 201, 201))
-        suite = robot_suite(config=RobotConfig(waypoints=waypoints))
+        config = RobotConfig(waypoints=waypoints)
+        suite = robot_suite(config=config)
+        escaping = Implies(
+            And(
+                (
+                    TimeInterval(TimeWindow(0, config.horizon)),
+                    Owner(ARM_OWNER),
+                    OccupyBox(Box(199, 199, 201, 201)),
+                )
+            ),
+            FalseAtom(),
+        )
+        (obligation,) = [inv for inv in suite.st_invariants if inv == escaping]
+        # the in-bounds obligations fold to TRUE; the FALSE consequent
+        # leaves the negated antecedent to judge
+        for inv in suite.st_invariants:
+            if inv is not obligation:
+                assert compile_invariant(inv) is always_true
+        assert compile_invariant(obligation) not in (always_true, always_false)
+
         seq = CommandSequence((Command("moveToB", 1),))
         result = check_against(
             suite.model,
@@ -503,8 +530,11 @@ class TestRobotProperties:
         assert isinstance(result, Fail)
         assert result.kind == FailKind.SPATIAL_VIOLATION
         assert result.witness.fail_index == 0
-        assert result.witness.observation is not None
-        assert result.witness.observation.owner == ARM_OWNER
+        assert result.witness.invariant is obligation
+        arrival = 1 + config.motion_duration
+        assert result.witness.observation == Observation(
+            arrival, ARM_OWNER, (Box(199, 199, 201, 201),)
+        )
 
     def test_simulators_are_deterministic(self):
         def trace(fault):
