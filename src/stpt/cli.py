@@ -23,7 +23,7 @@ from .reports import (
     report_to_json,
     report_to_text,
 )
-from .spatial import Box, Invariant, NonMonotonicTrace, Observation, check_trace
+from .spatial import Box, Invariant, NonMonotonicTrace, Observation, check_trace, is_int
 from .statemodel import StateCapExceeded, correct_behaviours, format_behaviours
 from .suts import FAULT_NONE, Suite, load_robot_config, robot_suite, therac_suite
 
@@ -216,14 +216,20 @@ def _run_replay(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as err:
         raise CliError(f"cannot load report: {err}")
     config = doc.get("config", {})
+    if not isinstance(config, dict):
+        raise CliError(f"report config must be an object, got {config!r}")
     suite_name = config.get("suite")
     if suite_name not in _MODEL_SUITES:
         raise CliError(f"report names unknown suite {suite_name!r}")
     suite = _build_suite(
         suite_name, config.get("fault", FAULT_NONE), args.robot_config
     )
-    timeout = config.get("timeoutMs", 5000) / 1000.0
+    timeout_ms = config.get("timeoutMs", 5000)
+    if not is_int(timeout_ms) or timeout_ms < 1:
+        raise CliError(f"report timeoutMs must be a positive integer, got {timeout_ms!r}")
     failures = doc.get("failures", [])
+    if not isinstance(failures, list):
+        raise CliError(f"report failures must be a list, got {failures!r}")
     reproduced = failed = 0
     lines = []
     for index, failure in enumerate(failures):
@@ -238,7 +244,7 @@ def _run_replay(args: argparse.Namespace) -> int:
             suite.abstraction,
             seq,
             suite.st_invariants,
-            timeout,
+            timeout_ms / 1000.0,
         )
         if not isinstance(result, Fail):
             lines.append(f"failure {index}: did not reproduce")
@@ -278,11 +284,6 @@ def _load_invariants(path: str) -> list[tuple[int, Invariant]]:
     return out
 
 
-def _is_int(value: object) -> bool:
-    # bool is an int subclass, but true is neither a time nor a coordinate
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _load_trace(path: str) -> list[Observation]:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -297,14 +298,11 @@ def _load_trace(path: str) -> list[Observation]:
     for index, entry in enumerate(data):
         try:
             time, owner = entry["time"], entry["owner"]
-            boxes = [list(item) for item in entry.get("boxes", [])]
-            if not _is_int(time):
+            if not is_int(time):
                 raise TypeError(f"time must be an integer, got {time!r}")
             if not isinstance(owner, str):
                 raise TypeError(f"owner must be a string, got {owner!r}")
-            if not all(_is_int(v) for box in boxes for v in box):
-                raise TypeError(f"box corners must be integers, got {boxes!r}")
-            occupied = [Box(*box) for box in boxes]
+            occupied = [Box(*box) for box in entry.get("boxes", [])]
             observations.append(Observation(time=time, owner=owner, occupied=occupied))
         except (AttributeError, KeyError, TypeError) as err:
             raise CliError(f"{path}: bad observation {index}: {err}")

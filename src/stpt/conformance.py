@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable, Generic, Optional, Protocol, TypeVar, Union
@@ -360,9 +359,11 @@ def run_property(
 ) -> RunReport:
     """Run ``num_tests`` random sequences; shrink and record every failure.
 
-    Each test draws from its own split of the root Rng, so results do not
-    depend on the worker count, only on the seed. With ``workers > 1`` an
-    ``adapter_factory`` must supply one adapter per worker thread.
+    Each test draws from its own split of the root Rng, so results depend
+    only on the seed. One adapter, from ``adapter_factory`` if given, runs
+    every test in order on the calling thread. ``workers`` is validated but
+    starts no thread; above 1 it needs an ``adapter_factory``, one adapter
+    per worker process for a process-sharded run.
     """
     if num_tests < 1:
         raise ValueError("num_tests must be >= 1")
@@ -371,27 +372,14 @@ def run_property(
     if adapter is None and adapter_factory is None:
         raise ValueError("need an adapter or an adapter_factory")
     if workers > 1 and adapter_factory is None:
-        raise ValueError("parallel runs need an adapter_factory")
+        raise ValueError("workers > 1 needs an adapter_factory")
 
     started = time.monotonic()
     root = Rng.from_seed(seed)
-    test_rngs = []
-    for _ in range(num_tests):
-        root, child = root.split()
-        test_rngs.append(child)
+    sut = adapter if adapter_factory is None else adapter_factory()
 
-    local = threading.local()
-
-    def worker_adapter() -> SutAdapter:
-        if adapter_factory is None:
-            return adapter  # type: ignore[return-value]
-        if not hasattr(local, "adapter"):
-            local.adapter = adapter_factory()
-        return local.adapter
-
-    def run_one(test_index: int) -> Optional[FailureRecord]:
-        sut = worker_adapter()
-        seq, _ = cmd_gen.run(test_rngs[test_index])
+    def run_one(test_index: int, rng: Rng) -> Optional[FailureRecord]:
+        seq, _ = cmd_gen.run(rng)
         result = check_against(
             model, sut, abstraction, seq, st_invariants, timeout
         )
@@ -424,13 +412,10 @@ def run_property(
             shrunk=shrunk.witness,
         )
 
-    records: list[Optional[FailureRecord]]
-    if workers == 1:
-        records = [run_one(i) for i in range(num_tests)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(run_one, range(num_tests)))
-
+    records = []
+    for test_index in range(num_tests):
+        root, rng = root.split()
+        records.append(run_one(test_index, rng))
     failures = tuple(r for r in records if r is not None)
     wall_ms = (time.monotonic() - started) * 1000.0
     return RunReport(

@@ -1,8 +1,8 @@
 """Splittable pure PRNG, value generators, and timed command sequences.
 
 The random source is a splitmix64-style state/gamma pair. Splitting gives
-two independent streams, so parallel test workers draw reproducibly
-regardless of scheduling. Generators are pure functions from an Rng to a
+two independent streams, so each test case draws from its own stream,
+whatever ran before it. Generators are pure functions from an Rng to a
 (value, next-Rng) pair, composed with map/bind.
 
 Determinism contract: for a fixed seed and fixed draw order, every value

@@ -13,6 +13,7 @@ from typing import Any, Mapping
 
 from .conformance import FailureRecord, RunReport, Witness
 from .genrand import Command, CommandSequence
+from .spatial import is_int
 from .statemodel import format_state
 
 SCHEMA_VERSION = 1
@@ -25,9 +26,14 @@ def command_to_json(command: Command) -> dict:
 
 
 def commands_from_json(items: Any) -> CommandSequence:
-    return CommandSequence(
-        tuple(Command(item["op"], item["delay"]) for item in items)
-    )
+    """The commands :func:`command_to_json` wrote; TypeError or ValueError otherwise."""
+    commands = []
+    for item in items:
+        op, delay = item["op"], item["delay"]
+        if not (isinstance(op, str) and is_int(delay)):
+            raise TypeError(f"need a string op and an integer delay, got {item!r}")
+        commands.append(Command(op, delay))
+    return CommandSequence(tuple(commands))
 
 
 def config_echo(

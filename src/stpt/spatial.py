@@ -15,6 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
+
+def is_int(value: object) -> bool:
+    """Whether ``value`` is an int and not a bool, which is no time or coordinate."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 class NonMonotonicTrace(ValueError):
     """Raised when trace observation times decrease."""
 
@@ -31,6 +37,10 @@ class Box:
     y1: int
     x2: int
     y2: int
+
+    def __post_init__(self) -> None:
+        if not all(map(is_int, (self.x1, self.y1, self.x2, self.y2))):
+            raise TypeError(f"box corners must be integers, got {self.as_tuple()}")
 
     def normalized(self) -> Box:
         if self.is_normalized:
@@ -82,9 +92,6 @@ class TimeWindow:
 
     def contains(self, t: int) -> bool:
         return self.start <= t <= self.end
-
-    def ticks(self) -> Iterator[int]:
-        return iter(range(self.start, self.end + 1))
 
 
 def box_intersection(a: Box, b: Box) -> Optional[Box]:

@@ -34,6 +34,7 @@ from .spatial import (
     TimeInterval,
     TimeWindow,
     TrueAtom,
+    is_int,
 )
 from .statemodel import ActionSpec, State, StateModel
 
@@ -227,16 +228,14 @@ class RobotConfig:
     horizon: int = 1_000_000
 
     def __post_init__(self) -> None:
-        if not self.waypoints:
-            raise ValueError("a robot needs at least one waypoint")
         if HOME_WAYPOINT not in self.waypoints:
             raise ValueError(
                 f"waypoint catalogue must include the home position {HOME_WAYPOINT!r}"
             )
         if self.init not in self.waypoints:
             raise ValueError(f"init position {self.init!r} is not a waypoint")
-        if self.motion_duration < 0:
-            raise ValueError("motion_duration must be >= 0")
+        if not all(is_int(n) and n >= 0 for n in (self.motion_duration, self.horizon)):
+            raise ValueError("motion_duration and horizon must be integers >= 0")
 
 
 def load_robot_config(path: str) -> RobotConfig:
@@ -244,8 +243,8 @@ def load_robot_config(path: str) -> RobotConfig:
 
     Schema: ``{"workspace": [x1, y1, x2, y2], "waypoints": {name:
     {"at": [x, y], "footprint": [x1, y1, x2, y2]}}, "init": name,
-    "motionDuration": int, "horizon": int}``; all keys optional, unknown
-    keys rejected.
+    "motionDuration": int, "horizon": int}``; all keys optional, every
+    number an integer. Other input raises ValueError or TypeError.
     """
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
@@ -259,11 +258,14 @@ def load_robot_config(path: str) -> RobotConfig:
     if "workspace" in data:
         kwargs["workspace"] = Box(*data["workspace"])
     if "waypoints" in data:
+        if not isinstance(data["waypoints"], dict):
+            raise TypeError("waypoints must be a JSON object")
         waypoints = {}
         for name, spec in data["waypoints"].items():
-            waypoints[name] = Waypoint(
-                at=tuple(spec["at"]), footprint=Box(*spec["footprint"])
-            )
+            at = spec.get("at") if isinstance(spec, dict) else None
+            if not (isinstance(at, list) and len(at) == 2 and all(map(is_int, at))):
+                raise TypeError(f"waypoint {name!r} needs an integer [x, y] at: {spec!r}")
+            waypoints[name] = Waypoint(at=tuple(at), footprint=Box(*spec["footprint"]))
         kwargs["waypoints"] = waypoints
     if "init" in data:
         kwargs["init"] = data["init"]

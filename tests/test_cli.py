@@ -323,6 +323,38 @@ class TestReplay:
         ) in out
         assert "None" not in out
 
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("config", "timeoutMs"), "5000"),
+            (("config",), [1]),
+            (("failures",), 5),
+            (("failures", 0, "shrunkCommands", 0, "delay"), 2.5),
+            (("failures", 0, "shrunkCommands", 0, "delay"), True),
+            (("failures", 0, "shrunkCommands", 0, "op"), 5),
+        ],
+        ids=["string-timeout", "list-config", "int-failures", "float-delay",
+             "bool-delay", "int-op"],
+    )
+    def test_malformed_report_is_an_input_error(self, tmp_path, capsys, path, value):
+        _, doc = run_json_campaign(
+            tmp_path,
+            [
+                "--suite", "therac25",
+                "--fault", "sequenceBug",
+                "--seed", "7",
+                "--num-tests", "200",
+            ],
+        )
+        owner = doc
+        for key in path[:-1]:
+            owner = owner[key]
+        owner[path[-1]] = value
+        report_path = tmp_path / "report.json"
+        report_path.write_text(json.dumps(doc))
+        assert cli.main(["--replay", str(report_path)]) == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_missing_report_is_an_error(self, tmp_path, capsys):
         assert cli.main(["--replay", str(tmp_path / "nope.json")]) == 2
         assert "error:" in capsys.readouterr().err
@@ -507,6 +539,16 @@ class TestRobotConfigFlag:
         )
         assert cli.main(["--suite", "robot", "--robot-config", path]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "doc",
+        [{"waypoints": []}, {"workspace": [0, 0, 100.5, 100]}, {"horizon": True}],
+        ids=["list-waypoints", "float-workspace", "bool-horizon"],
+    )
+    def test_malformed_file_is_a_configuration_error(self, tmp_path, capsys, doc):
+        path = self.write_config(tmp_path, doc)
+        assert cli.main(["--suite", "robot", "--robot-config", path]) == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_unreadable_file_is_a_configuration_error(self, tmp_path, capsys):
         missing = str(tmp_path / "absent.json")

@@ -737,6 +737,33 @@ class TestRunProperty:
         # and never again after the shrinker returns
         assert sut.resets == report.tests_run + sum(calls)
 
+    def test_one_adapter_runs_every_test_on_the_calling_thread(self):
+        built, resets = [], []
+
+        class RecordingSut(ToggleSut):
+            def reset(self):
+                resets.append(threading.get_ident())
+                return super().reset()
+
+        def factory():
+            built.append(None)
+            return RecordingSut(lie_times={7, 14, 21, 28, 35})
+
+        report = run_property(
+            toggle_model(),
+            None,
+            toggle_abstraction,
+            self.GEN,
+            num_tests=60,
+            seed=3,
+            workers=3,
+            adapter_factory=factory,
+        )
+        assert report.tests_failed > 0
+        assert len(built) == 1
+        assert len(resets) > report.tests_run
+        assert set(resets) == {threading.get_ident()}
+
     def test_failures_arrive_in_test_order(self):
         report = self.lying_report(seed=1)
         indexes = [r.test_index for r in report.failures]

@@ -118,6 +118,13 @@ class TestBoxGeometry:
         assert list(point.cells()) == [(4, 4)]
 
     @pytest.mark.parametrize(
+        "corners", [(0, 0, 12.5, 12), (True, 0, 1, 1), (0, "1", 2, 2), (0, 0, None, 1)]
+    )
+    def test_corners_must_be_integers(self, corners):
+        with pytest.raises(TypeError, match="box corners must be integers"):
+            Box(*corners)
+
+    @pytest.mark.parametrize(
         "a,b,expected",
         [
             (Box(0, 0, 10, 10), Box(5, 5, 20, 20), Box(5, 5, 10, 10)),

@@ -389,6 +389,29 @@ class TestRobotConfig:
         with pytest.raises(ValueError):
             load_robot_config(str(path))
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"waypoints": []},
+            {"workspace": [0, 0, 100.5, 100]},
+            {"waypoints": {"Y": {"at": [10, 10], "footprint": [8, 8, 12.5, 12]}}},
+            {"waypoints": {"Y": {"at": [10, 10.5], "footprint": [8, 8, 12, 12]}}},
+            {"waypoints": {"Y": {"at": [10, 10, 10], "footprint": [8, 8, 12, 12]}}},
+            {"waypoints": {"Y": {"footprint": [8, 8, 12, 12]}}},
+            {"horizon": True},
+            {"horizon": -5},
+            {"motionDuration": 2.5},
+        ],
+        ids=["list-waypoints", "float-workspace", "float-footprint", "float-at",
+             "three-at", "missing-at", "bool-horizon", "negative-horizon",
+             "float-duration"],
+    )
+    def test_load_rejects_malformed_values(self, tmp_path, doc):
+        path = tmp_path / "robot.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises((ValueError, TypeError)):
+            load_robot_config(str(path))
+
 
 class TestRobotSuite:
     def test_cannot_move_to_current_position(self):
