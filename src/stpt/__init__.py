@@ -33,13 +33,8 @@ from .genrand import (
     InvalidRange,
     NotFailing,
     Rng,
-    constant,
-    default_delay_gen,
-    gen_commands,
     gen_enabled_commands,
-    gen_int,
     gen_int_in_range,
-    gen_invariant,
     shrink_sequence,
     weighted,
 )

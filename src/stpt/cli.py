@@ -12,7 +12,7 @@ import os
 import sys
 from typing import Optional
 
-from .conformance import Fail, check_against, run_property
+from .conformance import Fail, FailKind, check_against, run_property
 from .formula_text import FormulaParseError, parse_invariant
 from .genrand import gen_enabled_commands
 from .reports import (
@@ -235,7 +235,10 @@ def _run_replay(args: argparse.Namespace) -> int:
     for index, failure in enumerate(failures):
         try:
             seq = commands_from_json(failure["shrunkCommands"])
-            recorded = (failure["kind"], failure["failIndex"])
+            at = failure["failIndex"]
+            if not (at is None or is_int(at) and at >= 0):
+                raise ValueError(f"failIndex must be null or an integer >= 0, got {at!r}")
+            recorded = (FailKind(failure["kind"]).value, at)
         except (KeyError, TypeError, ValueError) as err:
             raise CliError(f"bad failure record {index}: {err}")
         result = check_against(

@@ -3,7 +3,8 @@
 The random source is a splitmix64-style state/gamma pair. Splitting gives
 two independent streams, so each test case draws from its own stream,
 whatever ran before it. Generators are pure functions from an Rng to a
-(value, next-Rng) pair, composed with map/bind.
+(value, next-Rng) pair. A campaign draws timed command sequences that walk
+the model's enabled operations, and shrinks the failing ones.
 
 Determinism contract: for a fixed seed and fixed draw order, every value
 produced here is identical across runs, platforms, and worker counts.
@@ -12,13 +13,11 @@ produced here is identical across runs, platforms, and worker counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Generic, Mapping, Optional, Sequence, TypeVar
+from typing import Callable, Generic, Mapping, Optional, TypeVar
 
-from .spatial import And, Box, Implies, Invariant, OccupyBox, Owner, TimeInterval, TimeWindow
 from .statemodel import StateModel, enabled_actions, successors
 
 A = TypeVar("A")
-B = TypeVar("B")
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN_GAMMA = 0x9E3779B97F4A7C15
@@ -74,37 +73,9 @@ class Rng:
 
 @dataclass(frozen=True)
 class Generator(Generic[A]):
-    """Pure ``Rng -> (value, Rng)`` with functor/monad composition."""
+    """Pure ``Rng -> (value, Rng)``."""
 
     run: Callable[[Rng], tuple[A, Rng]]
-
-    def map(self, f: Callable[[A], B]) -> Generator[B]:
-        def go(rng: Rng) -> tuple[B, Rng]:
-            value, rng = self.run(rng)
-            return f(value), rng
-
-        return Generator(go)
-
-    def bind(self, f: Callable[[A], Generator[B]]) -> Generator[B]:
-        def go(rng: Rng) -> tuple[B, Rng]:
-            value, rng = self.run(rng)
-            return f(value).run(rng)
-
-        return Generator(go)
-
-
-def constant(value: A) -> Generator[A]:
-    return Generator(lambda rng: (value, rng))
-
-
-def gen_int() -> Generator[int]:
-    """Uniform signed 64-bit integer."""
-
-    def go(rng: Rng) -> tuple[int, Rng]:
-        u, rng = rng.next_u64()
-        return u - (1 << 64) if u >= (1 << 63) else u, rng
-
-    return Generator(go)
 
 
 def gen_int_in_range(lo: int, hi: int) -> Generator[int]:
@@ -206,61 +177,34 @@ class CommandSequence:
         )
 
 
-def default_delay_gen() -> Generator[int]:
-    return gen_int_in_range(1, 5)
-
-
-def gen_commands(
-    vocab: Mapping[str, int],
-    max_len: int,
-    delay_gen: Optional[Generator[int]] = None,
-) -> Generator[CommandSequence]:
-    """Random command sequence: uniform length in [1, max_len], weighted ops.
-
-    Draw order is fixed — length first, then (op, delay) per command — so a
-    seed pins the whole sequence.
-    """
-    if max_len < 1:
-        raise InvalidRange("max_len must be >= 1")
-    delays = delay_gen if delay_gen is not None else default_delay_gen()
-    length_gen = gen_int_in_range(1, max_len)
-    op_gen = weighted(vocab)
-
-    def go(rng: Rng) -> tuple[CommandSequence, Rng]:
-        length, rng = length_gen.run(rng)
-        commands = []
-        for _ in range(length):
-            op, rng = op_gen.run(rng)
-            delay, rng = delays.run(rng)
-            commands.append(Command(op, delay))
-        return CommandSequence(tuple(commands)), rng
-
-    return Generator(go)
+# Every command's delay, drawn after its operation.
+_DELAYS = gen_int_in_range(1, 5)
 
 
 def gen_enabled_commands(
     model: StateModel,
     weights: Mapping[str, int],
     max_len: int,
-    delay_gen: Optional[Generator[int]] = None,
 ) -> Generator[CommandSequence]:
     """Model-aware sequence generator: only currently enabled ops are drawn.
 
-    Walks the model alongside generation. The states the run could be in
-    start at the model's init states, and each drawn operation moves them
-    to their :func:`~stpt.statemodel.successors`. Each weighted pick is
-    restricted to operations enabled in at least one of those states, so
-    such sequences never trip the harness's disabled-operation check.
-    Generation stops early when no weighted operation is enabled, so
-    sequences may be shorter than the drawn length (or empty). ``weights``
-    is read once, when the generator is built.
+    Draws a length uniform in [1, max_len], then an (operation, delay)
+    pair per command, the delay uniform in [1, 5], so a seed pins the
+    whole sequence. Walks the model alongside generation. The states the
+    run could be in start at the model's init states, and each drawn
+    operation moves them to their :func:`~stpt.statemodel.successors`.
+    Each weighted pick is restricted to operations enabled in at least
+    one of those states, so such sequences never trip the harness's
+    disabled-operation check. Generation stops early when no weighted
+    operation is enabled, so sequences may be shorter than the drawn
+    length (or empty). ``weights`` is read once, when the generator is
+    built.
     """
     if max_len < 1:
         raise InvalidRange("max_len must be >= 1")
     if not weights:
         raise InvalidRange("weights must be nonempty")
     weights = dict(weights)
-    delays = delay_gen if delay_gen is not None else default_delay_gen()
     length_gen = gen_int_in_range(1, max_len)
     # One weighted pick per distinct enabled set, None when nothing weighted
     # is enabled; shared by every run of this generator.
@@ -281,39 +225,10 @@ def gen_enabled_commands(
             if pick is None:
                 break
             op, rng = pick.run(rng)
-            delay, rng = delays.run(rng)
+            delay, rng = _DELAYS.run(rng)
             commands.append(Command(op, delay))
             current = successors(model, current, op)
         return CommandSequence(tuple(commands)), rng
-
-    return Generator(go)
-
-
-def gen_invariant(
-    coord_range: tuple[int, int],
-    time_range: tuple[int, int],
-    owner_pool: Sequence[str],
-) -> Generator[Invariant]:
-    """Random owner-scoped coverage obligation over a random time window."""
-    if not owner_pool:
-        raise InvalidRange("owner_pool must be nonempty")
-    coord = gen_int_in_range(*coord_range)
-    tick = gen_int_in_range(*time_range)
-    owner_index = gen_int_in_range(0, len(owner_pool) - 1)
-
-    def go(rng: Rng) -> tuple[Invariant, Rng]:
-        t1, rng = tick.run(rng)
-        t2, rng = tick.run(rng)
-        x1, rng = coord.run(rng)
-        y1, rng = coord.run(rng)
-        x2, rng = coord.run(rng)
-        y2, rng = coord.run(rng)
-        index, rng = owner_index.run(rng)
-        inv = Implies(
-            And((TimeInterval(TimeWindow(t1, t2)), Owner(owner_pool[index]))),
-            OccupyBox(Box(x1, y1, x2, y2)),
-        )
-        return inv, rng
 
     return Generator(go)
 

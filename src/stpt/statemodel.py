@@ -31,12 +31,6 @@ def _check_value(name: str, value: Value) -> None:
         raise TypeError(f"variable {name!r} bound to unsupported value {value!r}")
 
 
-def _tag(value: Value) -> tuple[str, Value]:
-    # bool is an int subclass, so equality and ordering go through the
-    # class name tag to keep True distinct from 1.
-    return (value.__class__.__name__, value)
-
-
 class State:
     """Immutable binding of variable names to values.
 
@@ -44,19 +38,19 @@ class State:
     bool binding even when Python would compare the raw values equal.
     """
 
-    __slots__ = ("_items", "_tagged")
+    # (name, value class name, value) per variable, sorted by name. bool is
+    # an int subclass, so equality and ordering go through the class name
+    # to keep True distinct from 1.
+    __slots__ = ("_tagged",)
 
     def __init__(self, bindings: Mapping[str, Value]):
-        items = tuple(sorted(bindings.items()))
-        for name, value in items:
+        tagged = tuple(sorted((k, type(v).__name__, v) for k, v in bindings.items()))
+        for name, _, value in tagged:
             _check_value(name, value)
-        object.__setattr__(self, "_items", items)
-        object.__setattr__(
-            self, "_tagged", tuple((k, *_tag(v)) for k, v in items)
-        )
+        object.__setattr__(self, "_tagged", tagged)
 
     def __getitem__(self, name: str) -> Value:
-        for key, value in self._items:
+        for key, _, value in self._tagged:
             if key == name:
                 return value
         raise KeyError(name)
@@ -68,24 +62,24 @@ class State:
             return default
 
     def __contains__(self, name: str) -> bool:
-        return any(key == name for key, _ in self._items)
+        return any(key == name for key, _, _ in self._tagged)
 
     def __iter__(self):
-        return iter(name for name, _ in self._items)
+        return iter(self.variables)
 
     def __len__(self) -> int:
-        return len(self._items)
+        return len(self._tagged)
 
     @property
     def variables(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self._items)
+        return tuple(name for name, _, _ in self._tagged)
 
     def items(self) -> tuple[tuple[str, Value], ...]:
-        return self._items
+        return tuple((name, value) for name, _, value in self._tagged)
 
     def assign(self, **changes: Value) -> State:
         """New state with the given existing variables rebound."""
-        bindings = dict(self._items)
+        bindings = dict(self.items())
         for name, value in changes.items():
             if name not in bindings:
                 raise KeyError(f"cannot assign undeclared variable {name!r}")
@@ -104,7 +98,7 @@ class State:
         return hash(self._tagged)
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{k}={v!r}" for k, v in self._items)
+        inner = ", ".join(f"{k}={v!r}" for k, _, v in self._tagged)
         return f"State({inner})"
 
 
@@ -161,9 +155,9 @@ class StateModel:
     consistency scan reports it) but yields no behaviours.
 
     Guards and effects are pure, so each instance memoises its transition
-    relation: :func:`successors` and :func:`enabled_actions` evaluate them
-    at most once per (state, operation). The memo tables are not fields,
-    so equality and ``repr`` ignore them.
+    relation, one row per state: the first time the model meets a state it
+    runs every guard, and the effect of every enabled action, once. The
+    memo is not a field, so equality and ``repr`` ignore it.
     """
 
     variables: tuple[str, ...]
@@ -189,9 +183,9 @@ class StateModel:
         object.__setattr__(self, "init", tuple(states))
         object.__setattr__(self, "actions", tuple(actions))
         object.__setattr__(self, "_names", frozenset(a.name for a in self.actions))
-        # Filled from any thread: a racing fill stores the same value twice.
-        object.__setattr__(self, "_successors", {})
-        object.__setattr__(self, "_enabled", {})
+        # State -> {op: distinct successors}, see _row. Filled from any
+        # thread: a racing fill stores an equal row twice.
+        object.__setattr__(self, "_rows", {})
 
     @staticmethod
     def _require_binds(variables: tuple[str, ...], s: State) -> None:
@@ -245,7 +239,8 @@ def step(model: StateModel, s: State, op_name: str) -> StepOutcome:
     """Apply one operation name: unknown, disabled, or its successor states.
 
     Successors are the distinct effect results of every enabled action with
-    that name, in declaration order.
+    that name, in declaration order. Not memoised: the reference that
+    :func:`successors` and :func:`enabled_actions` agree with.
     """
     model.check_state(s)
     named = [a for a in model.actions if a.name == op_name]
@@ -263,44 +258,48 @@ def step(model: StateModel, s: State, op_name: str) -> StepOutcome:
     return NextStates(tuple(states))
 
 
+def _row(model: StateModel, s: State) -> dict[str, tuple[State, ...]]:
+    """The operations enabled at ``s``, each with its distinct successors.
+
+    First true guard first, successors in declaration order. Filled, and
+    ``s`` checked, the first time the model meets ``s``.
+    """
+    row = model._rows.get(s)
+    if row is None:
+        model.check_state(s)
+        fill: dict[str, list[State]] = {}
+        for action in model.actions:
+            if action.guard(s):
+                result = action.effect(s)
+                model.check_state(result)
+                nexts = fill.setdefault(action.name, [])
+                if result not in nexts:
+                    nexts.append(result)
+        row = model._rows[s] = {op: tuple(nexts) for op, nexts in fill.items()}
+    return row
+
+
 def successors(
     model: StateModel, states: Iterable[State], op_name: str
 ) -> Optional[list[State]]:
     """Distinct successors of ``op_name`` from any of ``states``, first seen first.
 
     None when the model declares no action with that name; an empty list
-    when the operation is disabled in every one of ``states``. Each
-    (state, operation) pair is stepped, and its state checked, only the
-    first time the model sees it.
+    when the operation is disabled in every one of ``states``.
     """
     if op_name not in model._names:
         return None
-    memo = model._successors
     found: list[State] = []
     for s in states:
-        key = (s, op_name)
-        nexts = memo.get(key)
-        if nexts is None:
-            outcome = step(model, s, op_name)
-            nexts = outcome.states if isinstance(outcome, NextStates) else ()
-            memo[key] = nexts
-        for nxt in nexts:
+        for nxt in _row(model, s).get(op_name, ()):
             if nxt not in found:
                 found.append(nxt)
     return found
 
 
 def enabled_actions(model: StateModel, s: State) -> list[str]:
-    """Duplicate-free action names with a true guard at ``s``, declaration order."""
-    names = model._enabled.get(s)
-    if names is None:
-        model.check_state(s)
-        seen: list[str] = []
-        for action in model.actions:
-            if action.name not in seen and action.guard(s):
-                seen.append(action.name)
-        names = model._enabled[s] = tuple(seen)
-    return list(names)
+    """Names of the actions enabled at ``s``, once each, in first-true-guard order."""
+    return list(_row(model, s))
 
 
 def correct_behaviours(
@@ -352,10 +351,9 @@ def _reachable_states(model: StateModel, state_cap: int) -> list[State]:
     seen_set = set(seen)
     if len(seen_set) > state_cap:
         raise StateCapExceeded(state_cap, len(seen_set))
-    names = model.action_names
     for current in seen:  # breadth first: ``seen`` grows while it is walked
-        for name in names:
-            for nxt in successors(model, (current,), name):
+        for nexts in _row(model, current).values():
+            for nxt in nexts:
                 if nxt in seen_set:
                     continue
                 seen_set.add(nxt)
@@ -385,8 +383,8 @@ def spec_consistency(
     never_enabled: list[SpecWarning] = []
     no_op: list[SpecWarning] = []
     for name in model.action_names:
-        # _reachable_states stepped every (state, name) pair: memo reads only
-        moves = [(s, nxt) for s in reachable for nxt in successors(model, (s,), name)]
+        # _reachable_states filled the row of every reachable state
+        moves = [(s, nxt) for s in reachable for nxt in _row(model, s).get(name, ())]
         if not moves:
             never_enabled.append(NeverEnabled(name))
         elif name not in suppress and all(nxt == s for s, nxt in moves):

@@ -243,8 +243,9 @@ def load_robot_config(path: str) -> RobotConfig:
 
     Schema: ``{"workspace": [x1, y1, x2, y2], "waypoints": {name:
     {"at": [x, y], "footprint": [x1, y1, x2, y2]}}, "init": name,
-    "motionDuration": int, "horizon": int}``; all keys optional, every
-    number an integer. Other input raises ValueError or TypeError.
+    "motionDuration": int, "horizon": int}``; all top-level keys optional,
+    both waypoint keys required, every number an integer. Other input,
+    unknown keys included, raises ValueError or TypeError.
     """
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
@@ -265,6 +266,9 @@ def load_robot_config(path: str) -> RobotConfig:
             at = spec.get("at") if isinstance(spec, dict) else None
             if not (isinstance(at, list) and len(at) == 2 and all(map(is_int, at))):
                 raise TypeError(f"waypoint {name!r} needs an integer [x, y] at: {spec!r}")
+            unknown = set(spec) - {"at", "footprint"}
+            if unknown:
+                raise ValueError(f"unknown keys in waypoint {name!r}: {sorted(unknown)}")
             waypoints[name] = Waypoint(at=tuple(at), footprint=Box(*spec["footprint"]))
         kwargs["waypoints"] = waypoints
     if "init" in data:

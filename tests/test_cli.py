@@ -332,9 +332,16 @@ class TestReplay:
             (("failures", 0, "shrunkCommands", 0, "delay"), 2.5),
             (("failures", 0, "shrunkCommands", 0, "delay"), True),
             (("failures", 0, "shrunkCommands", 0, "op"), 5),
+            (("failures", 0, "failIndex"), "2"),
+            (("failures", 0, "failIndex"), True),
+            (("failures", 0, "failIndex"), -1),
+            (("failures", 0, "failIndex"), 2.0),
+            (("failures", 0, "kind"), 7),
+            (("failures", 0, "kind"), "Bogus"),
         ],
         ids=["string-timeout", "list-config", "int-failures", "float-delay",
-             "bool-delay", "int-op"],
+             "bool-delay", "int-op", "string-index", "bool-index",
+             "negative-index", "float-index", "int-kind", "unknown-kind"],
     )
     def test_malformed_report_is_an_input_error(self, tmp_path, capsys, path, value):
         _, doc = run_json_campaign(
@@ -542,8 +549,21 @@ class TestRobotConfigFlag:
 
     @pytest.mark.parametrize(
         "doc",
-        [{"waypoints": []}, {"workspace": [0, 0, 100.5, 100]}, {"horizon": True}],
-        ids=["list-waypoints", "float-workspace", "bool-horizon"],
+        [
+            {"waypoints": []},
+            {"workspace": [0, 0, 100.5, 100]},
+            {"horizon": True},
+            {
+                "waypoints": {
+                    "Y": {
+                        "at": [10, 10],
+                        "footprint": [8, 8, 12, 12],
+                        "footprnt": [0, 0, 500, 500],
+                    }
+                }
+            },
+        ],
+        ids=["list-waypoints", "float-workspace", "bool-horizon", "misspelt-waypoint-key"],
     )
     def test_malformed_file_is_a_configuration_error(self, tmp_path, capsys, doc):
         path = self.write_config(tmp_path, doc)

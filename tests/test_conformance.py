@@ -31,12 +31,25 @@ from stpt import (
     TimeWindow,
     check_against,
     classify,
-    gen_commands,
     gen_enabled_commands,
+    gen_int_in_range,
     run_property,
+    weighted,
 )
 from stpt import conformance
 from stpt.statemodel import NextStates, step
+
+
+def unguarded_commands(vocab, max_len, rng) -> CommandSequence:
+    """A weighted random sequence drawn blind to the model's guards."""
+    length, rng = gen_int_in_range(1, max_len).run(rng)
+    ops, delays = weighted(vocab), gen_int_in_range(1, 5)
+    commands = []
+    for _ in range(length):
+        op, rng = ops.run(rng)
+        delay, rng = delays.run(rng)
+        commands.append(Command(op, delay))
+    return CommandSequence(tuple(commands))
 
 
 def toggle_model() -> StateModel:
@@ -566,10 +579,10 @@ class TestPassImpliesConformance:
                     self.state = outcome.states[at_time % len(outcome.states)]
                 return Deferred.successful(RawObservation(self.state))
 
-        gen = gen_commands({name: 1 for name in model.action_names}, max_len=6)
+        vocab = {name: 1 for name in model.action_names}
         sut = ModelBackedSut()
         for case in range(10):
-            seq, _ = gen.run(Rng.from_seed(seed * 100 + case))
+            seq = unguarded_commands(vocab, 6, Rng.from_seed(seed * 100 + case))
             result = check_against(model, sut, lambda raw: raw.payload, seq)
             if isinstance(result, Fail):
                 assert result.kind not in (

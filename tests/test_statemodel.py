@@ -84,6 +84,15 @@ class TestState:
         with pytest.raises(TypeError):
             State({"x": 1.5})
 
+    def test_derived_views_are_sorted_and_variant_exact(self):
+        s = State({"c": "x", "b": True, "a": 1})
+        assert s.items() == (("a", 1), ("b", True), ("c", "x"))
+        assert [type(value) for _, value in s.items()] == [int, bool, str]
+        assert repr(s) == "State(a=1, b=True, c='x')"
+        assert s.variables == ("a", "b", "c")
+        assert s.sort_key == (("a", "int", "1"), ("b", "bool", "True"), ("c", "str", "'x'"))
+        assert format_state(s) == 'a=1 b=true c="x"'
+
 
 class TestStateModel:
     def test_duplicate_variables_rejected(self):
@@ -270,10 +279,10 @@ class TestTransitionMemo:
         for _ in range(3):
             assert successors(model, [zero], "inc") == [State({"n": 1})]
             assert enabled_actions(model, zero) == ["inc"]
-        assert calls == {"guard": 2, "effect": 1}
+        assert calls == {"guard": 1, "effect": 1}
         # step is the uncached reference
         step(model, zero, "inc")
-        assert calls == {"guard": 3, "effect": 2}
+        assert calls == {"guard": 2, "effect": 2}
 
     @pytest.mark.parametrize(
         "bad", [State({"m": 0}), State({"n": 0, "m": 0}), State({})]

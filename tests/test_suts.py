@@ -398,12 +398,13 @@ class TestRobotConfig:
             {"waypoints": {"Y": {"at": [10, 10.5], "footprint": [8, 8, 12, 12]}}},
             {"waypoints": {"Y": {"at": [10, 10, 10], "footprint": [8, 8, 12, 12]}}},
             {"waypoints": {"Y": {"footprint": [8, 8, 12, 12]}}},
+            {"waypoints": {"Y": {"at": [10, 10], "footprint": [8, 8, 12, 12], "size": 4}}},
             {"horizon": True},
             {"horizon": -5},
             {"motionDuration": 2.5},
         ],
         ids=["list-waypoints", "float-workspace", "float-footprint", "float-at",
-             "three-at", "missing-at", "bool-horizon", "negative-horizon",
+             "three-at", "missing-at", "unknown-waypoint-key", "bool-horizon", "negative-horizon",
              "float-duration"],
     )
     def test_load_rejects_malformed_values(self, tmp_path, doc):
