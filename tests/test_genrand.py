@@ -66,6 +66,11 @@ class TestGenerators:
         gen = gen_int_in_range(-(1 << 63), (1 << 63) - 1)
         assert gen.run(Rng.from_seed(5)) == gen.run(Rng.from_seed(5))
 
+    def test_int_covers_both_signs(self):
+        gen = gen_int_in_range(-(1 << 63), (1 << 63) - 1)
+        values = draw_many(gen, Rng.from_seed(1), 200)
+        assert any(v < 0 for v in values) and any(v >= 0 for v in values)
+
     def test_range_frequencies_within_tolerance(self):
         counts = Counter(draw_many(gen_int_in_range(0, 9), Rng.from_seed(3), 10_000))
         for value in range(10):
@@ -157,6 +162,44 @@ class TestGenEnabledCommands:
                         if nxt not in successors:
                             successors.append(nxt)
             current = successors
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_draws_match_a_step_walk_reference(self, seed):
+        # The same draws, in the same order, made by walking the model with
+        # the unmemoised reference `step`: a length, then per command a
+        # weighted pick among the enabled operations and a delay in [1, 5].
+        model = random_model(seed)
+        weights = {
+            name: 1 + i % 3 for i, name in enumerate(model.action_names)
+        }
+        gen = gen_enabled_commands(model, weights, max_len=8)
+        rng = Rng.from_seed(seed * 17 + 3)
+
+        length, expected_rng = gen_int_in_range(1, 8).run(rng)
+        current = list(model.init)
+        expected = []
+        for _ in range(length):
+            outcomes = {
+                op: [step(model, s, op) for s in current]
+                for op in model.action_names
+            }
+            table = {
+                op: w
+                for op, w in weights.items()
+                if any(isinstance(o, NextStates) for o in outcomes[op])
+            }
+            if not table:
+                break
+            op, expected_rng = weighted(table).run(expected_rng)
+            delay, expected_rng = gen_int_in_range(1, 5).run(expected_rng)
+            expected.append(Command(op, delay))
+            nexts = []
+            for outcome in outcomes[op]:
+                if isinstance(outcome, NextStates):
+                    nexts.extend(n for n in outcome.states if n not in nexts)
+            current = nexts
+
+        assert gen.run(rng) == (CommandSequence(tuple(expected)), expected_rng)
 
     def test_always_enabled_model_fills_drawn_length(self):
         suite = therac_suite("none")
