@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Any, Callable, Generic, Optional, Protocol, TypeVar, Union
 
@@ -208,12 +208,18 @@ def check_against(
 
     Per command the model side is consulted first, so an operation the
     model rejects (unknown or disabled everywhere in the consistent set)
-    fails before it ever reaches the SUT. Invariants are judged as given.
+    fails before it ever reaches the SUT. A reset or apply that raises
+    instead of returning a Deferred fails as ``SutError``, like one whose
+    Deferred fails. Invariants are judged as given.
     They are compiled once per call, when the first command's observation
     is to be judged, so a replay that diverges on its first command pays
     nothing for them; one that folds to TRUE is never judged.
     """
-    raw = _settle(adapter.reset(), timeout, "reset", seq, None, model.init)
+    try:
+        deferred = adapter.reset()
+    except Exception as err:
+        deferred = Deferred.failed(err)
+    raw = _settle(deferred, timeout, "reset", seq, None, model.init)
     if isinstance(raw, Fail):
         return raw
     observed = abstraction(raw)
@@ -255,8 +261,12 @@ def check_against(
                     ),
                 ),
             )
+        try:
+            deferred = adapter.apply(command, at_time)
+        except Exception as err:
+            deferred = Deferred.failed(err)
         raw = _settle(
-            adapter.apply(command, at_time),
+            deferred,
             timeout,
             f"apply {command.op!r}",
             seq,
@@ -364,6 +374,13 @@ def run_property(
     every test in order on the calling thread. ``workers`` is validated but
     starts no thread; above 1 it needs an ``adapter_factory``, one adapter
     per worker process for a process-sharded run.
+
+    A failing sequence is shrunk by replaying candidates. A candidate is
+    accepted when its replay fails with the original kind; it is then cut
+    after its failing command (to nothing for a reset-level failure),
+    since the replay never ran the commands behind it. The shrunk witness
+    is the failure of the last accepted replay, with that cut as its
+    sequence, which is what a replay of the cut gives.
     """
     if num_tests < 1:
         raise ValueError("num_tests must be >= 1")
@@ -386,24 +403,28 @@ def run_property(
         if isinstance(result, Pass):
             return None
         kind = result.kind
-        # shrink_sequence returns the last candidate still_fails accepted,
-        # so ``shrunk`` ends as that candidate's own failure
         shrunk = result
 
-        def still_fails(candidate: CommandSequence) -> bool:
+        def still_fails(candidate: CommandSequence) -> Optional[int]:
             nonlocal shrunk
             rerun = check_against(
                 model, sut, abstraction, candidate, st_invariants, timeout
             )
-            if isinstance(rerun, Fail) and rerun.kind == kind:
-                shrunk = rerun
-                return True
-            return False
+            if not isinstance(rerun, Fail) or rerun.kind != kind:
+                return None
+            shrunk = rerun
+            at = rerun.witness.fail_index
+            return 0 if at is None else at + 1
 
         try:
-            shrink_sequence(seq, still_fails)
+            cut = shrink_sequence(seq, still_fails)
         except NotFailing:
             pass  # flaky SUT: the original witness stays
+        else:
+            # ``cut`` ends where the last accepted replay diverged, and that
+            # replay never ran the commands behind it, so a replay of the
+            # cut fails exactly the same way
+            shrunk = Fail(kind, replace(shrunk.witness, sequence=cut))
         return FailureRecord(
             test_index=test_index,
             kind=kind,

@@ -239,37 +239,59 @@ def gen_enabled_commands(
 
 def shrink_sequence(
     seq: CommandSequence,
-    fails: Callable[[CommandSequence], bool],
+    fails: Callable[[CommandSequence], Optional[int]],
 ) -> CommandSequence:
-    """Greedy minimization preserving ``fails``.
+    """Minimize ``seq`` while ``fails`` still reports a failure.
 
-    Alternates a single-command deletion pass with a delay-halving pass
-    until neither changes anything. The result is 1-minimal: no single
-    deletion and no single delay halving still fails. It is always the
-    last sequence on which ``fails`` returned true.
+    ``fails`` returns None for a passing candidate, and otherwise how
+    many leading commands its failure needed (0 for a failure before the
+    first command). Every failing candidate, the original included, is
+    cut to that prefix, which costs no further call. Then contiguous
+    chunks of half, a quarter, ... of the cut length, down to 2, are
+    deleted left to right. Last, a single-command deletion pass and a
+    delay-halving pass alternate until neither changes anything. The
+    result is 1-minimal: no single deletion and no single delay halving
+    still fails. It is always the cut of the last sequence on which
+    ``fails`` did not return None.
     """
-    if not fails(seq):
-        raise NotFailing("initial sequence does not fail")
     current = seq
+
+    def accept(candidate: CommandSequence) -> bool:
+        nonlocal current
+        kept = fails(candidate)
+        if kept is None:
+            return False
+        current = CommandSequence(candidate.commands[:kept])
+        return True
+
+    if not accept(seq):
+        raise NotFailing("initial sequence does not fail")
+    size = len(current) // 2
+    while size >= 2:
+        start = 0
+        while start + size <= len(current):
+            commands = current.commands
+            if not accept(
+                CommandSequence(commands[:start] + commands[start + size :])
+            ):
+                start += size
+        size //= 2
     while True:
         changed = False
         index = 0
         while index < len(current):
-            candidate = current.without(index)
-            if fails(candidate):
-                current = candidate
+            if accept(current.without(index)):
                 changed = True
             else:
                 index += 1
-        for index in range(len(current)):
-            delay = current.commands[index].delay
-            while delay > 1:
-                smaller = delay // 2
-                candidate = current.with_delay(index, smaller)
-                if not fails(candidate):
-                    break
-                current = candidate
-                delay = smaller
+        # an accepted halving may move the failure earlier and cut the
+        # sequence, so the bound is read again after every candidate
+        index = 0
+        while index < len(current):
+            halved = current.commands[index].delay // 2
+            if halved and accept(current.with_delay(index, halved)):
                 changed = True
+            else:
+                index += 1
         if not changed:
             return current

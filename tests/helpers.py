@@ -288,7 +288,42 @@ def therac_first_disagreement(ops_with_times, window=8):
 
 
 # ---------------------------------------------------------------------------
-# Hypothesis strategies
+# Greedy shrinking reference
+
+
+def greedy_shrink_reference(seq, fails):
+    """1-minimal shrink of ``seq`` under the bool predicate ``fails``.
+
+    Only single steps: a pass deleting one command at a time, then a pass
+    halving one delay at a time, repeated until neither changes anything.
+    Nothing is cut or deleted in chunks, so every accepted step costs a
+    replay of the whole remaining candidate.
+    """
+    assert fails(seq), "initial sequence does not fail"
+    current = seq
+    while True:
+        changed = False
+        index = 0
+        while index < len(current):
+            candidate = current.without(index)
+            if fails(candidate):
+                current = candidate
+                changed = True
+            else:
+                index += 1
+        for index in range(len(current)):
+            delay = current.commands[index].delay
+            while delay > 1:
+                candidate = current.with_delay(index, delay // 2)
+                if not fails(candidate):
+                    break
+                current = candidate
+                delay //= 2
+                changed = True
+        if not changed:
+            return current
+
+
 
 coords = st.integers(min_value=-50, max_value=50)
 ticks = st.integers(min_value=-100, max_value=100)

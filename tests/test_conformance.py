@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from helpers import random_model
+from helpers import greedy_shrink_reference, random_model
 from stpt import (
     ActionSpec,
     AlreadyCompleted,
@@ -33,7 +33,9 @@ from stpt import (
     classify,
     gen_enabled_commands,
     gen_int_in_range,
+    robot_suite,
     run_property,
+    therac_suite,
     weighted,
 )
 from stpt import conformance
@@ -781,3 +783,93 @@ class TestRunProperty:
         report = self.lying_report(seed=1)
         indexes = [r.test_index for r in report.failures]
         assert indexes == sorted(indexes)
+
+    def test_adapter_raising_on_apply_becomes_a_sut_error(self):
+        class RaisingSut(ToggleSut):
+            calls = 0
+
+            def apply(self, command, at_time):
+                self.calls += 1
+                if self.calls == 7:
+                    raise RuntimeError("apply broke")
+                return super().apply(command, at_time)
+
+        report = run_property(
+            toggle_model(), RaisingSut(), toggle_abstraction, self.GEN, num_tests=20
+        )
+        assert [r.kind for r in report.failures] == [FailKind.SUT_ERROR]
+        (record,) = report.failures
+        assert record.original.fail_index is not None
+        op = record.original.sequence.commands[record.original.fail_index].op
+        assert record.original.note == (
+            f"SUT apply {op!r} raised RuntimeError('apply broke')"
+        )
+
+    def test_adapter_raising_on_reset_becomes_a_sut_error(self):
+        class RaisingSut(ToggleSut):
+            def reset(self):
+                if self.resets >= 2:
+                    raise RuntimeError("reset broke")
+                return super().reset()
+
+        report = run_property(
+            toggle_model(), RaisingSut(), toggle_abstraction, self.GEN, num_tests=20
+        )
+        assert report.tests_failed == 18
+        for record in report.failures:
+            assert record.kind == FailKind.SUT_ERROR
+            assert record.original.fail_index is None
+            assert record.original.note == "SUT reset raised RuntimeError('reset broke')"
+            # a reset-level failure needs no command at all
+            assert record.shrunk.sequence == CommandSequence()
+
+
+SHRINK_SEEDS = [0, 7, 42]
+
+
+def suite_campaign(suite, seed: int, num_tests: int, max_len: int) -> RunReport:
+    gen = gen_enabled_commands(suite.model, suite.default_weights, max_len)
+    return run_property(
+        suite.model,
+        suite.make_adapter(),
+        suite.abstraction,
+        gen,
+        st_invariants=suite.st_invariants,
+        num_tests=num_tests,
+        seed=seed,
+    )
+
+
+class TestShrunkWitness:
+    @pytest.mark.parametrize("seed", SHRINK_SEEDS)
+    @pytest.mark.parametrize(
+        "suite", [therac_suite("sequenceBug"), robot_suite("wrongMove")],
+        ids=["therac25-sequenceBug", "robot-wrongMove"],
+    )
+    def test_shrunk_witness_is_what_its_replay_gives(self, suite, seed):
+        report = suite_campaign(suite, seed, num_tests=300, max_len=30)
+        assert report.failures
+        for record in report.failures:
+            replayed = check_against(
+                suite.model,
+                suite.make_adapter(),
+                suite.abstraction,
+                record.shrunk.sequence,
+                suite.st_invariants,
+            )
+            assert replayed == Fail(record.kind, record.shrunk)
+
+    @pytest.mark.parametrize("seed", SHRINK_SEEDS)
+    def test_therac_witnesses_match_the_greedy_reference(self, seed):
+        suite = therac_suite("sequenceBug")
+        report = suite_campaign(suite, seed, num_tests=300, max_len=30)
+        adapter = suite.make_adapter()
+
+        def same_kind(seq: CommandSequence) -> bool:
+            result = check_against(suite.model, adapter, suite.abstraction, seq)
+            return isinstance(result, Fail) and result.kind == FailKind.SUT_MISMATCH
+
+        assert report.failures
+        for record in report.failures:
+            reference = greedy_shrink_reference(record.original.sequence, same_kind)
+            assert record.shrunk.sequence == reference

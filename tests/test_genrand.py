@@ -3,8 +3,10 @@ from __future__ import annotations
 from collections import Counter
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from helpers import random_model
+from helpers import greedy_shrink_reference, random_model
 from stpt import (
     Command,
     CommandSequence,
@@ -257,16 +259,56 @@ class TestGenEnabledCommands:
             assert 400 <= lengths[length] <= 600
 
 
+def whole(pred):
+    """A shrink predicate that reports every command as needed while ``pred`` holds."""
+    return lambda s: len(s) if pred(s) else None
+
+
+def seq_of(spec: str) -> CommandSequence:
+    """``"a4 b1"`` is op ``a`` after 4 ticks, then op ``b`` after 1."""
+    return CommandSequence(
+        tuple(Command(word[0], int(word[1:])) for word in spec.split())
+    )
+
+
+def first_completion(pattern: str, window: int):
+    """Predicate failing where ``pattern`` first completes within ``window`` ticks.
+
+    The failure sits at the first index that ends an embedding of
+    ``pattern`` as a subsequence whose first and last commands are at most
+    ``window`` ticks apart; the predicate reports that prefix.
+    """
+
+    def fails(s: CommandSequence):
+        ops, stamps = [c.op for c in s], s.timestamps
+        for end in range(len(ops)):
+            if ops[end] != pattern[-1]:
+                continue
+            # match the rest backwards as late as possible: the latest
+            # start gives the shortest span among embeddings ending here
+            k, start = len(pattern) - 2, end
+            for j in range(end - 1, -1, -1):
+                if k < 0:
+                    break
+                if ops[j] == pattern[k]:
+                    k, start = k - 1, j
+            if k < 0 and stamps[end] - stamps[start] <= window:
+                return end + 1
+        return None
+
+    return fails
+
+
 class TestShrinkSequence:
     def test_passing_input_is_refused(self):
         seq = CommandSequence((Command("a", 1),))
         with pytest.raises(NotFailing):
-            shrink_sequence(seq, lambda s: False)
+            shrink_sequence(seq, whole(lambda s: False))
 
     def test_length_predicate_shrinks_to_exact_bound(self):
         seq = CommandSequence(tuple(Command(op, 5) for op in "yyxxxyx"))
         seq = CommandSequence(seq.commands + seq.commands)  # make it long
-        shrunk = shrink_sequence(seq, lambda s: len(s) >= 4)
+        shrunk = shrink_sequence(seq, whole(lambda s: len(s) >= 4))
         assert len(shrunk) == 4
         assert all(c.delay == 1 for c in shrunk)
 
@@ -275,7 +317,7 @@ class TestShrinkSequence:
             return sum(c.delay for c in s) >= 10
 
         start = CommandSequence(tuple(Command("tick", 4) for _ in range(6)))
-        shrunk = shrink_sequence(start, fails)
+        shrunk = shrink_sequence(start, whole(fails))
         assert fails(shrunk)
         for i in range(len(shrunk)):
             assert not fails(shrunk.without(i))
@@ -292,5 +334,87 @@ class TestShrinkSequence:
             ops = [c.op for c in s]
             return "b" in ops and "c" in ops and ops.index("b") < ops.index("c")
 
-        shrunk = shrink_sequence(seq, fails)
+        shrunk = shrink_sequence(seq, whole(fails))
         assert [c.op for c in shrunk] == ["b", "c"]
+
+    def test_reported_prefix_cuts_the_tail_without_a_call(self):
+        seen = []
+
+        def fails(s: CommandSequence):
+            seen.append(s)
+            ops = [c.op for c in s]
+            return ops.index("x") + 1 if "x" in ops else None
+
+        shrunk = shrink_sequence(seq_of("x1 a1 b1 c1 d1"), fails)
+        assert shrunk == seq_of("x1")
+        # the opening call reports a 1-command prefix, so the tail is never
+        # offered; only the deletion of "x" itself is tried
+        assert seen == [seq_of("x1 a1 b1 c1 d1"), seq_of("")]
+
+    def test_reset_level_failure_shrinks_to_nothing(self):
+        calls = []
+
+        def fails(s: CommandSequence):
+            calls.append(s)
+            return 0
+
+        assert shrink_sequence(seq_of("a3 b2 c5"), fails) == CommandSequence()
+        assert calls == [seq_of("a3 b2 c5")]
+
+    def test_halving_that_moves_the_failure_earlier_cuts_safely(self):
+        # "b" fails where it follows an "a"; an "a" issued one tick after
+        # its predecessor fails at once, before any "b"
+        def fails(s: CommandSequence):
+            seen_a = False
+            for index, command in enumerate(s):
+                if command.op == "a" and command.delay == 1:
+                    return index + 1
+                if command.op == "b" and seen_a:
+                    return index + 1
+                seen_a = seen_a or command.op == "a"
+            return None
+
+        # halving "a" to one tick cuts "b" off while the delay pass is at
+        # index 0 of a sequence that had two commands
+        assert shrink_sequence(seq_of("a2 b1"), fails) == seq_of("a1")
+
+    def test_chunk_deletion_beats_single_steps_on_a_long_sequence(self):
+        def contains_x(s: CommandSequence) -> bool:
+            return any(c.op == "x" for c in s)
+
+        seq = seq_of(" ".join(["a1"] * 17 + ["x1"] + ["a1"] * 6))
+        assert len(seq) == 24
+        calls = {"chunked": 0, "single": 0}
+
+        def counted(route, pred):
+            def fails(s):
+                calls[route] += 1
+                return pred(s)
+
+            return fails
+
+        shrunk = shrink_sequence(seq, counted("chunked", whole(contains_x)))
+        reference = greedy_shrink_reference(seq, counted("single", contains_x))
+        assert shrunk == reference == seq_of("x1")
+        assert calls["chunked"] < calls["single"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        pattern=st.text(alphabet="abc", min_size=1, max_size=3),
+        window=st.integers(min_value=0, max_value=12),
+        commands=st.lists(
+            st.tuples(st.sampled_from("abc"), st.integers(min_value=1, max_value=6)),
+            max_size=16,
+        ),
+    )
+    def test_result_fails_is_cut_and_is_one_minimal(self, pattern, window, commands):
+        fails = first_completion(pattern, window)
+        seq = CommandSequence(tuple(Command(op, delay) for op, delay in commands))
+        assume(fails(seq) is not None)
+        shrunk = shrink_sequence(seq, fails)
+        assert fails(shrunk) == len(shrunk)
+        for i in range(len(shrunk)):
+            assert fails(shrunk.without(i)) is None
+            delay = shrunk.commands[i].delay
+            if delay > 1:
+                assert fails(shrunk.with_delay(i, delay // 2)) is None
