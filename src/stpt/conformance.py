@@ -46,7 +46,8 @@ class Deferred(Generic[A]):
     Resolve once with :meth:`complete` or :meth:`fail`; a second
     resolution, from any thread, raises :class:`AlreadyCompleted`.
     Consume with :meth:`wait`, which blocks until the outcome is set or
-    the timeout passes.
+    the timeout passes. :meth:`successful` and :meth:`failed` build one
+    that is resolved from the start, with no lock to take.
     """
 
     def __init__(self) -> None:
@@ -57,16 +58,20 @@ class Deferred(Generic[A]):
         self._outcome: Optional[tuple[str, Any]] = None
 
     @classmethod
-    def successful(cls, value: A) -> Deferred[A]:
-        d: Deferred[A] = cls()
-        d.complete(value)
+    def _resolved(cls, outcome: tuple[str, Any]) -> Deferred[A]:
+        d: Deferred[A] = cls.__new__(cls)
+        # An outcome is never unset, so neither lock is ever taken
+        d._lock = d._pending = None
+        d._outcome = outcome
         return d
 
     @classmethod
+    def successful(cls, value: A) -> Deferred[A]:
+        return cls._resolved(("ok", value))
+
+    @classmethod
     def failed(cls, error: BaseException) -> Deferred[A]:
-        d: Deferred[A] = cls()
-        d.fail(error)
-        return d
+        return cls._resolved(("failed", error))
 
     def complete(self, value: A) -> None:
         self._resolve(("ok", value))
@@ -75,11 +80,13 @@ class Deferred(Generic[A]):
         self._resolve(("failed", error))
 
     def _resolve(self, outcome: tuple[str, Any]) -> None:
-        with self._lock:
-            if self._outcome is not None:
-                raise AlreadyCompleted("deferred already resolved")
-            self._outcome = outcome
-        self._pending.release()
+        if self._outcome is None:
+            with self._lock:
+                if self._outcome is None:
+                    self._outcome = outcome
+                    self._pending.release()
+                    return
+        raise AlreadyCompleted("deferred already resolved")
 
     def wait(self, timeout: Optional[float] = None) -> Optional[tuple[str, Any]]:
         """Outcome tuple ("ok", value) / ("failed", error), or None on timeout.
@@ -124,6 +131,7 @@ class FailKind(str, Enum):
     SPATIAL_VIOLATION = "SpatialViolation"
     TIMEOUT = "Timeout"
     SUT_ERROR = "SutError"
+    ABSTRACTION_ERROR = "AbstractionError"
 
 
 @dataclass(frozen=True)
@@ -165,7 +173,7 @@ def _spatial_observations(raw: RawObservation) -> list[Observation]:
     ]
 
 
-def _obligations(
+def _compile_obligations(
     st_invariants: tuple[Invariant, ...],
 ) -> list[tuple[Invariant, Predicate]]:
     """Each invariant with its compiled predicate, less those that fold to TRUE."""
@@ -177,23 +185,32 @@ def _obligations(
     return out
 
 
-def _settle(
-    deferred: Deferred[RawObservation],
+def _not_settled(
+    settled: Optional[tuple[str, Any]],
     timeout: float,
     call: str,
     seq: CommandSequence,
     fail_index: Optional[int],
     expected: tuple[State, ...],
-) -> Union[RawObservation, Fail]:
-    """The raw observation ``call`` completed with, or its Timeout/SutError."""
-    settled = deferred.wait(timeout)
+) -> Fail:
+    """The Timeout (``settled`` is None) or SutError of a failed ``call``."""
     if settled is None:
         kind, note = FailKind.TIMEOUT, f"{call} did not complete within {timeout}s"
-    elif settled[0] == "failed":
-        kind, note = FailKind.SUT_ERROR, f"SUT {call} raised {settled[1]!r}"
     else:
-        return settled[1]
+        kind, note = FailKind.SUT_ERROR, f"SUT {call} raised {settled[1]!r}"
     return Fail(kind, Witness(seq, fail_index, expected, note=note))
+
+
+def _abstraction_failed(
+    err: Exception,
+    call: str,
+    seq: CommandSequence,
+    fail_index: Optional[int],
+    expected: tuple[State, ...],
+) -> Fail:
+    """The AbstractionError of reading what ``call`` completed with."""
+    note = f"abstraction raised {err!r} on the observation of {call}"
+    return Fail(FailKind.ABSTRACTION_ERROR, Witness(seq, fail_index, expected, note=note))
 
 
 def check_against(
@@ -203,6 +220,8 @@ def check_against(
     seq: CommandSequence,
     st_invariants: tuple[Invariant, ...] = (),
     timeout: float = 5.0,
+    *,
+    _obligations: Optional[list[tuple[Invariant, Predicate]]] = None,
 ) -> CheckResult:
     """Replay ``seq`` against model and SUT; first divergence wins.
 
@@ -210,19 +229,25 @@ def check_against(
     model rejects (unknown or disabled everywhere in the consistent set)
     fails before it ever reaches the SUT. A reset or apply that raises
     instead of returning a Deferred fails as ``SutError``, like one whose
-    Deferred fails. Invariants are judged as given.
-    They are compiled once per call, when the first command's observation
-    is to be judged, so a replay that diverges on its first command pays
-    nothing for them; one that folds to TRUE is never judged.
+    Deferred fails; an abstraction that raises fails as
+    ``AbstractionError``. Invariants are judged as given. A one-off call
+    compiles them when the first command's observation is to be judged,
+    so a replay that diverges on its first command pays nothing for
+    them; one that folds to TRUE is never judged. ``_obligations`` is
+    what ``_compile_obligations`` made of ``st_invariants``, for a
+    caller that replays many sequences.
     """
     try:
         deferred = adapter.reset()
     except Exception as err:
         deferred = Deferred.failed(err)
-    raw = _settle(deferred, timeout, "reset", seq, None, model.init)
-    if isinstance(raw, Fail):
-        return raw
-    observed = abstraction(raw)
+    settled = deferred.wait(timeout)
+    if settled is None or settled[0] != "ok":
+        return _not_settled(settled, timeout, "reset", seq, None, model.init)
+    try:
+        observed = abstraction(settled[1])
+    except Exception as err:
+        return _abstraction_failed(err, "reset", seq, None, model.init)
     consistent = [s for s in model.init if s == observed]
     if not consistent:
         return Fail(
@@ -235,7 +260,7 @@ def check_against(
                 note="initial SUT state is not an init state of the model",
             ),
         )
-    obligations = None
+    obligations = _obligations
     for index, (command, at_time) in enumerate(zip(seq, seq.timestamps)):
         expected = successors(model, consistent, command.op)
         if expected is None:
@@ -265,17 +290,18 @@ def check_against(
             deferred = adapter.apply(command, at_time)
         except Exception as err:
             deferred = Deferred.failed(err)
-        raw = _settle(
-            deferred,
-            timeout,
-            f"apply {command.op!r}",
-            seq,
-            index,
-            tuple(expected),
-        )
-        if isinstance(raw, Fail):
-            return raw
-        observed = abstraction(raw)
+        settled = deferred.wait(timeout)
+        if settled is None or settled[0] != "ok":
+            return _not_settled(
+                settled, timeout, f"apply {command.op!r}", seq, index, tuple(expected)
+            )
+        raw = settled[1]
+        try:
+            observed = abstraction(raw)
+        except Exception as err:
+            return _abstraction_failed(
+                err, f"apply {command.op!r}", seq, index, tuple(expected)
+            )
         consistent = [s for s in expected if s == observed]
         if not consistent:
             return Fail(
@@ -291,7 +317,7 @@ def check_against(
                 ),
             )
         if obligations is None:
-            obligations = _obligations(st_invariants)
+            obligations = _compile_obligations(st_invariants)
         observations = _spatial_observations(raw) if obligations else []
         for invariant, holds in obligations:
             for observation in observations:
@@ -314,6 +340,7 @@ def check_against(
 _SPEC_SUSPECT = "suspect: specification"
 _SUT_SUSPECT = "suspect: system under test (or spec; engineer judgment)"
 _SPATIAL_SUSPECT = "suspect: system under test spatial behaviour"
+_ABSTRACTION_SUSPECT = "suspect: specification or adapter (abstraction)"
 
 _CLASSIFICATION = {
     FailKind.INIT_MISMATCH: _SPEC_SUSPECT,
@@ -323,6 +350,7 @@ _CLASSIFICATION = {
     FailKind.SUT_ERROR: _SUT_SUSPECT,
     FailKind.TIMEOUT: _SUT_SUSPECT,
     FailKind.SPATIAL_VIOLATION: _SPATIAL_SUSPECT,
+    FailKind.ABSTRACTION_ERROR: _ABSTRACTION_SUSPECT,
 }
 
 
@@ -373,7 +401,13 @@ def run_property(
     only on the seed. One adapter, from ``adapter_factory`` if given, runs
     every test in order on the calling thread. ``workers`` is validated but
     starts no thread; above 1 it needs an ``adapter_factory``, one adapter
-    per worker process for a process-sharded run.
+    per worker process for a process-sharded run. A replay that times out
+    leaves its SUT with work in flight, so with an ``adapter_factory`` that
+    adapter is dropped and the next replay, of a test or of a shrink
+    candidate, builds a fresh one; a late completion then cannot reach it.
+    Without a factory the one ``adapter`` is reused, and its ``reset``
+    alone must keep such work out of the next replay. The invariants are
+    compiled once, and every replay judges the compiled ones.
 
     A failing sequence is shrunk by replaying candidates. A candidate is
     accepted when its replay fails with the original kind; it is then cut
@@ -393,13 +427,26 @@ def run_property(
 
     started = time.monotonic()
     root = Rng.from_seed(seed)
-    sut = adapter if adapter_factory is None else adapter_factory()
+    obligations = _compile_obligations(st_invariants)
+    sut = adapter if adapter_factory is None else None
+
+    def replay(seq: CommandSequence) -> CheckResult:
+        nonlocal sut
+        if sut is None:
+            sut = adapter_factory()
+        result = check_against(
+            model, sut, abstraction, seq, st_invariants, timeout,
+            _obligations=obligations,
+        )
+        if adapter_factory is not None and isinstance(result, Fail) and (
+            result.kind is FailKind.TIMEOUT
+        ):
+            sut = None
+        return result
 
     def run_one(test_index: int, rng: Rng) -> Optional[FailureRecord]:
         seq, _ = cmd_gen.run(rng)
-        result = check_against(
-            model, sut, abstraction, seq, st_invariants, timeout
-        )
+        result = replay(seq)
         if isinstance(result, Pass):
             return None
         kind = result.kind
@@ -407,9 +454,7 @@ def run_property(
 
         def still_fails(candidate: CommandSequence) -> Optional[int]:
             nonlocal shrunk
-            rerun = check_against(
-                model, sut, abstraction, candidate, st_invariants, timeout
-            )
+            rerun = replay(candidate)
             if not isinstance(rerun, Fail) or rerun.kind != kind:
                 return None
             shrunk = rerun

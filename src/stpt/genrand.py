@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Generic, Mapping, Optional, TypeVar
 
-from .statemodel import StateModel, enabled_actions, successors
+from .statemodel import State, StateModel, enabled_actions, successors
 
 A = TypeVar("A")
 
@@ -206,22 +206,23 @@ def gen_enabled_commands(
         raise InvalidRange("weights must be nonempty")
     weights = dict(weights)
     length_gen = gen_int_in_range(1, max_len)
-    # One weighted pick per distinct enabled set, None when nothing weighted
-    # is enabled; shared by every run of this generator.
-    picks: dict[frozenset[str], Optional[Generator[str]]] = {}
+    # One weighted pick per distinct tuple of current states, None when
+    # nothing weighted is enabled in any of them; shared by every run of
+    # this generator.
+    picks: dict[tuple[State, ...], Optional[Generator[str]]] = {}
 
     def go(rng: Rng) -> tuple[CommandSequence, Rng]:
         length, rng = length_gen.run(rng)
-        current = list(model.init)
+        current = model.init
         commands = []
         for _ in range(length):
-            enabled = frozenset(
-                name for s in current for name in enabled_actions(model, s)
-            )
-            if enabled not in picks:
+            key = tuple(current)
+            try:
+                pick = picks[key]
+            except KeyError:
+                enabled = {name for s in current for name in enabled_actions(model, s)}
                 table = {op: w for op, w in weights.items() if op in enabled}
-                picks[enabled] = weighted(table) if table else None
-            pick = picks[enabled]
+                pick = picks[key] = weighted(table) if table else None
             if pick is None:
                 break
             op, rng = pick.run(rng)

@@ -40,14 +40,16 @@ class State:
 
     # (name, value class name, value) per variable, sorted by name. bool is
     # an int subclass, so equality and ordering go through the class name
-    # to keep True distinct from 1.
-    __slots__ = ("_tagged",)
+    # to keep True distinct from 1. The hash is taken once, since the
+    # transition memo hashes a state on every lookup.
+    __slots__ = ("_tagged", "_hash")
 
     def __init__(self, bindings: Mapping[str, Value]):
         tagged = tuple(sorted((k, type(v).__name__, v) for k, v in bindings.items()))
         for name, _, value in tagged:
             _check_value(name, value)
         object.__setattr__(self, "_tagged", tagged)
+        object.__setattr__(self, "_hash", hash(tagged))
 
     def __getitem__(self, name: str) -> Value:
         for key, _, value in self._tagged:
@@ -95,7 +97,11 @@ class State:
         return isinstance(other, State) and self._tagged == other._tagged
 
     def __hash__(self) -> int:
-        return hash(self._tagged)
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt, not copied: a string's hash differs between processes
+        return State, (dict(self.items()),)
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{k}={v!r}" for k, _, v in self._tagged)
@@ -279,6 +285,11 @@ def _row(model: StateModel, s: State) -> dict[str, tuple[State, ...]]:
     return row
 
 
+def has_met(model: StateModel, s: State) -> bool:
+    """Whether the model has filled the row of ``s``. Fills nothing."""
+    return s in model._rows
+
+
 def successors(
     model: StateModel, states: Iterable[State], op_name: str
 ) -> Optional[list[State]]:
@@ -289,9 +300,13 @@ def successors(
     """
     if op_name not in model._names:
         return None
+    rows = model._rows
     found: list[State] = []
     for s in states:
-        for nxt in _row(model, s).get(op_name, ()):
+        row = rows.get(s)
+        if row is None:
+            row = _row(model, s)
+        for nxt in row.get(op_name, ()):
             if nxt not in found:
                 found.append(nxt)
     return found

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable, Mapping, Optional
 
 from .conformance import Abstraction, Deferred, RawObservation, SutAdapter
@@ -36,7 +37,7 @@ from .spatial import (
     TrueAtom,
     is_int,
 )
-from .statemodel import ActionSpec, State, StateModel
+from .statemodel import ActionSpec, State, StateModel, has_met
 
 FAULT_NONE = "none"
 FAULT_WRONG_INIT = "wrongInit"
@@ -138,8 +139,35 @@ class TheracSim:
         return Deferred.successful(self._observe(at_time))
 
 
-def _therac_abstraction(raw: RawObservation) -> State:
-    return State({"mode": raw.payload["mode"], "beam": raw.payload["beam"]})
+def _interning_abstraction(model: StateModel) -> Abstraction:
+    """The suite abstraction: each model variable read from the payload.
+
+    A payload whose state the model has met gives the same State object
+    every time, looked up by each value with its class, so ``True``, ``1``
+    and ``1.0`` never share an entry. Only such states are kept, so a SUT
+    that answers at random cannot grow the table. Any other payload
+    builds a fresh State, which raises on an unsupported value.
+    """
+    names = model.variables
+    pick = itemgetter(*names)
+    # itemgetter gives the value itself for one name, a tuple for several
+    read = pick if len(names) > 1 else lambda payload: (pick(payload),)
+    known: dict[tuple, State] = {}
+
+    def abstraction(raw: RawObservation) -> State:
+        values = read(raw.payload)
+        key = (values, tuple(map(type, values)))
+        try:
+            observed = known.get(key)
+        except TypeError:  # unhashable, so unsupported: State says so below
+            observed = None
+        if observed is None:
+            observed = State(dict(zip(names, values)))
+            if has_met(model, observed):
+                known[key] = observed
+        return observed
+
+    return abstraction
 
 
 def _therac_model() -> StateModel:
@@ -166,10 +194,11 @@ def therac_suite(fault: str = FAULT_NONE) -> Suite:
             f"unknown fault {fault!r}; choose {FAULT_NONE!r} or {FAULT_SEQUENCE_BUG!r}"
         )
     bug = fault == FAULT_SEQUENCE_BUG
+    model = _therac_model()
     return Suite(
         name="therac25",
-        model=_therac_model(),
-        abstraction=_therac_abstraction,
+        model=model,
+        abstraction=_interning_abstraction(model),
         st_invariants=(),
         default_weights={
             OP_SELECT_PHOTON: 3,
@@ -345,10 +374,6 @@ class RobotSim:
         return Deferred.failed(ValueError(f"unsupported operation {op!r}"))
 
 
-def _robot_abstraction(raw: RawObservation) -> State:
-    return State({"position": raw.payload["position"]})
-
-
 def _robot_model(config: RobotConfig) -> StateModel:
     always = lambda s: True
     actions = [
@@ -413,10 +438,11 @@ def robot_suite(
     weights = {OP_INITIALISE: 1}
     for name in sorted(config.waypoints):
         weights[MOVE_PREFIX + name] = 1
+    model = _robot_model(config)
     return Suite(
         name="robot",
-        model=_robot_model(config),
-        abstraction=_robot_abstraction,
+        model=model,
+        abstraction=_interning_abstraction(model),
         st_invariants=_workspace_invariants(config),
         default_weights=weights,
         intended_noops=frozenset({OP_INITIALISE}),

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +12,8 @@ import stpt
 from helpers import oracle_behaviours
 from stpt import cli, therac_suite
 from stpt.suts import OP_CURSOR_UP, OP_SELECT_ELECTRON, OP_SELECT_PHOTON
+
+DATA = Path(__file__).resolve().parent / "data"
 
 PAPER_FORMULA = (
     'IMPLIES(AND(TimeInterval(300,605),Owner("AreaOfInterest")),'
@@ -196,6 +199,26 @@ class TestJsonReport:
         assert b["config"].pop("workers") == 4
         assert a == b
 
+    # Reports the CLI wrote at an earlier commit: a campaign must keep
+    # every byte and its exit code whatever makes its replays cheaper.
+    @pytest.mark.parametrize(
+        "suite, fault, code",
+        [("therac25", "sequenceBug", 1), ("robot", "wrongMove", 1), ("robot", "none", 0)],
+    )
+    def test_reproduces_the_golden_report(self, tmp_path, suite, fault, code):
+        out = tmp_path / "report.json"
+        args = [
+            "--suite", suite,
+            "--fault", fault,
+            "--seed", "7",
+            "--num-tests", "50",
+            "--max-len", "30",
+            "--report", "json",
+            "--out", str(out),
+        ]
+        assert cli.main(args) == code
+        assert out.read_bytes() == (DATA / f"golden-{suite}-{fault}.json").read_bytes()
+
     def test_out_file_leaves_stdout_quiet(self, tmp_path, capsys):
         self.campaign(tmp_path)
         assert capsys.readouterr().out == ""
@@ -275,8 +298,8 @@ class TestReplay:
         assert code == 0
         assert "did not reproduce" in out
 
-    @pytest.mark.parametrize("field", ["kind", "failIndex"])
-    def test_changed_record_is_a_different_failure(self, tmp_path, capsys, field):
+    @pytest.mark.parametrize("change", ["kind", "abstraction-error-kind", "failIndex"])
+    def test_changed_record_is_a_different_failure(self, tmp_path, capsys, change):
         path = tmp_path / "report.json"
         run_json_campaign(
             tmp_path,
@@ -290,7 +313,12 @@ class TestReplay:
         doc = json.loads(path.read_text())
         first = doc["failures"][0]
         kind, at = first["kind"], first["failIndex"]
-        first[field] = {"kind": "Timeout", "failIndex": at + 1}[field]
+        field, value = {
+            "kind": ("kind", "Timeout"),
+            "abstraction-error-kind": ("kind", "AbstractionError"),
+            "failIndex": ("failIndex", at + 1),
+        }[change]
+        first[field] = value
         path.write_text(json.dumps(doc))
         code = cli.main(["--replay", str(path)])
         out = capsys.readouterr().out

@@ -24,11 +24,14 @@ from stpt import (
     Owner,
     Pass,
     RawObservation,
+    RobotConfig,
     RunReport,
     State,
     StateModel,
     TimeInterval,
     TimeWindow,
+    Waypoint,
+    Witness,
     check_against,
     classify,
     gen_enabled_commands,
@@ -148,6 +151,31 @@ class TestDeferred:
             d.complete(2)
         with pytest.raises(AlreadyCompleted):
             d.fail(RuntimeError())
+
+    @pytest.mark.parametrize(
+        "made, outcome",
+        [
+            (lambda: Deferred.successful(5), ("ok", 5)),
+            (lambda: Deferred.failed(KeyError("k")), ("failed", KeyError)),
+        ],
+        ids=["successful", "failed"],
+    )
+    def test_resolved_from_start(self, made, outcome):
+        d = made()
+        for timeout in (None, 0, -1):
+            started = time.monotonic()
+            status, value = d.wait(timeout)
+            assert time.monotonic() - started < 0.5
+            assert status == outcome[0]
+            if status == "ok":
+                assert value == outcome[1]
+            else:
+                assert isinstance(value, outcome[1])
+        with pytest.raises(AlreadyCompleted):
+            d.complete(6)
+        with pytest.raises(AlreadyCompleted):
+            d.fail(RuntimeError())
+        assert d.wait(0)[0] == outcome[0]
 
     def test_racing_resolutions_have_one_winner(self):
         d: Deferred[int] = Deferred()
@@ -277,6 +305,36 @@ class TestCheckAgainst:
         assert isinstance(result, Fail)
         assert result.kind == FailKind.SUT_ERROR
         assert result.witness.fail_index is None
+
+    def test_raising_abstraction_is_an_abstraction_error(self):
+        seq = CommandSequence((Command("turnOn", 1), Command("turnOff", 2)))
+        for fail_at, fail_index, expected in [
+            (1, None, (State({"on": False}),)),
+            (3, 1, (State({"on": False}),)),
+        ]:
+            calls = 0
+
+            def abstraction(raw):
+                nonlocal calls
+                calls += 1
+                if calls == fail_at:
+                    raise RuntimeError("cannot read")
+                return toggle_abstraction(raw)
+
+            result = check_against(toggle_model(), ToggleSut(), abstraction, seq)
+            call = "reset" if fail_index is None else "apply 'turnOff'"
+            assert result == Fail(
+                FailKind.ABSTRACTION_ERROR,
+                Witness(
+                    seq,
+                    fail_index,
+                    expected,
+                    note=(
+                        "abstraction raised RuntimeError('cannot read') "
+                        f"on the observation of {call}"
+                    ),
+                ),
+            )
 
     def test_apply_timeout(self):
         class Hanging(ToggleSut):
@@ -429,6 +487,10 @@ class TestClassify:
             (
                 FailKind.SPATIAL_VIOLATION,
                 "suspect: system under test spatial behaviour",
+            ),
+            (
+                FailKind.ABSTRACTION_ERROR,
+                "suspect: specification or adapter (abstraction)",
             ),
         ],
     )
@@ -822,6 +884,155 @@ class TestRunProperty:
             assert record.original.note == "SUT reset raised RuntimeError('reset broke')"
             # a reset-level failure needs no command at all
             assert record.shrunk.sequence == CommandSequence()
+
+    def test_raising_abstraction_ends_the_campaign_with_records(self):
+        suite = therac_suite("sequenceBug")
+        calls = 0
+
+        def abstraction(raw):
+            nonlocal calls
+            calls += 1
+            if calls == 7:
+                raise RuntimeError("abstraction broke")
+            return suite.abstraction(raw)
+
+        report = run_property(
+            suite.model,
+            suite.make_adapter(),
+            abstraction,
+            gen_enabled_commands(suite.model, suite.default_weights, max_len=12),
+            num_tests=20,
+        )
+        kinds = [r.kind for r in report.failures]
+        assert kinds.count(FailKind.ABSTRACTION_ERROR) == 1
+        assert kinds.count(FailKind.SUT_MISMATCH) == len(kinds) - 1 > 0
+        for record in report.failures:
+            if record.kind is FailKind.SUT_MISMATCH:
+                replay_with = suite.abstraction
+            else:
+                assert record.classification == (
+                    "suspect: specification or adapter (abstraction)"
+                )
+                # the later replays read every observation, so nothing shrinks
+                assert record.shrunk == record.original
+                # an abstraction that breaks on the same observation
+                replay_calls = 0
+                breaks_at = record.shrunk.fail_index + 2
+
+                def replay_with(raw):
+                    nonlocal replay_calls
+                    replay_calls += 1
+                    if replay_calls == breaks_at:
+                        raise RuntimeError("abstraction broke")
+                    return suite.abstraction(raw)
+
+            replayed = check_against(
+                suite.model, suite.make_adapter(), replay_with, record.shrunk.sequence
+            )
+            assert replayed == Fail(record.kind, record.shrunk)
+
+    def test_timeout_replaces_the_adapter(self, monkeypatch):
+        late_threads: list[threading.Thread] = []
+        built: list[ToggleSut] = []
+        reused_after_timeout = []
+
+        class LateSut(ToggleSut):
+            """A late turnOn completes from a thread once the harness gave up,
+            and leaves the adapter reporting the toggle on after each reset."""
+
+            def __init__(self):
+                super().__init__()
+                self.gave_up = threading.Event()
+
+            def reset(self):
+                if self.gave_up.is_set():
+                    reused_after_timeout.append(self)
+                return super().reset()
+
+            def apply(self, command, at_time):
+                if command.op != "turnOn" or at_time < 6:
+                    return super().apply(command, at_time)
+                d: Deferred[RawObservation] = Deferred()
+
+                def complete_late():
+                    self.gave_up.wait(5)
+                    self.init_value = True
+                    d.complete(RawObservation(True, (), at_time))
+
+                late_threads.append(threading.Thread(target=complete_late))
+                late_threads[-1].start()
+                return d
+
+        def factory():
+            built.append(LateSut())
+            return built[-1]
+
+        results = []
+        check = conformance.check_against
+
+        def recording_check(model, adapter, *args, **kwargs):
+            results.append(check(model, adapter, *args, **kwargs))
+            if isinstance(results[-1], Fail) and results[-1].kind is FailKind.TIMEOUT:
+                adapter.gave_up.set()
+            return results[-1]
+
+        monkeypatch.setattr(conformance, "check_against", recording_check)
+        try:
+            report = run_property(
+                toggle_model(),
+                None,
+                toggle_abstraction,
+                self.GEN,
+                num_tests=12,
+                seed=2,
+                timeout=0.01,
+                adapter_factory=factory,
+            )
+        finally:
+            for adapter in built:
+                adapter.gave_up.set()
+            for thread in late_threads:
+                thread.join(5)
+        assert not any(thread.is_alive() for thread in late_threads)
+        assert report.failures
+        assert {r.kind for r in report.failures} == {FailKind.TIMEOUT}
+        timeouts = [
+            isinstance(r, Fail) and r.kind is FailKind.TIMEOUT for r in results
+        ]
+        # one adapter to start with, and a fresh one after every replay
+        # that timed out and was followed by another
+        assert len(built) == 1 + sum(timeouts[:-1]) > 2
+        assert reused_after_timeout == []
+
+    def test_invariants_compile_once_per_campaign(self, monkeypatch):
+        compiled = []
+        compile_invariant = conformance.compile_invariant
+
+        def counting_compile(invariant):
+            compiled.append(invariant)
+            return compile_invariant(invariant)
+
+        monkeypatch.setattr(conformance, "compile_invariant", counting_compile)
+        # a waypoint outside the workspace, so one obligation stays to judge
+        waypoints = dict(RobotConfig().waypoints)
+        waypoints["B"] = Waypoint(at=(200, 200), footprint=Box(199, 199, 201, 201))
+        suite = robot_suite(config=RobotConfig(waypoints=waypoints))
+        report = suite_campaign(suite, seed=3, num_tests=40, max_len=12)
+        assert {r.kind for r in report.failures} == {FailKind.SPATIAL_VIOLATION}
+        assert len(report.failures) > 1
+        assert compiled == list(suite.st_invariants)
+        # a one-off replay still compiles its own, once it judges a command
+        compiled.clear()
+        seq = CommandSequence((Command("initialisePosition", 1),))
+        for _ in range(2):
+            assert check_against(
+                suite.model,
+                suite.make_adapter(),
+                suite.abstraction,
+                seq,
+                suite.st_invariants,
+            ) == Pass()
+        assert compiled == list(suite.st_invariants) * 2
 
 
 SHRINK_SEEDS = [0, 7, 42]

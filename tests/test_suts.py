@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import inspect
 import json
 import random
 
@@ -7,6 +8,7 @@ import pytest
 
 from helpers import therac_first_disagreement
 from stpt import (
+    ActionSpec,
     And,
     Box,
     Command,
@@ -20,10 +22,12 @@ from stpt import (
     OccupyBox,
     Owner,
     Pass,
+    RawObservation,
     RobotConfig,
     RobotSim,
     Rng,
     State,
+    StateModel,
     TheracSim,
     TimeInterval,
     TimeWindow,
@@ -59,6 +63,7 @@ from stpt.suts import (
     OP_SELECT_ELECTRON,
     OP_SELECT_PHOTON,
     UnknownWaypoint,
+    _interning_abstraction,
 )
 
 THERAC_VOCAB = (OP_SELECT_PHOTON, OP_SELECT_ELECTRON, OP_CURSOR_UP, OP_OTHER)
@@ -247,6 +252,97 @@ class TestTheracSuite:
         assert result.witness.observed_state == State(
             {"mode": MODE_ELECTRON, "beam": BEAM_PHOTON}
         )
+
+
+def interned_table(abstraction) -> dict:
+    """The table of states the abstraction hands out again."""
+    return inspect.getclosurevars(abstraction).nonlocals["known"]
+
+
+def payload(s: State) -> RawObservation:
+    return RawObservation(dict(s.items()))
+
+
+class TestInternedAbstraction:
+    @pytest.mark.parametrize(
+        "suite, off_model",
+        [
+            (
+                therac_suite(FAULT_SEQUENCE_BUG),
+                State({"mode": MODE_ELECTRON, "beam": BEAM_PHOTON}),
+            ),
+            (robot_suite(FAULT_WRONG_MOVE), State({"position": "M"})),
+        ],
+        ids=["therac25", "robot"],
+    )
+    def test_states_equal_those_built_fresh(self, suite, off_model):
+        # the scan fills the model's row of every reachable state
+        spec_consistency(suite.model)
+        reachable = {s for b in correct_behaviours(suite.model, 2) for s in b.states}
+        for s in sorted(reachable | {off_model}, key=lambda s: s.sort_key):
+            got = suite.abstraction(payload(s))
+            fresh = State(dict(s.items()))
+            assert got == fresh and hash(got) == hash(fresh)
+            assert repr(got) == repr(fresh)
+            again = suite.abstraction(payload(s))
+            assert again == fresh
+            # a state the model has met is handed out again, others built anew
+            assert (again is got) == (s in reachable)
+        assert len(interned_table(suite.abstraction)) == len(reachable)
+
+    def test_values_of_different_classes_stay_apart(self):
+        values = (True, 1, "1")
+        model = StateModel(
+            ["v"],
+            [State({"v": v}) for v in values],
+            [ActionSpec("stay", lambda s: True, lambda s: s)],
+        )
+        spec_consistency(model)
+        abstraction = _interning_abstraction(model)
+        got = [abstraction(RawObservation({"v": v})) for v in values]
+        for v, s in zip(values, got):
+            assert s == State({"v": v})
+            assert abstraction(RawObservation({"v": v})) is s
+        assert got[0] != got[1] != got[2] != got[0]
+        assert len(interned_table(abstraction)) == 3
+        with pytest.raises(TypeError, match="unsupported value 1.0"):
+            abstraction(RawObservation({"v": 1.0}))
+
+    @pytest.mark.parametrize(
+        "raw, error",
+        [
+            (RawObservation({"mode": 1.0, "beam": BEAM_OFF}), TypeError),
+            (RawObservation({"mode": [MODE_NONE], "beam": BEAM_OFF}), TypeError),
+            (RawObservation({"mode": None, "beam": BEAM_OFF}), TypeError),
+            (RawObservation({"mode": MODE_NONE}), KeyError),
+            (RawObservation(None), TypeError),
+        ],
+        ids=["float", "unhashable", "none", "missing-key", "no-payload"],
+    )
+    def test_unsupported_values_still_fail(self, raw, error):
+        suite = therac_suite()
+        spec_consistency(suite.model)
+        with pytest.raises(error) as got:
+            suite.abstraction(raw)
+        with pytest.raises(error) as built:
+            State({"mode": raw.payload["mode"], "beam": raw.payload["beam"]})
+        assert str(got.value) == str(built.value)
+
+    def test_random_answers_do_not_grow_the_table(self):
+        suite = robot_suite()
+        spec_consistency(suite.model)
+        reachable = sorted(
+            {s for b in correct_behaviours(suite.model, 2) for s in b.states},
+            key=lambda s: s.sort_key,
+        )
+        rnd = random.Random(5)
+        for n in range(10_000):
+            position = f"P{n}-{rnd.randrange(10**6)}"
+            assert suite.abstraction(RawObservation({"position": position})) == State(
+                {"position": position}
+            )
+            suite.abstraction(payload(rnd.choice(reachable)))
+        assert len(interned_table(suite.abstraction)) <= len(reachable)
 
 
 class TestRobotSim:
