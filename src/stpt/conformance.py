@@ -213,6 +213,34 @@ def _abstraction_failed(
     return Fail(FailKind.ABSTRACTION_ERROR, Witness(seq, fail_index, expected, note=note))
 
 
+def _spatial_failure(
+    obligations: list[tuple[Invariant, Predicate]],
+    raw: RawObservation,
+    seq: CommandSequence,
+    fail_index: Optional[int],
+    consistent: list[State],
+    observed: State,
+) -> Optional[Fail]:
+    """The SpatialViolation of the first obligation ``raw``'s occupancy breaks."""
+    observations = _spatial_observations(raw)
+    for invariant, holds in obligations:
+        for observation in observations:
+            if not holds(observation):
+                return Fail(
+                    FailKind.SPATIAL_VIOLATION,
+                    Witness(
+                        sequence=seq,
+                        fail_index=fail_index,
+                        expected_states=tuple(consistent),
+                        observed_state=observed,
+                        invariant=invariant,
+                        observation=observation,
+                        note="spatial obligation violated",
+                    ),
+                )
+    return None
+
+
 def check_against(
     model: StateModel,
     adapter: SutAdapter,
@@ -230,11 +258,11 @@ def check_against(
     fails before it ever reaches the SUT. A reset or apply that raises
     instead of returning a Deferred fails as ``SutError``, like one whose
     Deferred fails; an abstraction that raises fails as
-    ``AbstractionError``. Invariants are judged as given. A one-off call
-    compiles them when the first command's observation is to be judged,
-    so a replay that diverges on its first command pays nothing for
-    them; one that folds to TRUE is never judged. ``_obligations`` is
-    what ``_compile_obligations`` made of ``st_invariants``, for a
+    ``AbstractionError``. Invariants are judged as given, on the reset
+    observation's occupancy (a failure there has no ``fail_index``) and
+    on each command's; one that folds to TRUE is never judged. A one-off
+    call compiles them once, right after the init match. ``_obligations``
+    is what ``_compile_obligations`` made of ``st_invariants``, for a
     caller that replays many sequences.
     """
     try:
@@ -244,8 +272,9 @@ def check_against(
     settled = deferred.wait(timeout)
     if settled is None or settled[0] != "ok":
         return _not_settled(settled, timeout, "reset", seq, None, model.init)
+    raw = settled[1]
     try:
-        observed = abstraction(settled[1])
+        observed = abstraction(raw)
     except Exception as err:
         return _abstraction_failed(err, "reset", seq, None, model.init)
     consistent = [s for s in model.init if s == observed]
@@ -261,6 +290,12 @@ def check_against(
             ),
         )
     obligations = _obligations
+    if obligations is None:
+        obligations = _compile_obligations(st_invariants)
+    if obligations:
+        violated = _spatial_failure(obligations, raw, seq, None, consistent, observed)
+        if violated is not None:
+            return violated
     for index, (command, at_time) in enumerate(zip(seq, seq.timestamps)):
         expected = successors(model, consistent, command.op)
         if expected is None:
@@ -316,24 +351,12 @@ def check_against(
                     note="observed state matches no model successor",
                 ),
             )
-        if obligations is None:
-            obligations = _compile_obligations(st_invariants)
-        observations = _spatial_observations(raw) if obligations else []
-        for invariant, holds in obligations:
-            for observation in observations:
-                if not holds(observation):
-                    return Fail(
-                        FailKind.SPATIAL_VIOLATION,
-                        Witness(
-                            sequence=seq,
-                            fail_index=index,
-                            expected_states=tuple(consistent),
-                            observed_state=observed,
-                            invariant=invariant,
-                            observation=observation,
-                            note="spatial obligation violated",
-                        ),
-                    )
+        if obligations:
+            violated = _spatial_failure(
+                obligations, raw, seq, index, consistent, observed
+            )
+            if violated is not None:
+                return violated
     return Pass()
 
 

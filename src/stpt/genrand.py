@@ -249,11 +249,11 @@ def shrink_sequence(
     first command). Every failing candidate, the original included, is
     cut to that prefix, which costs no further call. Then contiguous
     chunks of half, a quarter, ... of the cut length, down to 2, are
-    deleted left to right. Last, a single-command deletion pass and a
-    delay-halving pass alternate until neither changes anything. The
-    result is 1-minimal: no single deletion and no single delay halving
-    still fails. It is always the cut of the last sequence on which
-    ``fails`` did not return None.
+    deleted left to right. Last, the same deletion with chunks of one
+    command and a delay-halving pass alternate until neither changes
+    anything. The result is 1-minimal: no single deletion and no single
+    delay halving still fails. It is always the cut of the last sequence
+    on which ``fails`` did not return None.
     """
     current = seq
 
@@ -265,26 +265,26 @@ def shrink_sequence(
         current = CommandSequence(candidate.commands[:kept])
         return True
 
+    def delete_chunks(size: int) -> bool:
+        """Delete runs of ``size`` commands left to right; whether any went."""
+        changed = False
+        start = 0
+        while start + size <= len(current):
+            commands = current.commands
+            if accept(CommandSequence(commands[:start] + commands[start + size :])):
+                changed = True
+            else:
+                start += size
+        return changed
+
     if not accept(seq):
         raise NotFailing("initial sequence does not fail")
     size = len(current) // 2
     while size >= 2:
-        start = 0
-        while start + size <= len(current):
-            commands = current.commands
-            if not accept(
-                CommandSequence(commands[:start] + commands[start + size :])
-            ):
-                start += size
+        delete_chunks(size)
         size //= 2
     while True:
-        changed = False
-        index = 0
-        while index < len(current):
-            if accept(current.without(index)):
-                changed = True
-            else:
-                index += 1
+        changed = delete_chunks(1)
         # an accepted halving may move the failure earlier and cut the
         # sequence, so the bound is read again after every candidate
         index = 0

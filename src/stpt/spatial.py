@@ -29,8 +29,10 @@ class NonMonotonicTrace(ValueError):
 class Box:
     """Axis-aligned rectangle with integer corners, borders included.
 
-    May be constructed with unordered corners; :meth:`normalized` reorders
-    them. Zero width or height is legal (a segment or a single point).
+    The corners are stored in order, ``x1 <= x2`` and ``y1 <= y2``,
+    whatever order they were given in, so a box equals and hashes like
+    its swapped twin. Zero width or height is legal (a segment or a
+    single point).
     """
 
     x1: int
@@ -39,25 +41,21 @@ class Box:
     y2: int
 
     def __post_init__(self) -> None:
-        if not all(map(is_int, (self.x1, self.y1, self.x2, self.y2))):
+        x1, y1, x2, y2 = self.x1, self.y1, self.x2, self.y2
+        if not all(map(is_int, (x1, y1, x2, y2))):
             raise TypeError(f"box corners must be integers, got {self.as_tuple()}")
+        if x1 > x2:
+            object.__setattr__(self, "x1", x2)
+            object.__setattr__(self, "x2", x1)
+        if y1 > y2:
+            object.__setattr__(self, "y1", y2)
+            object.__setattr__(self, "y2", y1)
 
     def normalized(self) -> Box:
-        if self.is_normalized:
-            return self
-        return Box(
-            min(self.x1, self.x2),
-            min(self.y1, self.y2),
-            max(self.x1, self.x2),
-            max(self.y1, self.y2),
-        )
-
-    @property
-    def is_normalized(self) -> bool:
-        return self.x1 <= self.x2 and self.y1 <= self.y2
+        # the identity, kept only because bench/run.py still calls it
+        return self
 
     def contains_box(self, other: Box) -> bool:
-        other = other.normalized()
         return (
             self.x1 <= other.x1
             and self.y1 <= other.y1
@@ -76,19 +74,16 @@ class Box:
 
 @dataclass(frozen=True, order=True)
 class TimeWindow:
-    """Closed interval of discrete time ticks."""
+    """Closed interval of discrete time ticks, stored with ``start <= end``."""
 
     start: int
     end: int
 
-    def normalized(self) -> TimeWindow:
-        if self.start <= self.end:
-            return self
-        return TimeWindow(self.end, self.start)
-
-    @property
-    def is_normalized(self) -> bool:
-        return self.start <= self.end
+    def __post_init__(self) -> None:
+        start, end = self.start, self.end
+        if start > end:
+            object.__setattr__(self, "start", end)
+            object.__setattr__(self, "end", start)
 
     def contains(self, t: int) -> bool:
         return self.start <= t <= self.end
@@ -100,8 +95,6 @@ def box_intersection(a: Box, b: Box) -> Optional[Box]:
     Closed-interval semantics: boxes that only touch yield a degenerate
     overlap. Commutative; the result is contained in both arguments.
     """
-    a = a.normalized()
-    b = b.normalized()
     x1 = max(a.x1, b.x1)
     y1 = max(a.y1, b.y1)
     x2 = min(a.x2, b.x2)
@@ -113,8 +106,6 @@ def box_intersection(a: Box, b: Box) -> Optional[Box]:
 
 def window_intersection(a: TimeWindow, b: TimeWindow) -> Optional[TimeWindow]:
     """Closed-interval overlap of two time windows, or None when disjoint."""
-    a = a.normalized()
-    b = b.normalized()
     start = max(a.start, b.start)
     end = min(a.end, b.end)
     if start > end:
@@ -177,12 +168,9 @@ class Implies(Invariant):
 
 @dataclass(frozen=True)
 class TimeInterval(Invariant):
-    """True when the observation's time lies inside the (ordered) window."""
+    """True when the observation's time lies inside the window."""
 
     window: TimeWindow
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "window", self.window.normalized())
 
 
 @dataclass(frozen=True)
@@ -194,12 +182,9 @@ class Owner(Invariant):
 
 @dataclass(frozen=True)
 class OccupyBox(Invariant):
-    """True when the (ordered) box is covered by the observation's occupied space."""
+    """True when the box is covered by the observation's occupied space."""
 
     box: Box
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "box", self.box.normalized())
 
 
 @dataclass(frozen=True)
@@ -216,7 +201,7 @@ class Observation:
 
     A multi-component scene at time t is a list of Observations sharing t,
     one per owner. ``occupied`` may be empty and is stored sorted and
-    deduplicated with every box normalized.
+    deduplicated.
     """
 
     time: int
@@ -226,7 +211,7 @@ class Observation:
     def __init__(self, time: int, owner: str, occupied: Iterable[Box] = ()):
         object.__setattr__(self, "time", time)
         object.__setattr__(self, "owner", owner)
-        boxes = tuple(sorted({b.normalized() for b in occupied}))
+        boxes = tuple(sorted(set(occupied)))
         object.__setattr__(self, "occupied", boxes)
 
 
@@ -237,10 +222,6 @@ class OccupancyFact:
     owner: str
     window: TimeWindow
     box: Box
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "window", self.window.normalized())
-        object.__setattr__(self, "box", self.box.normalized())
 
 
 @dataclass(frozen=True)
@@ -327,21 +308,11 @@ def box_covered(target: Box, boxes: Sequence[Box]) -> bool:
     as soon as nothing is left. Every remainder piece is a closed integer
     rectangle, held as an ``(x1, y1, x2, y2)`` tuple, so the answer is
     exact on the integer grid, and its cost grows with the number of
-    pieces rather than with the target's area. The target and each box
-    may have unordered corners.
+    pieces rather than with the target's area.
     """
-    x1, y1, x2, y2 = target.x1, target.y1, target.x2, target.y2
-    if x1 > x2:
-        x1, x2 = x2, x1
-    if y1 > y2:
-        y1, y2 = y2, y1
-    pending = [(x1, y1, x2, y2)]
+    pending = [target.as_tuple()]
     for box in boxes:
         bx1, by1, bx2, by2 = box.x1, box.y1, box.x2, box.y2
-        if bx1 > bx2:
-            bx1, bx2 = bx2, bx1
-        if by1 > by2:
-            by1, by2 = by2, by1
         rest = []
         for piece in pending:
             px1, py1, px2, py2 = piece

@@ -405,12 +405,11 @@ def _workspace_invariants(config: RobotConfig) -> tuple[Invariant, ...]:
     waypoint turns its obligation's consequent into an outright
     falsehood that trips the moment the arm occupies that footprint.
     """
-    workspace = config.workspace.normalized()
     window = TimeWindow(0, config.horizon)
     out = []
     for name in sorted(config.waypoints):
-        footprint = config.waypoints[name].footprint.normalized()
-        inside = workspace.contains_box(footprint)
+        footprint = config.waypoints[name].footprint
+        inside = config.workspace.contains_box(footprint)
         out.append(
             Implies(
                 And(

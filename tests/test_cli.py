@@ -567,6 +567,62 @@ class TestRobotConfigFlag:
         assert "moveToZ" in out
         assert "moveToQ" not in out
 
+    # the arm starts on "Z", whose footprint leaves the default workspace
+    ESCAPING = {
+        "waypoints": {
+            "Y": {"at": [10, 10], "footprint": [8, 8, 12, 12]},
+            "Z": {"at": [100, 100], "footprint": [98, 98, 103, 103]},
+        },
+        "init": "Z",
+    }
+
+    def test_reset_violation_replays(self, tmp_path, capsys):
+        path = self.write_config(tmp_path, self.ESCAPING)
+        code, report = run_json_campaign(
+            tmp_path,
+            ["--suite", "robot", "--robot-config", path, "--num-tests", "20"],
+        )
+        assert code == 1
+        assert report["testsFailed"] == 20
+        for failure in report["failures"]:
+            assert failure["kind"] == "SpatialViolation"
+            assert failure["failIndex"] is None
+            assert failure["shrunkCommands"] == []
+        replay = ["--replay", str(tmp_path / "report.json"), "--robot-config", path]
+        assert cli.main(replay) == 1
+        out = capsys.readouterr().out
+        assert out.endswith("reproduced 20 of 20 failures\n")
+        argv = ["--suite", "robot", "--robot-config", path, "--num-tests", "3"]
+        assert cli.main(argv) == 1
+        assert "(reset)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("fault", ["none", "wrongMove"])
+    def test_reversed_corners_give_the_same_report(self, tmp_path, fault):
+        reports = []
+        for name, order in (("ordered", 1), ("reversed", -1)):
+            doc = {
+                "workspace": [0, 0, 100, 100][::order],
+                "waypoints": {
+                    "Y": {"at": [10, 10], "footprint": [8, 8, 12, 12][::order]},
+                    "Z": {"at": [99, 99], "footprint": [98, 98, 103, 103][::order]},
+                },
+            }
+            (tmp_path / name).mkdir()
+            path = self.write_config(tmp_path / name, doc)
+            code, _ = run_json_campaign(
+                tmp_path,
+                [
+                    "--suite", "robot",
+                    "--fault", fault,
+                    "--robot-config", path,
+                    "--num-tests", "50",
+                ],
+                name=f"{name}.json",
+            )
+            reports.append((code, (tmp_path / f"{name}.json").read_bytes()))
+        assert reports[0] == reports[1]
+        assert reports[0][0] == 1
+
     def test_bad_catalogue_is_a_configuration_error(self, tmp_path, capsys):
         path = self.write_config(
             tmp_path,

@@ -5,6 +5,8 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import greedy_shrink_reference, random_model
 from stpt import (
@@ -19,6 +21,7 @@ from stpt import (
     FailKind,
     Implies,
     NotAFailure,
+    Observation,
     OccupancyFact,
     OccupyBox,
     Owner,
@@ -43,6 +46,7 @@ from stpt import (
 )
 from stpt import conformance
 from stpt.statemodel import NextStates, step
+from stpt.suts import OP_CURSOR_UP, OP_OTHER, OP_SELECT_ELECTRON, OP_SELECT_PHOTON
 
 
 def unguarded_commands(vocab, max_len, rng) -> CommandSequence:
@@ -371,7 +375,10 @@ class TestSpatialChecking:
         )
 
     def test_violation_carries_invariant_and_observation(self):
-        sut = ToggleSut(facts=(self.ARM_FACT,))
+        # the fact holds from tick 1, so the reset observation has nothing to judge
+        sut = ToggleSut(
+            facts=(OccupancyFact("arm", TimeWindow(1, 100), Box(0, 0, 4, 4)),)
+        )
         result = self.check(sut, ["turnOn"], (self.WANT_BIG,))
         assert isinstance(result, Fail)
         assert result.kind == FailKind.SPATIAL_VIOLATION
@@ -381,6 +388,24 @@ class TestSpatialChecking:
         assert obs is not None
         assert obs.owner == "arm" and obs.time == 1
         assert obs.occupied == (Box(0, 0, 4, 4),)
+
+    def test_reset_occupancy_is_judged(self):
+        sut = ToggleSut(facts=(self.ARM_FACT,))
+        for ops in ([], ["turnOn"]):
+            result = self.check(sut, ops, (self.WANT_BIG,))
+            assert result == Fail(
+                FailKind.SPATIAL_VIOLATION,
+                Witness(
+                    sequence=CommandSequence(tuple(Command(op, 1) for op in ops)),
+                    fail_index=None,
+                    expected_states=(State({"on": False}),),
+                    observed_state=State({"on": False}),
+                    invariant=self.WANT_BIG,
+                    observation=Observation(0, "arm", (Box(0, 0, 4, 4),)),
+                    note="spatial obligation violated",
+                ),
+            )
+        assert sut.applied == []
 
     def test_covered_obligation_passes(self):
         small = Implies(
@@ -1021,7 +1046,7 @@ class TestRunProperty:
         assert {r.kind for r in report.failures} == {FailKind.SPATIAL_VIOLATION}
         assert len(report.failures) > 1
         assert compiled == list(suite.st_invariants)
-        # a one-off replay still compiles its own, once it judges a command
+        # a one-off replay still compiles its own, once per call
         compiled.clear()
         seq = CommandSequence((Command("initialisePosition", 1),))
         for _ in range(2):
@@ -1033,6 +1058,150 @@ class TestRunProperty:
                 suite.st_invariants,
             ) == Pass()
         assert compiled == list(suite.st_invariants) * 2
+
+
+class TestResetOccupancy:
+    """A deployment whose arm starts on a footprint outside the workspace."""
+
+    @staticmethod
+    def escaping_suite():
+        waypoints = {
+            "Y": Waypoint(at=(10, 10), footprint=Box(8, 8, 12, 12)),
+            "Z": Waypoint(at=(100, 100), footprint=Box(98, 98, 103, 103)),
+        }
+        return robot_suite(config=RobotConfig(waypoints=waypoints, init="Z"))
+
+    def test_empty_sequence_fails_at_reset(self):
+        suite = self.escaping_suite()
+        result = check_against(
+            suite.model,
+            suite.make_adapter(),
+            suite.abstraction,
+            CommandSequence(()),
+            suite.st_invariants,
+        )
+        assert isinstance(result, Fail)
+        assert result.kind == FailKind.SPATIAL_VIOLATION
+        witness = result.witness
+        assert witness.fail_index is None
+        assert witness.expected_states == suite.model.init
+        assert witness.observed_state == State({"position": "Z"})
+        assert witness.observation == Observation(0, "arm", (Box(98, 98, 103, 103),))
+        assert witness.invariant in suite.st_invariants
+
+    def test_every_test_fails_and_shrinks_to_the_empty_sequence(self):
+        suite = self.escaping_suite()
+        report = suite_campaign(suite, seed=0, num_tests=50, max_len=1)
+        assert report.tests_failed == 50
+        for record in report.failures:
+            assert record.kind == FailKind.SPATIAL_VIOLATION
+            assert record.shrunk.fail_index is None
+            assert record.shrunk.sequence == CommandSequence(())
+            assert record.shrunk.expected_states == suite.model.init
+
+
+class HostileSut:
+    """A suite's SUT that misbehaves on drawn triggers.
+
+    ``triggers`` maps an operation and its issue time modulo 5 to a
+    fault: "raise" raises from ``apply``, "never" returns a Deferred
+    that never completes, and "late" one that the next call through any
+    adapter sharing ``late`` completes, after the harness gave up on it.
+    ``reset_fault``, if set, does the same to every ``reset``. A trigger
+    reads only the command and its issue time, so a replay with a fresh
+    adapter meets the same fault.
+    """
+
+    def __init__(self, inner, reset_fault, triggers, late: list):
+        self.inner = inner
+        self.reset_fault = reset_fault
+        self.triggers = triggers
+        self.late = late
+
+    def _complete_late(self) -> None:
+        while self.late:
+            self.late.pop().complete(RawObservation({"mode": "late", "beam": "late"}))
+
+    def _misbehave(self, fault: str, call: str) -> Deferred[RawObservation]:
+        if fault == "raise":
+            raise RuntimeError(f"hostile {call}")
+        pending: Deferred[RawObservation] = Deferred()
+        if fault == "late":
+            self.late.append(pending)
+        return pending
+
+    def vocabulary(self) -> tuple[str, ...]:
+        return self.inner.vocabulary()
+
+    def reset(self) -> Deferred[RawObservation]:
+        self._complete_late()
+        if self.reset_fault is not None:
+            return self._misbehave(self.reset_fault, "reset")
+        return self.inner.reset()
+
+    def apply(self, command: Command, at_time: int) -> Deferred[RawObservation]:
+        self._complete_late()
+        fault = self.triggers.get((command.op, at_time % 5))
+        if fault is not None:
+            return self._misbehave(fault, f"apply {command.op!r}")
+        return self.inner.apply(command, at_time)
+
+
+HOSTILE_FAULTS = st.sampled_from(["raise", "never", "late"])
+THERAC_OPS = (OP_SELECT_PHOTON, OP_SELECT_ELECTRON, OP_CURSOR_UP, OP_OTHER)
+
+
+class TestHostileSut:
+    # the kinds each therac25 fault gives with no hostile trigger
+    PLAIN_KINDS = {"none": set(), "sequenceBug": {FailKind.SUT_MISMATCH}}
+    TIMEOUT_S = 0.005
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        fault=st.sampled_from(sorted(PLAIN_KINDS)),
+        reset_fault=st.sampled_from([None, None, None, "raise", "never", "late"]),
+        triggers=st.dictionaries(
+            st.tuples(st.sampled_from(THERAC_OPS), st.integers(0, 4)),
+            HOSTILE_FAULTS,
+            max_size=6,
+        ),
+        seed=st.integers(0, 2**16),
+    )
+    def test_campaign_survives_and_witnesses_replay(
+        self, fault, reset_fault, triggers, seed
+    ):
+        suite = therac_suite(fault)
+        late: list = []
+
+        def factory() -> HostileSut:
+            return HostileSut(suite.make_adapter(), reset_fault, triggers, late)
+
+        report = run_property(
+            suite.model,
+            None,
+            suite.abstraction,
+            gen_enabled_commands(suite.model, suite.default_weights, max_len=8),
+            num_tests=5,
+            seed=seed,
+            timeout=self.TIMEOUT_S,
+            adapter_factory=factory,
+        )
+        assert isinstance(report, RunReport)
+        allowed = {FailKind.SUT_ERROR, FailKind.TIMEOUT} | self.PLAIN_KINDS[fault]
+        for record in report.failures:
+            assert record.kind in allowed
+            replayed = check_against(
+                suite.model,
+                factory(),
+                suite.abstraction,
+                record.shrunk.sequence,
+                timeout=self.TIMEOUT_S,
+            )
+            assert isinstance(replayed, Fail)
+            assert (replayed.kind, replayed.witness.fail_index) == (
+                record.kind,
+                record.shrunk.fail_index,
+            )
 
 
 SHRINK_SEEDS = [0, 7, 42]

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     boxes,
+    coords,
     covered_cells_bruteforce,
     invariants,
     observations,
@@ -16,6 +17,7 @@ from helpers import (
     oracle_collisions,
     oracle_evaluate,
     oracle_first_violation,
+    ticks,
     windows,
 )
 from stpt import (
@@ -108,13 +110,41 @@ def near_covers(draw):
     return _swapped(target, swaps[-1]), cover
 
 
+class TestOrderedWhenBuilt:
+    @given(boxes)
+    def test_box_equals_its_swapped_twins(self, box):
+        assert box.x1 <= box.x2 and box.y1 <= box.y2
+        for twin in (
+            Box(box.x2, box.y1, box.x1, box.y2),
+            Box(box.x1, box.y2, box.x2, box.y1),
+            Box(box.x2, box.y2, box.x1, box.y1),
+        ):
+            assert twin == box
+            assert hash(twin) == hash(box)
+            assert twin.as_tuple() == box.as_tuple()
+
+    @given(windows)
+    def test_window_equals_its_swapped_twin(self, window):
+        assert window.start <= window.end
+        twin = TimeWindow(window.end, window.start)
+        assert twin == window
+        assert hash(twin) == hash(window)
+        assert (twin.start, twin.end) == (window.start, window.end)
+
+    @given(coords, coords, coords, coords, ticks, ticks)
+    def test_each_value_is_kept(self, x1, y1, x2, y2, start, end):
+        box = Box(x1, y1, x2, y2)
+        assert box.as_tuple() == (min(x1, x2), min(y1, y2), max(x1, x2), max(y1, y2))
+        window = TimeWindow(start, end)
+        assert (window.start, window.end) == (min(start, end), max(start, end))
+
+
 class TestBoxGeometry:
     def test_normalized_reorders_corners(self):
         assert Box(1505, 3603, 1051, 3056).normalized() == Box(1051, 3056, 1505, 3603)
 
     def test_degenerate_box_is_legal(self):
         point = Box(4, 4, 4, 4)
-        assert point.is_normalized
         assert list(point.cells()) == [(4, 4)]
 
     @pytest.mark.parametrize(
@@ -171,8 +201,8 @@ class TestTimeWindows:
         assert left == window_intersection(b, a)
         if left is not None:
             for t in (left.start, left.end):
-                assert a.normalized().contains(t)
-                assert b.normalized().contains(t)
+                assert a.contains(t)
+                assert b.contains(t)
 
 
 class TestNormalize:
