@@ -31,12 +31,9 @@ from .genrand import (
     CommandSequence,
     Generator,
     InvalidRange,
-    NotFailing,
     Rng,
     gen_enabled_commands,
-    gen_int_in_range,
     shrink_sequence,
-    weighted,
 )
 from .spatial import (
     And,

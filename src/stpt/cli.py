@@ -25,7 +25,16 @@ from .reports import (
 )
 from .spatial import Box, Invariant, NonMonotonicTrace, Observation, check_trace, is_int
 from .statemodel import StateCapExceeded, correct_behaviours, format_behaviours
-from .suts import FAULT_NONE, Suite, load_robot_config, robot_suite, therac_suite
+from .suts import (
+    FAULT_NONE,
+    RobotConfig,
+    Suite,
+    load_robot_config,
+    robot_config_from_json,
+    robot_config_to_json,
+    robot_suite,
+    therac_suite,
+)
 
 
 class CliError(Exception):
@@ -111,14 +120,21 @@ def _resolve_seed(args: argparse.Namespace) -> int:
         raise CliError(f"STPT_SEED must be an integer, got {env!r}")
 
 
-def _build_suite(name: str, fault: str, robot_config_path: Optional[str]) -> Suite:
+def _build_suite(name: str, fault: str, deployment: Optional[RobotConfig]) -> Suite:
     try:
         if name == "therac25":
             return therac_suite(fault)
-        config = None
-        if robot_config_path is not None:
-            config = load_robot_config(robot_config_path)
-        return robot_suite(fault, config)
+        return robot_suite(fault, deployment)
+    except (ValueError, KeyError, TypeError) as err:
+        raise CliError(str(err))
+
+
+def _load_deployment(path: Optional[str]) -> Optional[RobotConfig]:
+    """The robot deployment in the file at ``path``, None for no file."""
+    if path is None:
+        return None
+    try:
+        return load_robot_config(path)
     except (ValueError, KeyError, TypeError, OSError) as err:
         raise CliError(str(err))
 
@@ -145,7 +161,9 @@ def _parse_weights(text: str) -> dict[str, int]:
     return weights
 
 
-def _run_campaign(suite: Suite, args: argparse.Namespace) -> int:
+def _run_campaign(
+    suite: Suite, args: argparse.Namespace, deployment: Optional[RobotConfig]
+) -> int:
     if args.num_tests < 1:
         raise CliError("--num-tests must be >= 1")
     if args.max_len < 1:
@@ -185,6 +203,9 @@ def _run_campaign(suite: Suite, args: argparse.Namespace) -> int:
         weights,
         args.workers,
     )
+    if deployment is not None:
+        # recorded only when given, so a default report keeps its bytes
+        config["robotConfig"] = robot_config_to_json(deployment)
     if args.report == "json":
         rendered = report_to_json(report, config)
     else:
@@ -210,6 +231,25 @@ def _position(fail_index: Optional[int]) -> str:
     return RESET_POSITION if fail_index is None else str(fail_index)
 
 
+def _replay_deployment(recorded: object, path: Optional[str]) -> Optional[RobotConfig]:
+    """The deployment a robot report recorded, else the one in ``path``.
+
+    A deployment given as well as recorded must be the same one.
+    """
+    given = _load_deployment(path)
+    if recorded is None:
+        return given
+    try:
+        deployment = robot_config_from_json(recorded)
+    except (ValueError, KeyError, TypeError) as err:
+        raise CliError(f"report robotConfig is malformed: {err}")
+    if given is not None and given != deployment:
+        raise CliError(
+            f"--robot-config {path} differs from the deployment recorded in the report"
+        )
+    return deployment
+
+
 def _run_replay(args: argparse.Namespace) -> int:
     try:
         doc = load_report(args.replay)
@@ -221,9 +261,10 @@ def _run_replay(args: argparse.Namespace) -> int:
     suite_name = config.get("suite")
     if suite_name not in _MODEL_SUITES:
         raise CliError(f"report names unknown suite {suite_name!r}")
-    suite = _build_suite(
-        suite_name, config.get("fault", FAULT_NONE), args.robot_config
-    )
+    deployment = None
+    if suite_name == "robot":
+        deployment = _replay_deployment(config.get("robotConfig"), args.robot_config)
+    suite = _build_suite(suite_name, config.get("fault", FAULT_NONE), deployment)
     timeout_ms = config.get("timeoutMs", 5000)
     if not is_int(timeout_ms) or timeout_ms < 1:
         raise CliError(f"report timeoutMs must be a positive integer, got {timeout_ms!r}")
@@ -348,10 +389,13 @@ def main(argv: Optional[list[str]] = None) -> int:
             raise CliError("--suite is required (or use --replay)")
         if args.suite == "trace-check":
             return _run_trace_check(args)
-        suite = _build_suite(args.suite, args.fault, args.robot_config)
+        deployment = None
+        if args.suite == "robot":
+            deployment = _load_deployment(args.robot_config)
+        suite = _build_suite(args.suite, args.fault, deployment)
         if args.dump_behaviours:
             return _run_dump(suite, args)
-        return _run_campaign(suite, args)
+        return _run_campaign(suite, args, deployment)
     except CliError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

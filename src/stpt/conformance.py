@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Any, Callable, Generic, Optional, Protocol, TypeVar, Union
 
-from .genrand import Command, CommandSequence, Generator, NotFailing, Rng, shrink_sequence
+from .genrand import Command, CommandSequence, Generator, Rng, shrink_sequence
 from .spatial import (
     Invariant,
     Observation,
@@ -432,12 +432,14 @@ def run_property(
     alone must keep such work out of the next replay. The invariants are
     compiled once, and every replay judges the compiled ones.
 
-    A failing sequence is shrunk by replaying candidates. A candidate is
-    accepted when its replay fails with the original kind; it is then cut
-    after its failing command (to nothing for a reset-level failure),
-    since the replay never ran the commands behind it. The shrunk witness
-    is the failure of the last accepted replay, with that cut as its
-    sequence, which is what a replay of the cut gives.
+    A failing sequence is cut after its failing command (to nothing for a
+    reset-level failure), since the replay never ran the commands behind
+    it, and the cut is shrunk by replaying candidates; the failure already
+    seen is not replayed again. A candidate is accepted when its replay
+    fails with the original kind, and is cut the same way. The shrunk
+    witness is the failure of the last accepted replay, or the original
+    failure if none was accepted, with the last cut as its sequence, which
+    is what a replay of the cut gives.
     """
     if num_tests < 1:
         raise ValueError("num_tests must be >= 1")
@@ -474,6 +476,8 @@ def run_property(
             return None
         kind = result.kind
         shrunk = result
+        at = result.witness.fail_index
+        failing = CommandSequence(seq.commands[: 0 if at is None else at + 1])
 
         def still_fails(candidate: CommandSequence) -> Optional[int]:
             nonlocal shrunk
@@ -484,15 +488,11 @@ def run_property(
             at = rerun.witness.fail_index
             return 0 if at is None else at + 1
 
-        try:
-            cut = shrink_sequence(seq, still_fails)
-        except NotFailing:
-            pass  # flaky SUT: the original witness stays
-        else:
-            # ``cut`` ends where the last accepted replay diverged, and that
-            # replay never ran the commands behind it, so a replay of the
-            # cut fails exactly the same way
-            shrunk = Fail(kind, replace(shrunk.witness, sequence=cut))
+        cut = shrink_sequence(failing, still_fails)
+        # ``cut`` ends where the last accepted replay diverged (or the
+        # original failure, if none was), and that replay never ran the
+        # commands behind it, so a replay of the cut fails the same way
+        shrunk = Fail(kind, replace(shrunk.witness, sequence=cut))
         return FailureRecord(
             test_index=test_index,
             kind=kind,

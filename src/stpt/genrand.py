@@ -1,8 +1,8 @@
-"""Splittable pure PRNG, value generators, and timed command sequences.
+"""Splittable pure PRNG, and the generation and shrinking of timed command sequences.
 
 The random source is a splitmix64-style state/gamma pair. Splitting gives
 two independent streams, so each test case draws from its own stream,
-whatever ran before it. Generators are pure functions from an Rng to a
+whatever ran before it. A generator is a pure function from an Rng to a
 (value, next-Rng) pair. A campaign draws timed command sequences that walk
 the model's enabled operations, and shrinks the failing ones.
 
@@ -12,7 +12,9 @@ produced here is identical across runs, platforms, and worker counts.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Generic, Mapping, Optional, TypeVar
 
 from .statemodel import State, StateModel, enabled_actions, successors
@@ -25,10 +27,6 @@ _GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 
 class InvalidRange(ValueError):
     pass
-
-
-class NotFailing(ValueError):
-    """Shrinking was asked to minimize a sequence the predicate accepts."""
 
 
 def _mix64(z: int) -> int:
@@ -59,10 +57,6 @@ class Rng:
     def from_seed(cls, seed: int) -> Rng:
         return cls(state=seed & _MASK64, gamma=_GOLDEN_GAMMA)
 
-    def next_u64(self) -> tuple[int, Rng]:
-        state = (self.state + self.gamma) & _MASK64
-        return _mix64(state), Rng(state, self.gamma)
-
     def split(self) -> tuple[Rng, Rng]:
         """(advanced self, independent child) pair."""
         s1 = (self.state + self.gamma) & _MASK64
@@ -76,51 +70,6 @@ class Generator(Generic[A]):
     """Pure ``Rng -> (value, Rng)``."""
 
     run: Callable[[Rng], tuple[A, Rng]]
-
-
-def gen_int_in_range(lo: int, hi: int) -> Generator[int]:
-    """Uniform integer in the closed interval [lo, hi], by rejection."""
-    if lo > hi:
-        raise InvalidRange(f"empty range [{lo}, {hi}]")
-    span = hi - lo + 1
-    words = max(1, (span.bit_length() + 63) // 64)
-    limit = (1 << (64 * words)) // span * span
-
-    def go(rng: Rng) -> tuple[int, Rng]:
-        while True:
-            acc = 0
-            for _ in range(words):
-                u, rng = rng.next_u64()
-                acc = (acc << 64) | u
-            if acc < limit:
-                return lo + acc % span, rng
-
-    return Generator(go)
-
-
-def weighted(choices: Mapping[A, int]) -> Generator[A]:
-    """Pick a key with probability proportional to its positive weight.
-
-    Keys are walked in sorted order so dict insertion order never matters.
-    """
-    items = sorted(choices.items(), key=lambda kv: repr(kv[0]))
-    if not items:
-        raise InvalidRange("weighted() needs at least one choice")
-    for key, weight in items:
-        if weight <= 0:
-            raise InvalidRange(f"weight for {key!r} must be positive")
-    total = sum(weight for _, weight in items)
-    pick_gen = gen_int_in_range(0, total - 1)
-
-    def go(rng: Rng) -> tuple[A, Rng]:
-        pick, rng = pick_gen.run(rng)
-        for key, weight in items:
-            pick -= weight
-            if pick < 0:
-                return key, rng
-        raise AssertionError("unreachable")
-
-    return Generator(go)
 
 
 # ---------------------------------------------------------------------------
@@ -177,8 +126,50 @@ class CommandSequence:
         )
 
 
-# Every command's delay, drawn after its operation.
-_DELAYS = gen_int_in_range(1, 5)
+def _rejection(span: int) -> tuple[int, int]:
+    """(limit, words) of a uniform draw over ``span`` values by rejection.
+
+    A draw packs ``words`` 64-bit outputs into one integer, and keeps it
+    only below ``limit``, the largest multiple of ``span`` that fits.
+    """
+    words = max(1, (span.bit_length() + 63) // 64)
+    return (1 << (64 * words)) // span * span, words
+
+
+def _draw(state: int, gamma: int, span: int, limit: int, words: int) -> tuple[int, int]:
+    """A value uniform in [0, span), and the stream state after it."""
+    while True:
+        acc = 0
+        for _ in range(words):
+            state = (state + gamma) & _MASK64
+            acc = (acc << 64) | _mix64(state)
+        if acc < limit:
+            return acc % span, state
+
+
+_UNSEEN = object()
+
+
+class _Pick:
+    """The weighted pick at one tuple of states the run could be in.
+
+    ``bounds`` are the running sums of the enabled operations' weights,
+    in ``repr`` order of the operations, and ``commands`` their commands,
+    one per delay. ``nexts`` fills lazily, per operation, with the pick
+    at the states that operation leads to (None when nothing weighted is
+    enabled there).
+    """
+
+    __slots__ = ("states", "ops", "bounds", "span", "limit", "words", "commands", "nexts")
+
+    def __init__(self, states, items, commands) -> None:
+        self.states = states
+        self.ops = [op for op, _ in items]
+        self.bounds = list(accumulate(weight for _, weight in items))
+        self.span = self.bounds[-1]
+        self.limit, self.words = _rejection(self.span)
+        self.commands = [commands[op] for op in self.ops]
+        self.nexts = [_UNSEEN] * len(items)
 
 
 def gen_enabled_commands(
@@ -197,39 +188,60 @@ def gen_enabled_commands(
     one of those states, so such sequences never trip the harness's
     disabled-operation check. Generation stops early when no weighted
     operation is enabled, so sequences may be shorter than the drawn
-    length (or empty). ``weights`` is read once, when the generator is
-    built.
+    length (or empty). ``weights`` is read, and every weight checked to
+    be positive, once, when the generator is built.
+
+    One kernel makes every draw on the raw state of the ``Rng``, each by
+    rejection over whole 64-bit outputs, and builds the ``Rng`` it returns
+    only at the end. The draws, and their order, are those of the composed
+    reference generator in ``tests/helpers.py``: a weighted pick walks the
+    enabled operations in ``repr`` order. The pick at each tuple of states,
+    and where each operation leads from it, is memoised for every run of
+    this generator, and each ``(op, delay)`` command is built once.
     """
     if max_len < 1:
         raise InvalidRange("max_len must be >= 1")
     if not weights:
         raise InvalidRange("weights must be nonempty")
-    weights = dict(weights)
-    length_gen = gen_int_in_range(1, max_len)
-    # One weighted pick per distinct tuple of current states, None when
-    # nothing weighted is enabled in any of them; shared by every run of
-    # this generator.
-    picks: dict[tuple[State, ...], Optional[Generator[str]]] = {}
+    ranked = sorted(weights.items(), key=lambda kv: repr(kv[0]))
+    for op, weight in ranked:
+        if weight <= 0:
+            raise InvalidRange(f"weight for {op!r} must be positive")
+    # indexed by the drawn delay less one
+    commands = {op: tuple(Command(op, d) for d in range(1, 6)) for op, _ in ranked}
+    length_limit, length_words = _rejection(max_len)
+    delay_limit, delay_words = _rejection(5)
+    picks: dict[tuple[State, ...], Optional[_Pick]] = {}
+
+    def pick_at(states: tuple[State, ...]) -> Optional[_Pick]:
+        try:
+            return picks[states]
+        except KeyError:
+            pass
+        enabled = {name for s in states for name in enabled_actions(model, s)}
+        items = [(op, weight) for op, weight in ranked if op in enabled]
+        pick = picks[states] = _Pick(states, items, commands) if items else None
+        return pick
 
     def go(rng: Rng) -> tuple[CommandSequence, Rng]:
-        length, rng = length_gen.run(rng)
-        current = model.init
-        commands = []
-        for _ in range(length):
-            key = tuple(current)
-            try:
-                pick = picks[key]
-            except KeyError:
-                enabled = {name for s in current for name in enabled_actions(model, s)}
-                table = {op: w for op, w in weights.items() if op in enabled}
-                pick = picks[key] = weighted(table) if table else None
+        state, gamma = rng.state, rng.gamma
+        length, state = _draw(state, gamma, max_len, length_limit, length_words)
+        pick = pick_at(model.init)
+        out = []
+        for _ in range(length + 1):
             if pick is None:
                 break
-            op, rng = pick.run(rng)
-            delay, rng = _DELAYS.run(rng)
-            commands.append(Command(op, delay))
-            current = successors(model, current, op)
-        return CommandSequence(tuple(commands)), rng
+            value, state = _draw(state, gamma, pick.span, pick.limit, pick.words)
+            index = bisect_right(pick.bounds, value)
+            delay, state = _draw(state, gamma, 5, delay_limit, delay_words)
+            out.append(pick.commands[index][delay])
+            nxt = pick.nexts[index]
+            if nxt is _UNSEEN:
+                nxt = pick.nexts[index] = pick_at(
+                    tuple(successors(model, pick.states, pick.ops[index]))
+                )
+            pick = nxt
+        return CommandSequence(tuple(out)), Rng(state, gamma)
 
     return Generator(go)
 
@@ -244,16 +256,17 @@ def shrink_sequence(
 ) -> CommandSequence:
     """Minimize ``seq`` while ``fails`` still reports a failure.
 
-    ``fails`` returns None for a passing candidate, and otherwise how
-    many leading commands its failure needed (0 for a failure before the
-    first command). Every failing candidate, the original included, is
-    cut to that prefix, which costs no further call. Then contiguous
-    chunks of half, a quarter, ... of the cut length, down to 2, are
-    deleted left to right. Last, the same deletion with chunks of one
+    ``seq`` already fails, and is already cut after the command its
+    failure needed, so ``fails`` is never called on it. ``fails`` returns
+    None for a passing candidate, and otherwise how many leading commands
+    its failure needed (0 for a failure before the first command). Every
+    failing candidate is cut to that prefix, which costs no further call.
+    Contiguous chunks of half, a quarter, ... of the length, down to 2,
+    are deleted left to right. Last, the same deletion with chunks of one
     command and a delay-halving pass alternate until neither changes
     anything. The result is 1-minimal: no single deletion and no single
-    delay halving still fails. It is always the cut of the last sequence
-    on which ``fails`` did not return None.
+    delay halving still fails. It is the cut of the last candidate on
+    which ``fails`` did not return None, or ``seq`` if there was none.
     """
     current = seq
 
@@ -277,8 +290,6 @@ def shrink_sequence(
                 start += size
         return changed
 
-    if not accept(seq):
-        raise NotFailing("initial sequence does not fail")
     size = len(current) // 2
     while size >= 2:
         delete_chunks(size)

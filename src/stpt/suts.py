@@ -277,7 +277,25 @@ def load_robot_config(path: str) -> RobotConfig:
     unknown keys included, raises ValueError or TypeError.
     """
     with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+        return robot_config_from_json(json.load(fh))
+
+
+def robot_config_to_json(config: RobotConfig) -> dict:
+    """The canonical JSON form of ``config``: every key, waypoints by name."""
+    return {
+        "workspace": list(config.workspace.as_tuple()),
+        "waypoints": {
+            name: {"at": list(waypoint.at), "footprint": list(waypoint.footprint.as_tuple())}
+            for name, waypoint in sorted(config.waypoints.items())
+        },
+        "init": config.init,
+        "motionDuration": config.motion_duration,
+        "horizon": config.horizon,
+    }
+
+
+def robot_config_from_json(data: object) -> RobotConfig:
+    """The deployment a decoded JSON document describes; see :func:`load_robot_config`."""
     if not isinstance(data, dict):
         raise ValueError("robot config must be a JSON object")
     known = {"workspace", "waypoints", "init", "motionDuration", "horizon"}

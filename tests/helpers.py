@@ -14,6 +14,10 @@ from hypothesis import strategies as st
 
 from stpt import (
     ActionSpec,
+    Command,
+    CommandSequence,
+    Generator,
+    Rng,
     And,
     Box,
     CollisionWitness,
@@ -35,6 +39,8 @@ from stpt import (
     TimeWindow,
     TrueAtom,
 )
+from stpt.genrand import InvalidRange, _mix64, _MASK64
+from stpt.statemodel import enabled_actions, successors
 from stpt.suts import (
     OP_CURSOR_UP,
     OP_SELECT_ELECTRON,
@@ -285,6 +291,107 @@ def therac_first_disagreement(ops_with_times, window=8):
         ):
             return k
     return None
+
+
+# ---------------------------------------------------------------------------
+# Composed generation reference
+
+
+def next_u64(rng: Rng) -> tuple[int, Rng]:
+    """One 64-bit output of ``rng``'s stream, and the source after it."""
+    state = (rng.state + rng.gamma) & _MASK64
+    return _mix64(state), Rng(state, rng.gamma)
+
+
+def gen_int_in_range(lo: int, hi: int) -> Generator[int]:
+    """Uniform integer in the closed interval [lo, hi], by rejection."""
+    if lo > hi:
+        raise InvalidRange(f"empty range [{lo}, {hi}]")
+    span = hi - lo + 1
+    words = max(1, (span.bit_length() + 63) // 64)
+    limit = (1 << (64 * words)) // span * span
+
+    def go(rng: Rng) -> tuple[int, Rng]:
+        while True:
+            acc = 0
+            for _ in range(words):
+                u, rng = next_u64(rng)
+                acc = (acc << 64) | u
+            if acc < limit:
+                return lo + acc % span, rng
+
+    return Generator(go)
+
+
+def weighted(choices) -> Generator:
+    """Pick a key with probability proportional to its positive weight.
+
+    Keys are walked in sorted order so dict insertion order never matters.
+    """
+    items = sorted(choices.items(), key=lambda kv: repr(kv[0]))
+    if not items:
+        raise InvalidRange("weighted() needs at least one choice")
+    for key, weight in items:
+        if weight <= 0:
+            raise InvalidRange(f"weight for {key!r} must be positive")
+    total = sum(weight for _, weight in items)
+    pick_gen = gen_int_in_range(0, total - 1)
+
+    def go(rng: Rng):
+        pick, rng = pick_gen.run(rng)
+        for key, weight in items:
+            pick -= weight
+            if pick < 0:
+                return key, rng
+        raise AssertionError("unreachable")
+
+    return Generator(go)
+
+
+# Every command's delay, drawn after its operation.
+_DELAYS = gen_int_in_range(1, 5)
+
+
+def reference_enabled_commands(model, weights, max_len) -> Generator[CommandSequence]:
+    """``gen_enabled_commands`` composed from the generators above.
+
+    A length from ``gen_int_in_range``, then per command a ``weighted``
+    pick among the operations enabled in some state the run could be in,
+    and a delay; the fused kernel must make the same draws in the same
+    order. A weight is checked only when its operation is first enabled.
+    """
+    if max_len < 1:
+        raise InvalidRange("max_len must be >= 1")
+    if not weights:
+        raise InvalidRange("weights must be nonempty")
+    weights = dict(weights)
+    length_gen = gen_int_in_range(1, max_len)
+    # One weighted pick per distinct tuple of current states, None when
+    # nothing weighted is enabled in any of them; shared by every run of
+    # this generator.
+    picks = {}
+
+    def go(rng: Rng) -> tuple[CommandSequence, Rng]:
+        length, rng = length_gen.run(rng)
+        current = model.init
+        commands = []
+        for _ in range(length):
+            key = tuple(current)
+            try:
+                pick = picks[key]
+            except KeyError:
+                enabled = {name for s in current for name in enabled_actions(model, s)}
+                table = {op: w for op, w in weights.items() if op in enabled}
+                pick = picks[key] = weighted(table) if table else None
+            if pick is None:
+                break
+            op, rng = pick.run(rng)
+            delay, rng = _DELAYS.run(rng)
+            commands.append(Command(op, delay))
+            current = successors(model, current, op)
+        return CommandSequence(tuple(commands)), rng
+
+    return Generator(go)
 
 
 # ---------------------------------------------------------------------------

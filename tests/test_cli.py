@@ -11,7 +11,13 @@ import pytest
 import stpt
 from helpers import oracle_behaviours
 from stpt import cli, therac_suite
-from stpt.suts import OP_CURSOR_UP, OP_SELECT_ELECTRON, OP_SELECT_PHOTON
+from stpt.suts import (
+    OP_CURSOR_UP,
+    OP_SELECT_ELECTRON,
+    OP_SELECT_PHOTON,
+    load_robot_config,
+    robot_config_to_json,
+)
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -595,6 +601,58 @@ class TestRobotConfigFlag:
         argv = ["--suite", "robot", "--robot-config", path, "--num-tests", "3"]
         assert cli.main(argv) == 1
         assert "(reset)" in capsys.readouterr().out
+
+    def escaping_report(self, tmp_path):
+        """A 20-test campaign on ESCAPING: the report's path and its document."""
+        path = self.write_config(tmp_path, self.ESCAPING)
+        code, report = run_json_campaign(
+            tmp_path,
+            ["--suite", "robot", "--robot-config", path, "--num-tests", "20"],
+        )
+        assert code == 1
+        return str(tmp_path / "report.json"), report
+
+    def test_report_records_the_deployment(self, tmp_path):
+        _, report = self.escaping_report(tmp_path)
+        config = load_robot_config(self.write_config(tmp_path, self.ESCAPING))
+        assert report["config"]["robotConfig"] == robot_config_to_json(config)
+        _, default = run_json_campaign(
+            tmp_path, ["--suite", "robot", "--num-tests", "5"], name="default.json"
+        )
+        assert "robotConfig" not in default["config"]
+
+    def test_replay_without_the_flag_uses_the_recorded_deployment(self, tmp_path, capsys):
+        report_path, _ = self.escaping_report(tmp_path)
+        assert cli.main(["--replay", report_path]) == 1
+        assert capsys.readouterr().out.endswith("reproduced 20 of 20 failures\n")
+
+    def test_replay_on_another_deployment_is_refused(self, tmp_path, capsys):
+        report_path, _ = self.escaping_report(tmp_path)
+        (tmp_path / "other").mkdir()
+        other = self.write_config(tmp_path / "other", dict(self.ESCAPING, init="Y"))
+        assert cli.main(["--replay", report_path, "--robot-config", other]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "differs from the deployment recorded in the report" in captured.err
+        # the same deployment with its corners written the other way round
+        (tmp_path / "same").mkdir()
+        reversed_doc = {
+            "waypoints": {
+                name: dict(spec, footprint=spec["footprint"][::-1])
+                for name, spec in self.ESCAPING["waypoints"].items()
+            },
+            "init": "Z",
+        }
+        same = self.write_config(tmp_path / "same", reversed_doc)
+        assert cli.main(["--replay", report_path, "--robot-config", same]) == 1
+        assert capsys.readouterr().out.endswith("reproduced 20 of 20 failures\n")
+
+    def test_malformed_recorded_deployment_is_an_input_error(self, tmp_path, capsys):
+        report_path, report = self.escaping_report(tmp_path)
+        report["config"]["robotConfig"]["waypoints"] = []
+        Path(report_path).write_text(json.dumps(report))
+        assert cli.main(["--replay", report_path]) == 2
+        assert "robotConfig" in capsys.readouterr().err
 
     @pytest.mark.parametrize("fault", ["none", "wrongMove"])
     def test_reversed_corners_give_the_same_report(self, tmp_path, fault):

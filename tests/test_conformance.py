@@ -3,12 +3,13 @@ from __future__ import annotations
 import random
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import greedy_shrink_reference, random_model
+from helpers import gen_int_in_range, greedy_shrink_reference, random_model, weighted
 from stpt import (
     ActionSpec,
     AlreadyCompleted,
@@ -38,11 +39,9 @@ from stpt import (
     check_against,
     classify,
     gen_enabled_commands,
-    gen_int_in_range,
     robot_suite,
     run_property,
     therac_suite,
-    weighted,
 )
 from stpt import conformance
 from stpt.statemodel import NextStates, step
@@ -838,6 +837,56 @@ class TestRunProperty:
         # every test replays once; a failing one once more per shrink call,
         # and never again after the shrinker returns
         assert sut.resets == report.tests_run + sum(calls)
+
+    def test_failure_that_never_recurs_keeps_its_cut_witness(self):
+        class OnceLyingSut(ToggleSut):
+            """Lies about the second command it is ever sent, and never again."""
+
+            applies = 0
+
+            def apply(self, command, at_time):
+                self.applies += 1
+                if self.applies == 2:
+                    self.lie_times = {at_time}
+                reply = super().apply(command, at_time)
+                self.lie_times = set()
+                return reply
+
+        report = run_property(
+            toggle_model(), OnceLyingSut(), toggle_abstraction, self.GEN, num_tests=20
+        )
+        (record,) = report.failures
+        assert record.kind is FailKind.SUT_MISMATCH
+        original = record.original
+        assert original.fail_index == 1 < len(original.sequence) - 1
+        # no shrink candidate fails, so the witness is the original failure
+        # cut after its failing command
+        cut = CommandSequence(original.sequence.commands[:2])
+        assert record.shrunk == replace(original, sequence=cut)
+
+    def test_wrong_move_campaign_makes_no_opening_shrink_call(self, monkeypatch):
+        calls = []
+        shrink = conformance.shrink_sequence
+
+        def counting_shrink(seq, fails):
+            count = 0
+
+            def counted(candidate):
+                nonlocal count
+                count += 1
+                return fails(candidate)
+
+            try:
+                return shrink(seq, counted)
+            finally:
+                calls.append(count)
+
+        monkeypatch.setattr(conformance, "shrink_sequence", counting_shrink)
+        report = suite_campaign(robot_suite("wrongMove"), seed=7, num_tests=100, max_len=12)
+        assert report.tests_failed == len(calls) == 97
+        # a shrinker that replays each failure before shrinking it made
+        # 434 calls here, one per failure more
+        assert sum(calls) == 434 - 97 == 337
 
     def test_one_adapter_runs_every_test_on_the_calling_thread(self):
         built, resets = [], []

@@ -47,6 +47,8 @@ from stpt.spatial import always_false, always_true
 from stpt.statemodel import Disabled
 from stpt.suts import (
     ARM_OWNER,
+    robot_config_from_json,
+    robot_config_to_json,
     BEAM_ELECTRON,
     BEAM_OFF,
     BEAM_PHOTON,
@@ -470,6 +472,33 @@ class TestRobotConfig:
         assert config.init == "P"
         assert config.motion_duration == 2
         assert config.horizon == 500
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            RobotConfig(),
+            RobotConfig(
+                workspace=Box(50, 50, 0, 0),
+                waypoints={
+                    "Y": Waypoint((5, 5), Box(6, 6, 4, 4)),
+                    "P": Waypoint((20, 20), Box(19, 19, 21, 21)),
+                },
+                init="P",
+                motion_duration=0,
+                horizon=7,
+            ),
+        ],
+        ids=["default", "custom"],
+    )
+    def test_json_form_reads_back(self, tmp_path, config):
+        doc = robot_config_to_json(config)
+        assert robot_config_from_json(doc) == config
+        # every key, so the form does not lean on the defaults
+        assert list(doc) == ["workspace", "waypoints", "init", "motionDuration", "horizon"]
+        assert list(doc["waypoints"]) == sorted(config.waypoints)
+        path = tmp_path / "robot.json"
+        path.write_text(json.dumps(doc))
+        assert load_robot_config(str(path)) == config
 
     def test_load_partial_file_keeps_defaults(self, tmp_path):
         path = tmp_path / "robot.json"
