@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -224,6 +225,48 @@ class TestJsonReport:
         ]
         assert cli.main(args) == code
         assert out.read_bytes() == (DATA / f"golden-{suite}-{fault}.json").read_bytes()
+
+    # The CI spatial smoke's deployment: "Z" leaves the default workspace,
+    # so the text report carries SpatialViolation rows.
+    ESCAPING = {
+        "waypoints": {
+            "Y": {"at": [10, 10], "footprint": [8, 8, 12, 12]},
+            "Z": {"at": [99, 99], "footprint": [103, 103, 98, 98]},
+        },
+        "init": "Y",
+    }
+
+    # Text reports the CLI wrote at an earlier commit, for the expected and
+    # result columns the JSON form leaves out. Only the wall time may differ.
+    @pytest.mark.parametrize(
+        "suite, fault, golden, code",
+        [
+            ("therac25", "sequenceBug", "therac25-sequenceBug", 1),
+            ("robot", "wrongMove", "robot-wrongMove", 1),
+            ("robot", "none", "robot-none", 0),
+            ("robot", "escaping", "robot-escaping", 1),
+        ],
+    )
+    def test_reproduces_the_golden_text_report(self, tmp_path, suite, fault, golden, code):
+        out = tmp_path / "report.txt"
+        args = [
+            "--suite", suite,
+            "--seed", "7",
+            "--num-tests", "50",
+            "--max-len", "30",
+            "--report", "text",
+            "--out", str(out),
+        ]
+        if fault == "escaping":
+            deployment = tmp_path / "deploy.json"
+            deployment.write_text(json.dumps(self.ESCAPING))
+            args += ["--robot-config", str(deployment)]
+        else:
+            args += ["--fault", fault]
+        assert cli.main(args) == code
+        wall = re.compile(rb"wall: \d+ ms")
+        got = wall.sub(b"wall: N ms", out.read_bytes())
+        assert got == wall.sub(b"wall: N ms", (DATA / f"golden-{golden}.txt").read_bytes())
 
     def test_out_file_leaves_stdout_quiet(self, tmp_path, capsys):
         self.campaign(tmp_path)

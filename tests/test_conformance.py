@@ -440,6 +440,173 @@ class TestSpatialChecking:
         assert self.check(later, ["turnOn"], (self.WANT_BIG,)) == Pass()
 
 
+def fork_model() -> StateModel:
+    """Two init states, 0 and 5. From 0, ``fork`` reaches 2 and then 1, an
+    order that is not ``sort_key`` order; ``back`` returns to 0 from any
+    other state; ``never`` is enabled nowhere."""
+    return StateModel(
+        ["x"],
+        [State({"x": 5}), State({"x": 0})],
+        [
+            ActionSpec("fork", lambda s: s["x"] == 0, lambda s: s.assign(x=2)),
+            ActionSpec("fork", lambda s: s["x"] == 0, lambda s: s.assign(x=1)),
+            ActionSpec("back", lambda s: s["x"] != 0, lambda s: s.assign(x=0)),
+            ActionSpec("never", lambda s: False, lambda s: s),
+        ],
+    )
+
+
+def fork_abstraction(raw: RawObservation) -> State:
+    if raw.payload == "garbled":
+        raise ValueError("garbled")
+    return State({"x": raw.payload})
+
+
+class ScriptedSut:
+    """Answers the reset and then each apply from a script, one entry each.
+
+    An entry is ``(how, payload)``: "ok" completes with the payload, "arm"
+    also reports ``ARM_FACT``, "raise" raises from the call, "fail"
+    returns a failed Deferred and "hang" one that never completes.
+    """
+
+    ARM_FACT = OccupancyFact("arm", TimeWindow(0, 100), Box(0, 0, 4, 4))
+
+    def __init__(self, script):
+        self.script = list(script)
+
+    def vocabulary(self) -> tuple[str, ...]:
+        return ("fork", "back", "never")
+
+    def _answer(self, call: str, clock: int) -> Deferred[RawObservation]:
+        how, payload = self.script.pop(0)
+        if how == "raise":
+            raise RuntimeError(f"{call} raised")
+        if how == "fail":
+            return Deferred.failed(RuntimeError(f"{call} failed"))
+        if how == "hang":
+            return Deferred()
+        facts = (self.ARM_FACT,) if how == "arm" else ()
+        return Deferred.successful(RawObservation(payload, facts, clock))
+
+    def reset(self) -> Deferred[RawObservation]:
+        return self._answer("reset", 0)
+
+    def apply(self, command: Command, at_time: int) -> Deferred[RawObservation]:
+        return self._answer("apply", at_time)
+
+
+X = {n: State({"x": n}) for n in (0, 1, 2, 5, 7, 9)}
+WANT_BIG = Implies(
+    And((TimeInterval(TimeWindow(0, 100)), Owner("arm"))), OccupyBox(Box(0, 0, 9, 9))
+)
+ARM_AT = {t: Observation(t, "arm", (Box(0, 0, 4, 4),)) for t in (0, 2)}
+FORK = CommandSequence((Command("fork", 1),))
+FORK_BACK = CommandSequence((Command("fork", 1), Command("back", 1)))
+FORK_NOPE = CommandSequence((Command("fork", 1), Command("nope", 1)))
+FORK_NEVER = CommandSequence((Command("fork", 1), Command("never", 1)))
+K = FailKind
+
+# (sequence, script, the whole failure check_against must return)
+WITNESS_TABLE = {
+    "reset-timeout": (
+        FORK, [("hang", None)],
+        Fail(K.TIMEOUT, Witness(
+            FORK, None, (X[0], X[5]), note="reset did not complete within 0.01s")),
+    ),
+    "reset-raises": (
+        FORK, [("raise", None)],
+        Fail(K.SUT_ERROR, Witness(
+            FORK, None, (X[0], X[5]),
+            note="SUT reset raised RuntimeError('reset raised')")),
+    ),
+    "reset-fails": (
+        FORK, [("fail", None)],
+        Fail(K.SUT_ERROR, Witness(
+            FORK, None, (X[0], X[5]),
+            note="SUT reset raised RuntimeError('reset failed')")),
+    ),
+    "reset-abstraction": (
+        FORK, [("ok", "garbled")],
+        Fail(K.ABSTRACTION_ERROR, Witness(
+            FORK, None, (X[0], X[5]),
+            note="abstraction raised ValueError('garbled') on the observation of reset")),
+    ),
+    "reset-init-mismatch": (
+        FORK, [("ok", 7)],
+        Fail(K.INIT_MISMATCH, Witness(
+            FORK, None, (X[0], X[5]), X[7],
+            note="initial SUT state is not an init state of the model")),
+    ),
+    "reset-spatial": (
+        FORK, [("arm", 5)],
+        Fail(K.SPATIAL_VIOLATION, Witness(
+            FORK, None, (X[5],), X[5], WANT_BIG, ARM_AT[0],
+            note="spatial obligation violated")),
+    ),
+    "unknown-operation": (
+        FORK_NOPE, [("ok", 0), ("ok", 1)],
+        Fail(K.UNKNOWN_OPERATION, Witness(
+            FORK_NOPE, 1, (X[1],), note="operation 'nope' not declared in model")),
+    ),
+    "disabled-action": (
+        FORK_NEVER, [("ok", 0), ("ok", 1)],
+        Fail(K.DISABLED_ACTION, Witness(
+            FORK_NEVER, 1, (X[1],),
+            note="specification inconsistency: operation 'never' not enabled in model")),
+    ),
+    "apply-timeout": (
+        FORK, [("ok", 0), ("hang", None)],
+        Fail(K.TIMEOUT, Witness(
+            FORK, 0, (X[2], X[1]), note="apply 'fork' did not complete within 0.01s")),
+    ),
+    "apply-raises": (
+        FORK, [("ok", 0), ("raise", None)],
+        Fail(K.SUT_ERROR, Witness(
+            FORK, 0, (X[2], X[1]),
+            note="SUT apply 'fork' raised RuntimeError('apply raised')")),
+    ),
+    "apply-fails": (
+        FORK, [("ok", 0), ("fail", None)],
+        Fail(K.SUT_ERROR, Witness(
+            FORK, 0, (X[2], X[1]),
+            note="SUT apply 'fork' raised RuntimeError('apply failed')")),
+    ),
+    "apply-abstraction": (
+        FORK, [("ok", 0), ("ok", "garbled")],
+        Fail(K.ABSTRACTION_ERROR, Witness(
+            FORK, 0, (X[2], X[1]),
+            note="abstraction raised ValueError('garbled') on the observation of apply 'fork'")),
+    ),
+    "sut-mismatch": (
+        FORK, [("ok", 0), ("ok", 9)],
+        Fail(K.SUT_MISMATCH, Witness(
+            FORK, 0, (X[1], X[2]), X[9], note="observed state matches no model successor")),
+    ),
+    "apply-spatial": (
+        FORK_BACK, [("ok", 0), ("ok", 1), ("arm", 0)],
+        Fail(K.SPATIAL_VIOLATION, Witness(
+            FORK_BACK, 1, (X[0],), X[0], WANT_BIG, ARM_AT[2],
+            note="spatial obligation violated")),
+    ),
+}
+
+
+class TestWitnessTable:
+    """Every failure kind, at the reset and at a command, field by field."""
+
+    @pytest.mark.parametrize("case", sorted(WITNESS_TABLE))
+    def test_failure_is_exactly(self, case):
+        seq, script, want = WITNESS_TABLE[case]
+        sut = ScriptedSut(script)
+        result = check_against(
+            fork_model(), sut, fork_abstraction, seq, (WANT_BIG,), timeout=0.01
+        )
+        assert result == want
+        # the replay stops at the failure: no call after it was made
+        assert sut.script == []
+
+
 class TestSerialization:
     def test_apply_waits_for_the_previous_completion(self):
         model = StateModel(
