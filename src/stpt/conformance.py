@@ -16,7 +16,8 @@ import threading
 import time
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Any, Callable, Generic, Optional, Protocol, TypeVar, Union
+from itertools import chain, count
+from typing import Any, Callable, Generic, Iterable, Optional, Protocol, TypeVar, Union
 
 from .genrand import Command, CommandSequence, Generator, Rng, shrink_sequence
 from .spatial import (
@@ -185,60 +186,26 @@ def _compile_obligations(
     return out
 
 
-def _not_settled(
-    settled: Optional[tuple[str, Any]],
-    timeout: float,
-    call: str,
+def _fail(
+    kind: FailKind,
     seq: CommandSequence,
     fail_index: Optional[int],
-    expected: tuple[State, ...],
+    expected: Iterable[State],
+    observed: Optional[State] = None,
+    note: str = "",
+    invariant: Optional[Invariant] = None,
+    observation: Optional[Observation] = None,
 ) -> Fail:
-    """The Timeout (``settled`` is None) or SutError of a failed ``call``."""
-    if settled is None:
-        kind, note = FailKind.TIMEOUT, f"{call} did not complete within {timeout}s"
-    else:
-        kind, note = FailKind.SUT_ERROR, f"SUT {call} raised {settled[1]!r}"
-    return Fail(kind, Witness(seq, fail_index, expected, note=note))
+    """The one constructor of every failure ``check_against`` returns."""
+    witness = Witness(
+        seq, fail_index, tuple(expected), observed, invariant, observation, note
+    )
+    return Fail(kind, witness)
 
 
-def _abstraction_failed(
-    err: Exception,
-    call: str,
-    seq: CommandSequence,
-    fail_index: Optional[int],
-    expected: tuple[State, ...],
-) -> Fail:
-    """The AbstractionError of reading what ``call`` completed with."""
-    note = f"abstraction raised {err!r} on the observation of {call}"
-    return Fail(FailKind.ABSTRACTION_ERROR, Witness(seq, fail_index, expected, note=note))
-
-
-def _spatial_failure(
-    obligations: list[tuple[Invariant, Predicate]],
-    raw: RawObservation,
-    seq: CommandSequence,
-    fail_index: Optional[int],
-    consistent: list[State],
-    observed: State,
-) -> Optional[Fail]:
-    """The SpatialViolation of the first obligation ``raw``'s occupancy breaks."""
-    observations = _spatial_observations(raw)
-    for invariant, holds in obligations:
-        for observation in observations:
-            if not holds(observation):
-                return Fail(
-                    FailKind.SPATIAL_VIOLATION,
-                    Witness(
-                        sequence=seq,
-                        fail_index=fail_index,
-                        expected_states=tuple(consistent),
-                        observed_state=observed,
-                        invariant=invariant,
-                        observation=observation,
-                        note="spatial obligation violated",
-                    ),
-                )
-    return None
+def _call(command: Optional[Command]) -> str:
+    """How a note names the SUT call of a step: the reset or one apply."""
+    return "reset" if command is None else f"apply {command.op!r}"
 
 
 def check_against(
@@ -253,110 +220,83 @@ def check_against(
 ) -> CheckResult:
     """Replay ``seq`` against model and SUT; first divergence wins.
 
-    Per command the model side is consulted first, so an operation the
-    model rejects (unknown or disabled everywhere in the consistent set)
-    fails before it ever reaches the SUT. A reset or apply that raises
-    instead of returning a Deferred fails as ``SutError``, like one whose
-    Deferred fails; an abstraction that raises fails as
-    ``AbstractionError``. Invariants are judged as given, on the reset
-    observation's occupancy (a failure there has no ``fail_index``) and
-    on each command's; one that folds to TRUE is never judged. A one-off
-    call compiles them once, right after the init match. ``_obligations``
-    is what ``_compile_obligations`` made of ``st_invariants``, for a
-    caller that replays many sequences.
+    The replay is one loop: the reset is its first step and each command
+    one more. A command step asks the model first, so an operation it
+    rejects (unknown, or disabled in every consistent state) never
+    reaches the SUT. Then every step runs the same body: the SUT call
+    (``Timeout`` if it does not settle, ``SutError`` if it raises or its
+    Deferred fails), the abstraction (``AbstractionError`` if it raises),
+    the match (``InitMismatch`` at the reset, ``SutMismatch`` after it)
+    and the invariants, judged as given on the step's occupancy
+    (``SpatialViolation``, or ``SutError`` if the occupancy cannot be
+    grouped or judged). One that folds to TRUE is never judged, so it
+    never reads the occupancy. A reset-step failure has no ``fail_index``.
+    A one-off call compiles the invariants once, right after the init
+    match; ``_obligations`` is what ``_compile_obligations`` made of
+    ``st_invariants``, for a caller that replays many sequences.
     """
-    try:
-        deferred = adapter.reset()
-    except Exception as err:
-        deferred = Deferred.failed(err)
-    settled = deferred.wait(timeout)
-    if settled is None or settled[0] != "ok":
-        return _not_settled(settled, timeout, "reset", seq, None, model.init)
-    raw = settled[1]
-    try:
-        observed = abstraction(raw)
-    except Exception as err:
-        return _abstraction_failed(err, "reset", seq, None, model.init)
-    consistent = [s for s in model.init if s == observed]
-    if not consistent:
-        return Fail(
-            FailKind.INIT_MISMATCH,
-            Witness(
-                sequence=seq,
-                fail_index=None,
-                expected_states=model.init,
-                observed_state=observed,
-                note="initial SUT state is not an init state of the model",
-            ),
-        )
     obligations = _obligations
-    if obligations is None:
-        obligations = _compile_obligations(st_invariants)
-    if obligations:
-        violated = _spatial_failure(obligations, raw, seq, None, consistent, observed)
-        if violated is not None:
-            return violated
-    for index, (command, at_time) in enumerate(zip(seq, seq.timestamps)):
-        expected = successors(model, consistent, command.op)
-        if expected is None:
-            return Fail(
-                FailKind.UNKNOWN_OPERATION,
-                Witness(
-                    sequence=seq,
-                    fail_index=index,
-                    expected_states=tuple(consistent),
-                    note=f"operation {command.op!r} not declared in model",
-                ),
-            )
-        if not expected:
-            return Fail(
-                FailKind.DISABLED_ACTION,
-                Witness(
-                    sequence=seq,
-                    fail_index=index,
-                    expected_states=tuple(consistent),
-                    note=(
-                        "specification inconsistency: operation "
-                        f"{command.op!r} not enabled in model"
-                    ),
-                ),
-            )
+    # the reset is step (None, None, 0): no fail_index, no command, clock 0;
+    # it sets ``consistent`` before any command step reads it
+    steps = chain(((None, None, 0),), zip(count(), seq, seq.timestamps))
+    for at, command, at_time in steps:
+        if command is None:
+            expected = model.init
+        else:
+            expected = successors(model, consistent, command.op)
+            if expected is None:
+                note = f"operation {command.op!r} not declared in model"
+                return _fail(FailKind.UNKNOWN_OPERATION, seq, at, consistent, note=note)
+            if not expected:
+                note = (
+                    "specification inconsistency: operation "
+                    f"{command.op!r} not enabled in model"
+                )
+                return _fail(FailKind.DISABLED_ACTION, seq, at, consistent, note=note)
         try:
-            deferred = adapter.apply(command, at_time)
+            deferred = (
+                adapter.reset() if command is None else adapter.apply(command, at_time)
+            )
         except Exception as err:
             deferred = Deferred.failed(err)
         settled = deferred.wait(timeout)
-        if settled is None or settled[0] != "ok":
-            return _not_settled(
-                settled, timeout, f"apply {command.op!r}", seq, index, tuple(expected)
-            )
+        if settled is None:
+            note = f"{_call(command)} did not complete within {timeout}s"
+            return _fail(FailKind.TIMEOUT, seq, at, expected, note=note)
+        if settled[0] != "ok":
+            note = f"SUT {_call(command)} raised {settled[1]!r}"
+            return _fail(FailKind.SUT_ERROR, seq, at, expected, note=note)
         raw = settled[1]
         try:
             observed = abstraction(raw)
         except Exception as err:
-            return _abstraction_failed(
-                err, f"apply {command.op!r}", seq, index, tuple(expected)
-            )
+            note = f"abstraction raised {err!r} on the observation of {_call(command)}"
+            return _fail(FailKind.ABSTRACTION_ERROR, seq, at, expected, note=note)
         consistent = [s for s in expected if s == observed]
         if not consistent:
-            return Fail(
-                FailKind.SUT_MISMATCH,
-                Witness(
-                    sequence=seq,
-                    fail_index=index,
-                    expected_states=tuple(
-                        sorted(expected, key=lambda s: s.sort_key)
-                    ),
-                    observed_state=observed,
-                    note="observed state matches no model successor",
-                ),
-            )
-        if obligations:
-            violated = _spatial_failure(
-                obligations, raw, seq, index, consistent, observed
-            )
-            if violated is not None:
-                return violated
+            if command is None:
+                note = "initial SUT state is not an init state of the model"
+                return _fail(FailKind.INIT_MISMATCH, seq, at, expected, observed, note)
+            expected = sorted(expected, key=lambda s: s.sort_key)
+            note = "observed state matches no model successor"
+            return _fail(FailKind.SUT_MISMATCH, seq, at, expected, observed, note)
+        if obligations is None:
+            obligations = _compile_obligations(st_invariants)
+        if not obligations:
+            continue
+        try:
+            observations = _spatial_observations(raw)
+            for invariant, holds in obligations:
+                for observation in observations:
+                    if not holds(observation):
+                        note = "spatial obligation violated"
+                        return _fail(
+                            FailKind.SPATIAL_VIOLATION, seq, at, consistent,
+                            observed, note, invariant, observation,
+                        )
+        except Exception as err:
+            note = f"{_call(command)} reported occupancy that cannot be judged: {err!r}"
+            return _fail(FailKind.SUT_ERROR, seq, at, consistent, observed, note)
     return Pass()
 
 

@@ -45,7 +45,13 @@ from stpt import (
 )
 from stpt import conformance
 from stpt.statemodel import NextStates, step
-from stpt.suts import OP_CURSOR_UP, OP_OTHER, OP_SELECT_ELECTRON, OP_SELECT_PHOTON
+from stpt.suts import (
+    OP_CURSOR_UP,
+    OP_OTHER,
+    OP_SELECT_ELECTRON,
+    OP_SELECT_PHOTON,
+    RobotSim,
+)
 
 
 def unguarded_commands(vocab, max_len, rng) -> CommandSequence:
@@ -1314,6 +1320,105 @@ class TestResetOccupancy:
             assert record.shrunk.fail_index is None
             assert record.shrunk.sequence == CommandSequence(())
             assert record.shrunk.expected_states == suite.model.init
+
+
+MALFORMED_OCCUPANCY = {
+    "junk-fact": lambda raw: replace(raw, occupancy=("junk",)),
+    "tuple-box": lambda raw: replace(
+        raw,
+        occupancy=tuple(replace(f, box=f.box.as_tuple()) for f in raw.occupancy),
+    ),
+    "string-clock": lambda raw: replace(raw, clock=str(raw.clock)),
+}
+
+
+class MalformedRobot:
+    """The robot SUT, with what the reset or every apply reports mangled."""
+
+    def __init__(self, config, mangle, at_reset: bool):
+        self.inner = RobotSim(config)
+        self.mangle = mangle
+        self.at_reset = at_reset
+
+    def vocabulary(self) -> tuple[str, ...]:
+        return self.inner.vocabulary()
+
+    def _report(self, deferred, mangled: bool) -> Deferred[RawObservation]:
+        raw = deferred.wait(0)[1]
+        return Deferred.successful(self.mangle(raw) if mangled else raw)
+
+    def reset(self) -> Deferred[RawObservation]:
+        return self._report(self.inner.reset(), self.at_reset)
+
+    def apply(self, command: Command, at_time: int) -> Deferred[RawObservation]:
+        return self._report(self.inner.apply(command, at_time), not self.at_reset)
+
+
+class TestMalformedOccupancy:
+    """Occupancy that cannot be grouped or judged fails as SutError."""
+
+    @staticmethod
+    def deployment(extra: bool) -> RobotConfig:
+        waypoints = dict(RobotConfig().waypoints)
+        if extra:
+            # outside the workspace, so its obligation stays live
+            waypoints["Z"] = Waypoint(at=(100, 100), footprint=Box(98, 98, 103, 103))
+        return RobotConfig(waypoints=waypoints)
+
+    def campaign(self, config, mangle, at_reset: bool) -> RunReport:
+        suite = robot_suite("none", config)
+        return run_property(
+            suite.model,
+            MalformedRobot(config, mangle, at_reset),
+            suite.abstraction,
+            gen_enabled_commands(suite.model, suite.default_weights, max_len=6),
+            st_invariants=suite.st_invariants,
+            num_tests=10,
+            seed=1,
+        )
+
+    @pytest.mark.parametrize("at_reset", [True, False], ids=["reset", "command"])
+    @pytest.mark.parametrize("mangling", sorted(MALFORMED_OCCUPANCY))
+    def test_campaign_reports_a_sut_error(self, mangling, at_reset):
+        config = self.deployment(extra=True)
+        mangle = MALFORMED_OCCUPANCY[mangling]
+        report = self.campaign(config, mangle, at_reset)
+        assert isinstance(report, RunReport)
+        # every apply is mangled, so each test fails at reset or at its first command
+        assert report.tests_failed == 10
+        suite = robot_suite("none", config)
+        for record in report.failures:
+            assert record.kind == FailKind.SUT_ERROR
+            original = record.original
+            if at_reset:
+                assert original.fail_index is None
+                observed, call = State({"position": "Y"}), "reset"
+            else:
+                assert original.fail_index == 0
+                op = original.sequence.commands[0].op
+                target = "Y" if op == "initialisePosition" else op[len("moveTo"):]
+                observed, call = State({"position": target}), f"apply {op!r}"
+            assert original.expected_states == (observed,)
+            assert original.observed_state == observed
+            assert original.note.startswith(
+                f"{call} reported occupancy that cannot be judged: "
+            )
+            replayed = check_against(
+                suite.model,
+                MalformedRobot(config, mangle, at_reset),
+                suite.abstraction,
+                record.shrunk.sequence,
+                suite.st_invariants,
+            )
+            assert replayed == Fail(record.kind, record.shrunk)
+
+    @pytest.mark.parametrize("at_reset", [True, False], ids=["reset", "command"])
+    @pytest.mark.parametrize("mangling", sorted(MALFORMED_OCCUPANCY))
+    def test_obligations_folded_to_true_never_read_it(self, mangling, at_reset):
+        # every waypoint of the default deployment lies inside the workspace
+        mangle = MALFORMED_OCCUPANCY[mangling]
+        report = self.campaign(self.deployment(extra=False), mangle, at_reset)
+        assert report.tests_failed == 0
 
 
 class HostileSut:
