@@ -45,13 +45,9 @@ from stpt import (
 )
 from stpt import conformance
 from stpt.statemodel import NextStates, step
-from stpt.suts import (
-    OP_CURSOR_UP,
-    OP_OTHER,
-    OP_SELECT_ELECTRON,
-    OP_SELECT_PHOTON,
-    RobotSim,
-)
+from stpt.statemodel import successors
+from stpt.suts import OP_CURSOR_UP, OP_OTHER, OP_SELECT_ELECTRON, OP_SELECT_PHOTON
+from stpt.suts import RobotSim
 
 
 def unguarded_commands(vocab, max_len, rng) -> CommandSequence:
@@ -1365,9 +1361,10 @@ class TestMalformedOccupancy:
             waypoints["Z"] = Waypoint(at=(100, 100), footprint=Box(98, 98, 103, 103))
         return RobotConfig(waypoints=waypoints)
 
-    def campaign(self, config, mangle, at_reset: bool) -> RunReport:
+    def campaign(self, config, mangle, at_reset: bool):
+        """The robot suite on ``config`` and a 10-test campaign against it."""
         suite = robot_suite("none", config)
-        return run_property(
+        report = run_property(
             suite.model,
             MalformedRobot(config, mangle, at_reset),
             suite.abstraction,
@@ -1376,30 +1373,31 @@ class TestMalformedOccupancy:
             num_tests=10,
             seed=1,
         )
+        return suite, report
 
     @pytest.mark.parametrize("at_reset", [True, False], ids=["reset", "command"])
     @pytest.mark.parametrize("mangling", sorted(MALFORMED_OCCUPANCY))
     def test_campaign_reports_a_sut_error(self, mangling, at_reset):
         config = self.deployment(extra=True)
         mangle = MALFORMED_OCCUPANCY[mangling]
-        report = self.campaign(config, mangle, at_reset)
+        suite, report = self.campaign(config, mangle, at_reset)
         assert isinstance(report, RunReport)
         # every apply is mangled, so each test fails at reset or at its first command
         assert report.tests_failed == 10
-        suite = robot_suite("none", config)
         for record in report.failures:
             assert record.kind == FailKind.SUT_ERROR
             original = record.original
+            # the SUT is faithful, so it reaches the one state the model allows
             if at_reset:
                 assert original.fail_index is None
-                observed, call = State({"position": "Y"}), "reset"
+                consistent, call = suite.model.init, "reset"
             else:
                 assert original.fail_index == 0
                 op = original.sequence.commands[0].op
-                target = "Y" if op == "initialisePosition" else op[len("moveTo"):]
-                observed, call = State({"position": target}), f"apply {op!r}"
-            assert original.expected_states == (observed,)
-            assert original.observed_state == observed
+                consistent = tuple(successors(suite.model, suite.model.init, op))
+                call = f"apply {op!r}"
+            assert original.expected_states == consistent
+            assert (original.observed_state,) == consistent
             assert original.note.startswith(
                 f"{call} reported occupancy that cannot be judged: "
             )
@@ -1417,7 +1415,7 @@ class TestMalformedOccupancy:
     def test_obligations_folded_to_true_never_read_it(self, mangling, at_reset):
         # every waypoint of the default deployment lies inside the workspace
         mangle = MALFORMED_OCCUPANCY[mangling]
-        report = self.campaign(self.deployment(extra=False), mangle, at_reset)
+        _, report = self.campaign(self.deployment(extra=False), mangle, at_reset)
         assert report.tests_failed == 0
 
 
