@@ -1247,6 +1247,40 @@ class TestRunProperty:
         assert len(built) == 1 + sum(timeouts[:-1]) > 2
         assert reused_after_timeout == []
 
+    def test_timeout_resets_the_lone_adapter_for_the_next_replay(self, monkeypatch):
+        class HangingSut(ToggleSut):
+            """A late turnOn never completes."""
+
+            def apply(self, command, at_time):
+                if command.op == "turnOn" and at_time >= 6:
+                    return Deferred()
+                return super().apply(command, at_time)
+
+        sut = HangingSut()
+        replays = []
+        check = conformance.check_against
+
+        def recording_check(model, adapter, *args, **kwargs):
+            resets = adapter.resets
+            result = check(model, adapter, *args, **kwargs)
+            replays.append((adapter, adapter.resets - resets, result))
+            return result
+
+        monkeypatch.setattr(conformance, "check_against", recording_check)
+        report = run_property(
+            toggle_model(), sut, toggle_abstraction, self.GEN,
+            num_tests=12, seed=2, timeout=0.01,
+        )
+        assert {r.kind for r in report.failures} == {FailKind.TIMEOUT}
+        timed_out = [
+            isinstance(result, Fail) and result.kind is FailKind.TIMEOUT
+            for _, _, result in replays
+        ]
+        # some replay timed out and another followed it
+        assert any(timed_out[:-1])
+        # every replay, those after a timeout too, reset the one adapter once
+        assert all(adapter is sut and resets == 1 for adapter, resets, _ in replays)
+
     def test_invariants_compile_once_per_campaign(self, monkeypatch):
         compiled = []
         compile_invariant = conformance.compile_invariant

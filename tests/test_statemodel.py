@@ -170,6 +170,41 @@ class TestStep:
         with pytest.raises(ValueError):
             step(counter_model(), State({"m": 0}), "inc")
 
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=100)
+    def test_answers_like_successors_and_runs_the_guards_on_every_call(self, seed):
+        model = random_model(seed)
+        guard_calls = {op: 0 for op in OPS}
+
+        def counted(action):
+            def guard(s):
+                guard_calls[action.name] += 1
+                return action.guard(s)
+
+            return ActionSpec(action.name, guard, action.effect)
+
+        counting = StateModel(
+            model.variables, model.init, [counted(a) for a in model.actions]
+        )
+        # random_model draws its action names from the first four only
+        for s in state_pool(model):
+            for op in OPS:
+                named = sum(action.name == op for action in model.actions)
+                for _ in range(2):
+                    before = guard_calls[op]
+                    got = _as_successors(step(counting, s, op))
+                    assert got == successors(model, [s], op)
+                    assert guard_calls[op] - before == named
+
+
+def _as_successors(outcome):
+    """A ``step`` outcome in the convention of ``successors``."""
+    if isinstance(outcome, UnknownOperation):
+        return None
+    if isinstance(outcome, Disabled):
+        return []
+    return list(outcome.states)
+
 
 class TestSuccessors:
     def test_undeclared_operation_is_none(self):
