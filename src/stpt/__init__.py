@@ -66,16 +66,12 @@ from .spatial import (
 from .statemodel import (
     ActionSpec,
     Behaviour,
-    Disabled,
     EmptyInit,
     NeverEnabled,
-    NextStates,
     NoOpEffect,
     State,
     StateCapExceeded,
     StateModel,
-    StepOutcome,
-    UnknownOperation,
     correct_behaviours,
     enabled_actions,
     format_behaviours,

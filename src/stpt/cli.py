@@ -129,6 +129,12 @@ def _build_suite(name: str, fault: str, deployment: Optional[RobotConfig]) -> Su
         raise CliError(str(err))
 
 
+def _check_robot_config(suite: str, path: Optional[str]) -> None:
+    """Only the robot suite reads a deployment file."""
+    if path is not None and suite != "robot":
+        raise CliError(f"--robot-config applies only to the robot suite, not {suite}")
+
+
 def _load_deployment(path: Optional[str]) -> Optional[RobotConfig]:
     """The robot deployment in the file at ``path``, None for no file."""
     if path is None:
@@ -261,6 +267,7 @@ def _run_replay(args: argparse.Namespace) -> int:
     suite_name = config.get("suite")
     if suite_name not in _MODEL_SUITES:
         raise CliError(f"report names unknown suite {suite_name!r}")
+    _check_robot_config(suite_name, args.robot_config)
     deployment = None
     if suite_name == "robot":
         deployment = _replay_deployment(config.get("robotConfig"), args.robot_config)
@@ -387,11 +394,10 @@ def main(argv: Optional[list[str]] = None) -> int:
             return _run_replay(args)
         if args.suite is None:
             raise CliError("--suite is required (or use --replay)")
+        _check_robot_config(args.suite, args.robot_config)
         if args.suite == "trace-check":
             return _run_trace_check(args)
-        deployment = None
-        if args.suite == "robot":
-            deployment = _load_deployment(args.robot_config)
+        deployment = _load_deployment(args.robot_config)
         suite = _build_suite(args.suite, args.fault, deployment)
         if args.dump_behaviours:
             return _run_dump(suite, args)

@@ -92,11 +92,13 @@ class Deferred(Generic[A]):
     def wait(self, timeout: Optional[float] = None) -> Optional[tuple[str, Any]]:
         """Outcome tuple ("ok", value) / ("failed", error), or None on timeout.
 
-        A timeout of zero or less polls without blocking.
+        A timeout of zero or less polls without blocking, and one above
+        ``threading.TIMEOUT_MAX``, infinity included, waits without limit.
         """
         if self._outcome is None:
             # Lock.acquire reads -1 as "forever", so a negative timeout polls
-            limit = -1 if timeout is None else max(timeout, 0)
+            unlimited = timeout is None or timeout > threading.TIMEOUT_MAX
+            limit = -1 if unlimited else max(timeout, 0)
             if self._pending.acquire(timeout=limit):
                 self._pending.release()
         # None only on timeout: a poll that lost the lock to another waiter
@@ -365,12 +367,12 @@ def run_property(
     every test in order on the calling thread. ``workers`` is validated but
     starts no thread; above 1 it needs an ``adapter_factory``, one adapter
     per worker process for a process-sharded run. A replay that times out
-    leaves its SUT with work in flight, so with an ``adapter_factory`` that
-    adapter is dropped and the next replay, of a test or of a shrink
-    candidate, builds a fresh one; a late completion then cannot reach it.
-    Without a factory the one ``adapter`` is reused, and its ``reset``
-    alone must keep such work out of the next replay. The invariants are
-    compiled once, and every replay judges the compiled ones.
+    leaves its SUT with work in flight, so that adapter is dropped and the
+    next replay, of a test or of a shrink candidate, asks the factory for
+    one; a late completion then cannot reach a fresh one. A lone
+    ``adapter`` is its own factory, so it is handed back, and its
+    ``reset`` alone must keep such work out of the next replay. The
+    invariants are compiled once, and every replay judges the compiled ones.
 
     A failing sequence is cut after its failing command (to nothing for a
     reset-level failure), since the replay never ran the commands behind
@@ -393,19 +395,18 @@ def run_property(
     started = time.monotonic()
     root = Rng.from_seed(seed)
     obligations = _compile_obligations(st_invariants)
-    sut = adapter if adapter_factory is None else None
+    factory = adapter_factory or (lambda: adapter)
+    sut = None
 
     def replay(seq: CommandSequence) -> CheckResult:
         nonlocal sut
         if sut is None:
-            sut = adapter_factory()
+            sut = factory()
         result = check_against(
             model, sut, abstraction, seq, st_invariants, timeout,
             _obligations=obligations,
         )
-        if adapter_factory is not None and isinstance(result, Fail) and (
-            result.kind is FailKind.TIMEOUT
-        ):
+        if isinstance(result, Fail) and result.kind is FailKind.TIMEOUT:
             sut = None
         return result
 

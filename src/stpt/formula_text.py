@@ -20,6 +20,7 @@ from .spatial import (
     FalseAtom,
     Implies,
     Invariant,
+    Junction,
     Not,
     OccupyBox,
     OccupyPoint,
@@ -164,10 +165,9 @@ def format_invariant(inv: Invariant) -> str:
         return "TRUE"
     if isinstance(inv, FalseAtom):
         return "FALSE"
-    if isinstance(inv, And):
-        return "AND(" + ",".join(format_invariant(t) for t in inv.terms) + ")"
-    if isinstance(inv, Or):
-        return "OR(" + ",".join(format_invariant(t) for t in inv.terms) + ")"
+    if isinstance(inv, Junction):
+        terms = ",".join(format_invariant(t) for t in inv.terms)
+        return f"{type(inv).__name__.upper()}({terms})"
     if isinstance(inv, Not):
         return f"NOT({format_invariant(inv.term)})"
     if isinstance(inv, Implies):

@@ -82,7 +82,6 @@ class Command:
 
     op: str
     delay: int
-    params: tuple = ()
 
     def __post_init__(self) -> None:
         if self.delay < 1:
@@ -119,8 +118,7 @@ class CommandSequence:
     def with_delay(self, index: int, delay: int) -> CommandSequence:
         if not 0 <= index < len(self.commands):
             raise IndexError(index)
-        command = self.commands[index]
-        replaced = Command(command.op, delay, command.params)
+        replaced = Command(self.commands[index].op, delay)
         return CommandSequence(
             self.commands[:index] + (replaced,) + self.commands[index + 1 :]
         )

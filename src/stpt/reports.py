@@ -150,6 +150,7 @@ def report_to_text(report: RunReport, config: Mapping[str, Any]) -> str:
 def load_report(path: str) -> dict:
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    if not isinstance(doc, dict) or doc.get("schemaVersion") != SCHEMA_VERSION:
+    version = doc.get("schemaVersion") if isinstance(doc, dict) else None
+    if not (is_int(version) and version == SCHEMA_VERSION):
         raise ValueError("not a recognised report file")
     return doc

@@ -13,7 +13,7 @@ degenerate (zero-width) box.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 
 def is_int(value: object) -> bool:
@@ -62,11 +62,6 @@ class Box:
             and other.x2 <= self.x2
             and other.y2 <= self.y2
         )
-
-    def cells(self) -> Iterator[tuple[int, int]]:
-        for x in range(self.x1, self.x2 + 1):
-            for y in range(self.y1, self.y2 + 1):
-                yield (x, y)
 
     def as_tuple(self) -> tuple[int, int, int, int]:
         return (self.x1, self.y1, self.x2, self.y2)
@@ -134,25 +129,24 @@ class FalseAtom(Invariant):
 
 
 @dataclass(frozen=True)
-class And(Invariant):
+class Junction(Invariant):
+    """A connective over one or more terms: :class:`And` or :class:`Or`."""
+
     terms: tuple[Invariant, ...]
 
     def __init__(self, terms: Iterable[Invariant]):
         terms = tuple(terms)
         if not terms:
-            raise ValueError("And requires at least one term")
+            raise ValueError(f"{type(self).__name__} requires at least one term")
         object.__setattr__(self, "terms", terms)
 
 
-@dataclass(frozen=True)
-class Or(Invariant):
-    terms: tuple[Invariant, ...]
+class And(Junction):
+    """True when every term holds."""
 
-    def __init__(self, terms: Iterable[Invariant]):
-        terms = tuple(terms)
-        if not terms:
-            raise ValueError("Or requires at least one term")
-        object.__setattr__(self, "terms", terms)
+
+class Or(Junction):
+    """True when some term holds."""
 
 
 @dataclass(frozen=True)
@@ -263,24 +257,15 @@ def normalize(inv: Invariant) -> Invariant:
         return Not(normalize(inv.term))
     if isinstance(inv, Implies):
         return Implies(normalize(inv.antecedent), normalize(inv.consequent))
-    if isinstance(inv, And):
+    if isinstance(inv, Junction):
         flat: list[Invariant] = []
         for term in inv.terms:
             term = normalize(term)
-            if isinstance(term, And):
+            if type(term) is type(inv):
                 flat.extend(term.terms)
             else:
                 flat.append(term)
-        return And(flat)
-    if isinstance(inv, Or):
-        flat = []
-        for term in inv.terms:
-            term = normalize(term)
-            if isinstance(term, Or):
-                flat.extend(term.terms)
-            else:
-                flat.append(term)
-        return Or(flat)
+        return type(inv)(flat)
     raise TypeError(f"unknown invariant term: {inv!r}")
 
 

@@ -117,27 +117,6 @@ class ActionSpec:
     effect: Callable[[State], State]
 
 
-class StepOutcome:
-    """Result of applying one operation name in one state."""
-
-    __slots__ = ()
-
-
-@dataclass(frozen=True)
-class NextStates(StepOutcome):
-    states: tuple[State, ...]
-
-
-@dataclass(frozen=True)
-class Disabled(StepOutcome):
-    pass
-
-
-@dataclass(frozen=True)
-class UnknownOperation(StepOutcome):
-    pass
-
-
 @dataclass(frozen=True)
 class Behaviour:
     """A legal run: states starting in init, one action name per step."""
@@ -179,13 +158,13 @@ class StateModel:
         variables = tuple(variables)
         if len(set(variables)) != len(variables):
             raise ValueError("duplicate variable names")
+        object.__setattr__(self, "variables", variables)
         states = []
         for s in init:
-            self._require_binds(variables, s)
+            self.check_state(s)
             if s not in states:
                 states.append(s)
         states.sort(key=lambda s: s.sort_key)
-        object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "init", tuple(states))
         object.__setattr__(self, "actions", tuple(actions))
         object.__setattr__(self, "_names", frozenset(a.name for a in self.actions))
@@ -193,15 +172,11 @@ class StateModel:
         # thread: a racing fill stores an equal row twice.
         object.__setattr__(self, "_rows", {})
 
-    @staticmethod
-    def _require_binds(variables: tuple[str, ...], s: State) -> None:
-        if set(s.variables) != set(variables):
-            raise ValueError(
-                f"state binds {s.variables}, model declares {variables}"
-            )
-
     def check_state(self, s: State) -> None:
-        self._require_binds(self.variables, s)
+        if set(s.variables) != set(self.variables):
+            raise ValueError(
+                f"state binds {s.variables}, model declares {self.variables}"
+            )
 
     @property
     def action_names(self) -> tuple[str, ...]:
@@ -241,27 +216,26 @@ class NoOpEffect(SpecWarning):
 # Operations
 
 
-def step(model: StateModel, s: State, op_name: str) -> StepOutcome:
-    """Apply one operation name: unknown, disabled, or its successor states.
+def step(model: StateModel, s: State, op_name: str) -> Optional[list[State]]:
+    """What ``successors(model, [s], op_name)`` answers, worked out afresh.
 
-    Successors are the distinct effect results of every enabled action with
-    that name, in declaration order. Not memoised: the reference that
-    :func:`successors` and :func:`enabled_actions` agree with.
+    None when the model declares no action with that name, an empty list
+    when none of them is enabled at ``s``, else the distinct effect results
+    of the enabled ones in declaration order. Not memoised: the reference
+    that :func:`successors` and :func:`enabled_actions` agree with.
     """
     model.check_state(s)
     named = [a for a in model.actions if a.name == op_name]
     if not named:
-        return UnknownOperation()
-    enabled = [a for a in named if a.guard(s)]
-    if not enabled:
-        return Disabled()
+        return None
     states: list[State] = []
-    for action in enabled:
-        result = action.effect(s)
-        model.check_state(result)
-        if result not in states:
-            states.append(result)
-    return NextStates(tuple(states))
+    for action in named:
+        if action.guard(s):
+            result = action.effect(s)
+            model.check_state(result)
+            if result not in states:
+                states.append(result)
+    return states
 
 
 def _row(model: StateModel, s: State) -> dict[str, tuple[State, ...]]:
@@ -317,6 +291,16 @@ def enabled_actions(model: StateModel, s: State) -> list[str]:
     return list(_row(model, s))
 
 
+def _visit(visited: set[State], s: State, state_cap: int) -> bool:
+    """Add ``s`` to ``visited``; whether it was new. Raises past the cap."""
+    if s in visited:
+        return False
+    visited.add(s)
+    if len(visited) > state_cap:
+        raise StateCapExceeded(state_cap, len(visited))
+    return True
+
+
 def correct_behaviours(
     model: StateModel, depth: int, state_cap: int = DEFAULT_STATE_CAP
 ) -> tuple[Behaviour, ...]:
@@ -330,9 +314,9 @@ def correct_behaviours(
         raise ValueError("depth must be >= 0")
     if state_cap < 1:
         raise ValueError("state_cap must be positive")
-    visited = set(model.init)
-    if len(visited) > state_cap:
-        raise StateCapExceeded(state_cap, len(visited))
+    visited: set[State] = set()
+    for s in model.init:
+        _visit(visited, s, state_cap)
     frontier = [Behaviour((s,), ()) for s in model.init]
     out = list(frontier)
     names = sorted(set(model.action_names))
@@ -342,10 +326,7 @@ def correct_behaviours(
             last = behaviour.states[-1]
             for name in names:
                 for nxt in successors(model, (last,), name):
-                    if nxt not in visited:
-                        visited.add(nxt)
-                        if len(visited) > state_cap:
-                            raise StateCapExceeded(state_cap, len(visited))
+                    _visit(visited, nxt, state_cap)
                     grown.append(
                         Behaviour(
                             behaviour.states + (nxt,),
@@ -362,19 +343,11 @@ def correct_behaviours(
 
 def _reachable_states(model: StateModel, state_cap: int) -> list[State]:
     """Closure of init under all enabled actions, in first-visit order."""
-    seen = list(model.init)
-    seen_set = set(seen)
-    if len(seen_set) > state_cap:
-        raise StateCapExceeded(state_cap, len(seen_set))
+    visited: set[State] = set()
+    seen = [s for s in model.init if _visit(visited, s, state_cap)]
     for current in seen:  # breadth first: ``seen`` grows while it is walked
         for nexts in _row(model, current).values():
-            for nxt in nexts:
-                if nxt in seen_set:
-                    continue
-                seen_set.add(nxt)
-                if len(seen_set) > state_cap:
-                    raise StateCapExceeded(state_cap, len(seen_set))
-                seen.append(nxt)
+            seen.extend(nxt for nxt in nexts if _visit(visited, nxt, state_cap))
     return seen
 
 

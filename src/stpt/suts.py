@@ -49,6 +49,11 @@ class UnknownWaypoint(ValueError):
     pass
 
 
+def _check_fault(fault: str, faults: tuple[str, ...]) -> None:
+    if fault not in faults:
+        raise ValueError(f"unknown fault {fault!r}; choose one of {faults}")
+
+
 @dataclass(frozen=True)
 class Suite:
     """One named test scenario, ready for the property runner and CLI."""
@@ -189,10 +194,7 @@ def _therac_model() -> StateModel:
 
 
 def therac_suite(fault: str = FAULT_NONE) -> Suite:
-    if fault not in (FAULT_NONE, FAULT_SEQUENCE_BUG):
-        raise ValueError(
-            f"unknown fault {fault!r}; choose {FAULT_NONE!r} or {FAULT_SEQUENCE_BUG!r}"
-        )
+    _check_fault(fault, (FAULT_NONE, FAULT_SEQUENCE_BUG))
     bug = fault == FAULT_SEQUENCE_BUG
     model = _therac_model()
     return Suite(
@@ -337,19 +339,18 @@ class RobotSim:
     """
 
     def __init__(self, config: RobotConfig, fault: str = FAULT_NONE):
-        if fault not in _ROBOT_FAULTS:
-            raise ValueError(
-                f"unknown fault {fault!r}; choose one of {_ROBOT_FAULTS}"
-            )
+        _check_fault(fault, _ROBOT_FAULTS)
         self._config = config
         self._fault = fault
         self.reset()
 
+    def _park(self, position: str) -> None:
+        # wrongInit parks the arm on an undocumented position instead
+        wrong = self._fault == FAULT_WRONG_INIT
+        self._position = WRONG_INIT_POSITION if wrong else position
+
     def reset(self) -> Deferred[RawObservation]:
-        if self._fault == FAULT_WRONG_INIT:
-            self._position = WRONG_INIT_POSITION
-        else:
-            self._position = self._config.init
+        self._park(self._config.init)
         return Deferred.successful(self._observe(0))
 
     def vocabulary(self) -> tuple[str, ...]:
@@ -374,10 +375,7 @@ class RobotSim:
     def apply(self, command: Command, at_time: int) -> Deferred[RawObservation]:
         op = command.op
         if op == OP_INITIALISE:
-            if self._fault == FAULT_WRONG_INIT:
-                self._position = WRONG_INIT_POSITION
-            else:
-                self._position = HOME_WAYPOINT
+            self._park(HOME_WAYPOINT)
             return Deferred.successful(self._observe(at_time))
         if op.startswith(MOVE_PREFIX):
             target = op[len(MOVE_PREFIX) :]
@@ -446,22 +444,16 @@ def _workspace_invariants(config: RobotConfig) -> tuple[Invariant, ...]:
 def robot_suite(
     fault: str = FAULT_NONE, config: Optional[RobotConfig] = None
 ) -> Suite:
-    if fault not in _ROBOT_FAULTS:
-        raise ValueError(
-            f"unknown fault {fault!r}; choose one of {_ROBOT_FAULTS}"
-        )
+    _check_fault(fault, _ROBOT_FAULTS)
     if config is None:
         config = RobotConfig()
-    weights = {OP_INITIALISE: 1}
-    for name in sorted(config.waypoints):
-        weights[MOVE_PREFIX + name] = 1
     model = _robot_model(config)
     return Suite(
         name="robot",
         model=model,
         abstraction=_interning_abstraction(model),
         st_invariants=_workspace_invariants(config),
-        default_weights=weights,
+        default_weights=dict.fromkeys(model.action_names, 1),
         intended_noops=frozenset({OP_INITIALISE}),
         make_adapter=lambda: RobotSim(config, fault),
     )

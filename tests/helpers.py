@@ -186,7 +186,7 @@ def oracle_collisions(facts) -> list[CollisionWitness]:
                 )
                 if a.window.contains(t) and b.window.contains(t)
             ]
-            shared = sorted(set(a.box.cells()) & set(b.box.cells()))
+            shared = sorted(set(cells(a.box)) & set(cells(b.box)))
             if not ticks or not shared:
                 continue
             xs = [c[0] for c in shared]
@@ -206,11 +206,17 @@ def oracle_collisions(facts) -> list[CollisionWitness]:
     return out
 
 
+def cells(box: Box) -> list[tuple[int, int]]:
+    """Every integer point of ``box``, borders included, column by column."""
+    xs, ys = range(box.x1, box.x2 + 1), range(box.y1, box.y2 + 1)
+    return [(x, y) for x in xs for y in ys]
+
+
 def covered_cells_bruteforce(boxes) -> set:
-    cells = set()
+    covered = set()
     for box in boxes:
-        cells.update(box.normalized().cells())
-    return cells
+        covered.update(cells(box))
+    return covered
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +251,7 @@ def oracle_evaluate(inv, obs: Observation) -> bool:
         if isinstance(term, Owner):
             return term.name == obs.owner
         if isinstance(term, OccupyBox):
-            return set(term.box.normalized().cells()) <= occupied
+            return set(cells(term.box)) <= occupied
         if isinstance(term, OccupyPoint):
             return (term.x, term.y) in occupied
         raise TypeError(f"unknown invariant term: {term!r}")

@@ -415,10 +415,13 @@ class TestReplay:
             (("failures", 0, "failIndex"), 2.0),
             (("failures", 0, "kind"), 7),
             (("failures", 0, "kind"), "Bogus"),
+            (("schemaVersion",), True),
+            (("schemaVersion",), 1.0),
         ],
         ids=["string-timeout", "list-config", "int-failures", "float-delay",
              "bool-delay", "int-op", "string-index", "bool-index",
-             "negative-index", "float-index", "int-kind", "unknown-kind"],
+             "negative-index", "float-index", "int-kind", "unknown-kind",
+             "bool-schema-version", "float-schema-version"],
     )
     def test_malformed_report_is_an_input_error(self, tmp_path, capsys, path, value):
         _, doc = run_json_campaign(
@@ -759,6 +762,38 @@ class TestRobotConfigFlag:
         missing = str(tmp_path / "absent.json")
         assert cli.main(["--suite", "robot", "--robot-config", missing]) == 2
         capsys.readouterr()
+
+    # a deployment file, malformed too, that no suite but robot may be given
+    BOGUS = {"bogus": 1}
+    THERAC = ["--suite", "therac25", "--fault", "sequenceBug", "--num-tests", "20"]
+
+    def assert_refused(self, argv, capsys):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--robot-config applies only to the robot suite" in captured.err
+
+    def test_therac_campaign_refuses_a_deployment(self, tmp_path, capsys):
+        path = self.write_config(tmp_path, self.BOGUS)
+        self.assert_refused(self.THERAC + ["--robot-config", path], capsys)
+
+    def test_trace_check_refuses_a_deployment(self, tmp_path, capsys):
+        path = self.write_config(tmp_path, self.BOGUS)
+        formulas, trace = tmp_path / "inv.txt", tmp_path / "trace.json"
+        formulas.write_text(PAPER_FORMULA + "\n")
+        trace.write_text(json.dumps([TestTraceCheck.OCCUPIED]))
+        argv = ["--suite", "trace-check", "--invariants", str(formulas)]
+        argv += ["--trace", str(trace)]
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        self.assert_refused(argv + ["--robot-config", path], capsys)
+
+    def test_therac_replay_refuses_a_deployment(self, tmp_path, capsys):
+        code, _ = run_json_campaign(tmp_path, self.THERAC)
+        assert code == 1
+        path = self.write_config(tmp_path, self.BOGUS)
+        replay = ["--replay", str(tmp_path / "report.json")]
+        self.assert_refused(replay + ["--robot-config", path], capsys)
 
 
 class TestModuleEntry:

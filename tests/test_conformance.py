@@ -44,8 +44,7 @@ from stpt import (
     therac_suite,
 )
 from stpt import conformance
-from stpt.statemodel import NextStates, step
-from stpt.statemodel import successors
+from stpt.statemodel import step, successors
 from stpt.suts import OP_CURSOR_UP, OP_OTHER, OP_SELECT_ELECTRON, OP_SELECT_PHOTON
 from stpt.suts import RobotSim
 
@@ -208,6 +207,14 @@ class TestDeferred:
         threading.Timer(0.01, lambda: d.complete(7)).start()
         assert d.wait(2) == ("ok", 7)
 
+    @pytest.mark.parametrize(
+        "timeout", [float("inf"), threading.TIMEOUT_MAX * 2], ids=["inf", "twice-max"]
+    )
+    def test_timeout_beyond_the_platform_limit_waits_without_limit(self, timeout):
+        d: Deferred[int] = Deferred()
+        threading.Timer(0.01, lambda: d.complete(7)).start()
+        assert d.wait(timeout) == ("ok", 7)
+
     @pytest.mark.parametrize("timeout", [0, -1, -0.5])
     def test_pending_poll_returns_none_at_once(self, timeout):
         d: Deferred[int] = Deferred()
@@ -350,6 +357,17 @@ class TestCheckAgainst:
         assert isinstance(result, Fail)
         assert result.kind == FailKind.TIMEOUT
         assert result.witness.fail_index == 0
+
+    def test_infinite_timeout_waits_for_a_late_completion(self):
+        class LateSut(ToggleSut):
+            def apply(self, command, at_time):
+                d: Deferred[RawObservation] = Deferred()
+                _, raw = super().apply(command, at_time).wait(0)
+                threading.Timer(0.01, d.complete, args=(raw,)).start()
+                return d
+
+        result = self.run_toggle(LateSut(), ["turnOn", "turnOff"], timeout=float("inf"))
+        assert result == Pass()
 
     def test_reset_timeout(self):
         class HangingReset(ToggleSut):
@@ -806,9 +824,7 @@ class TestPassImpliesConformance:
             assert observed[0] in model.init
             current = observed[0]
             for state, command in zip(observed[1:], seq):
-                outcome = step(model, current, command.op)
-                assert isinstance(outcome, NextStates)
-                assert state in outcome.states
+                assert state in step(model, current, command.op)
                 current = state
 
     @pytest.mark.parametrize("seed", range(10))
@@ -832,8 +848,8 @@ class TestPassImpliesConformance:
 
             def apply(self, command, at_time):
                 outcome = step(model, self.state, command.op)
-                if isinstance(outcome, NextStates):
-                    self.state = outcome.states[at_time % len(outcome.states)]
+                if outcome:
+                    self.state = outcome[at_time % len(outcome)]
                 return Deferred.successful(RawObservation(self.state))
 
         vocab = {name: 1 for name in model.action_names}

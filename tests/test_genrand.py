@@ -22,7 +22,7 @@ from stpt import (
     shrink_sequence,
 )
 from stpt.genrand import InvalidRange
-from stpt.statemodel import NextStates, enabled_actions, step
+from stpt.statemodel import enabled_actions, step
 from stpt.suts import OP_SELECT_PHOTON, therac_suite
 
 
@@ -163,11 +163,9 @@ class TestGenEnabledCommands:
             )
             successors = []
             for s in current:
-                outcome = step(model, s, command.op)
-                if isinstance(outcome, NextStates):
-                    for nxt in outcome.states:
-                        if nxt not in successors:
-                            successors.append(nxt)
+                for nxt in step(model, s, command.op):
+                    if nxt not in successors:
+                        successors.append(nxt)
             current = successors
 
     @pytest.mark.parametrize("seed", range(20))
@@ -193,7 +191,7 @@ class TestGenEnabledCommands:
             table = {
                 op: w
                 for op, w in weights.items()
-                if any(isinstance(o, NextStates) for o in outcomes[op])
+                if any(outcomes[op])
             }
             if not table:
                 break
@@ -202,8 +200,7 @@ class TestGenEnabledCommands:
             expected.append(Command(op, delay))
             nexts = []
             for outcome in outcomes[op]:
-                if isinstance(outcome, NextStates):
-                    nexts.extend(n for n in outcome.states if n not in nexts)
+                nexts.extend(n for n in outcome if n not in nexts)
             current = nexts
 
         assert gen.run(rng) == (CommandSequence(tuple(expected)), expected_rng)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     boxes,
+    cells,
     coords,
     covered_cells_bruteforce,
     invariants,
@@ -145,7 +146,7 @@ class TestBoxGeometry:
 
     def test_degenerate_box_is_legal(self):
         point = Box(4, 4, 4, 4)
-        assert list(point.cells()) == [(4, 4)]
+        assert cells(point) == [(4, 4)]
 
     @pytest.mark.parametrize(
         "corners", [(0, 0, 12.5, 12), (True, 0, 1, 1), (0, "1", 2, 2), (0, 0, None, 1)]
@@ -176,11 +177,11 @@ class TestBoxGeometry:
     @given(boxes, boxes)
     def test_intersection_agrees_with_cell_sets(self, a, b):
         overlap = box_intersection(a, b)
-        shared = set(a.normalized().cells()) & set(b.normalized().cells())
+        shared = set(cells(a)) & set(cells(b))
         if overlap is None:
             assert shared == set()
         else:
-            assert set(overlap.cells()) == shared
+            assert set(cells(overlap)) == shared
 
 
 class TestTimeWindows:
@@ -371,14 +372,14 @@ class TestBoxCoverage:
     @given(boxes, st.lists(boxes, max_size=5))
     @settings(max_examples=300)
     def test_agrees_with_cell_brute_force(self, target, cover):
-        want = set(target.normalized().cells()) <= covered_cells_bruteforce(cover)
+        want = set(cells(target)) <= covered_cells_bruteforce(cover)
         assert box_covered(target, cover) == want
 
     @given(near_covers())
     @settings(max_examples=300)
     def test_agrees_with_cell_brute_force_on_near_covers(self, case):
         target, cover = case
-        want = set(target.normalized().cells()) <= covered_cells_bruteforce(cover)
+        want = set(cells(target)) <= covered_cells_bruteforce(cover)
         assert box_covered(target, cover) == want
 
 

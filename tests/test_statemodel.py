@@ -11,15 +11,12 @@ from helpers import oracle_behaviours, oracle_spec_consistency, random_model
 from stpt import (
     ActionSpec,
     Behaviour,
-    Disabled,
     EmptyInit,
     NeverEnabled,
-    NextStates,
     NoOpEffect,
     State,
     StateCapExceeded,
     StateModel,
-    UnknownOperation,
     correct_behaviours,
     enabled_actions,
     format_behaviours,
@@ -124,24 +121,22 @@ class TestStateModel:
 class TestStep:
     def test_unknown_operation(self):
         model = counter_model()
-        assert step(model, State({"n": 0}), "flyToMoon") == UnknownOperation()
+        assert step(model, State({"n": 0}), "flyToMoon") is None
 
     def test_disabled_when_no_guard_holds(self):
         model = counter_model()
-        assert step(model, State({"n": 0}), "reset") == Disabled()
+        assert step(model, State({"n": 0}), "reset") == []
 
     def test_next_states_for_enabled_action(self):
         model = counter_model()
-        assert step(model, State({"n": 0}), "inc") == NextStates(
-            (State({"n": 1}),)
-        )
+        assert step(model, State({"n": 0}), "inc") == [State({"n": 1})]
 
     def test_robot_cannot_move_to_current_position(self):
         model = robot_suite("none").model
-        assert step(model, State({"position": "Q"}), "moveToQ") == Disabled()
-        assert step(model, State({"position": "Y"}), "moveToQ") == NextStates(
-            (State({"position": "Q"}),)
-        )
+        assert step(model, State({"position": "Q"}), "moveToQ") == []
+        assert step(model, State({"position": "Y"}), "moveToQ") == [
+            State({"position": "Q"})
+        ]
 
     def test_repeated_names_merge_into_one_outcome(self):
         model = StateModel(
@@ -155,7 +150,7 @@ class TestStep:
         )
         outcome = step(model, State({"x": 0}), "flip")
         # duplicates collapse, declaration order survives
-        assert outcome == NextStates((State({"x": 1}), State({"x": 2})))
+        assert outcome == [State({"x": 1}), State({"x": 2})]
 
     def test_effect_leaving_variable_set_is_an_error(self):
         model = StateModel(
@@ -192,18 +187,8 @@ class TestStep:
                 named = sum(action.name == op for action in model.actions)
                 for _ in range(2):
                     before = guard_calls[op]
-                    got = _as_successors(step(counting, s, op))
-                    assert got == successors(model, [s], op)
+                    assert step(counting, s, op) == successors(model, [s], op)
                     assert guard_calls[op] - before == named
-
-
-def _as_successors(outcome):
-    """A ``step`` outcome in the convention of ``successors``."""
-    if isinstance(outcome, UnknownOperation):
-        return None
-    if isinstance(outcome, Disabled):
-        return []
-    return list(outcome.states)
 
 
 class TestSuccessors:
@@ -240,12 +225,10 @@ class TestSuccessors:
             assert got is None
             return
         outcomes = [step(model, s, op) for s in states]
-        union = [
-            nxt for o in outcomes if isinstance(o, NextStates) for nxt in o.states
-        ]
+        union = [nxt for o in outcomes for nxt in o]
         assert len(got) == len(set(got))
         assert got == sorted(set(union), key=union.index)
-        if all(isinstance(o, Disabled) for o in outcomes):
+        if all(o == [] for o in outcomes):
             assert got == []
 
 
@@ -253,13 +236,7 @@ def brute_successors(model, states, op):
     """Union of uncached ``step`` outcomes, first seen first."""
     if all(action.name != op for action in model.actions):
         return None
-    union = [
-        nxt
-        for s in states
-        for outcome in [step(model, s, op)]
-        if isinstance(outcome, NextStates)
-        for nxt in outcome.states
-    ]
+    union = [nxt for s in states for nxt in step(model, s, op)]
     return sorted(set(union), key=union.index)
 
 
@@ -268,7 +245,7 @@ def brute_enabled(model, s):
     names = [a.name for a in model.actions if a.guard(s)]
     assert set(names) == {
         name for name in model.action_names
-        if isinstance(step(model, s, name), NextStates)
+        if step(model, s, name)
     }
     return sorted(set(names), key=names.index)
 
@@ -410,7 +387,7 @@ class TestEnabledActions:
             names = enabled_actions(model, s)
             assert len(names) == len(set(names))
             for name in model.action_names:
-                is_next = isinstance(step(model, s, name), NextStates)
+                is_next = bool(step(model, s, name))
                 assert (name in names) == is_next
 
 
@@ -455,9 +432,7 @@ class TestCorrectBehaviours:
             assert b.states[0] in model.init
             current = b.states[0]
             for name, expected in zip(b.actions, b.states[1:]):
-                outcome = step(model, current, name)
-                assert isinstance(outcome, NextStates)
-                assert expected in outcome.states
+                assert expected in step(model, current, name)
                 current = expected
 
     @pytest.mark.parametrize("seed", range(6))

@@ -17,7 +17,6 @@ from stpt import (
     FailKind,
     FalseAtom,
     Implies,
-    NextStates,
     Observation,
     OccupyBox,
     Owner,
@@ -44,7 +43,6 @@ from stpt import (
     therac_suite,
 )
 from stpt.spatial import always_false, always_true
-from stpt.statemodel import Disabled
 from stpt.suts import (
     ARM_OWNER,
     robot_config_from_json,
@@ -203,9 +201,9 @@ class TestTheracSuite:
         model = therac_suite().model
         (init,) = model.init
         assert init == State({"mode": MODE_NONE, "beam": BEAM_OFF})
-        assert step(model, init, OP_SELECT_PHOTON) == NextStates(
-            (State({"mode": MODE_PHOTON, "beam": BEAM_PHOTON}),)
-        )
+        assert step(model, init, OP_SELECT_PHOTON) == [
+            State({"mode": MODE_PHOTON, "beam": BEAM_PHOTON})
+        ]
 
     def test_depth_two_matches_oracle(self):
         from helpers import oracle_behaviours
@@ -542,7 +540,7 @@ class TestRobotConfig:
 class TestRobotSuite:
     def test_cannot_move_to_current_position(self):
         model = robot_suite(config=RobotConfig(init="Q")).model
-        assert step(model, State({"position": "Q"}), "moveToQ") == Disabled()
+        assert step(model, State({"position": "Q"}), "moveToQ") == []
 
     def test_packaging(self):
         suite = robot_suite()
