@@ -256,6 +256,30 @@ def _replay_deployment(recorded: object, path: Optional[str]) -> Optional[RobotC
     return deployment
 
 
+# a replay takes everything else from the report it replays
+_REPLAY_FLAGS = ("replay", "robot_config", "out")
+
+
+def _check_replay_flags(
+    parser: argparse.ArgumentParser, argv: Optional[list[str]], args: argparse.Namespace
+) -> None:
+    """Refuse a flag that a replay would ignore, even one given its default value."""
+    unset = object()
+    # parsed again over a namespace that already holds every option, so
+    # argparse fills in no default and what is not ``unset`` was given
+    given = parser.parse_args(argv, argparse.Namespace(**dict.fromkeys(vars(args), unset)))
+    stray = sorted(
+        "--" + dest.replace("_", "-")
+        for dest, value in vars(given).items()
+        if value is not unset and dest not in _REPLAY_FLAGS
+    )
+    if stray:
+        raise CliError(
+            f"--replay reads only --robot-config and --out; {', '.join(stray)} "
+            "cannot be given with it"
+        )
+
+
 def _run_replay(args: argparse.Namespace) -> int:
     try:
         doc = load_report(args.replay)
@@ -391,6 +415,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         if args.replay is not None:
+            _check_replay_flags(parser, argv, args)
             return _run_replay(args)
         if args.suite is None:
             raise CliError("--suite is required (or use --replay)")

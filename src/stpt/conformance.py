@@ -12,6 +12,7 @@ the blame likely lies.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from dataclasses import dataclass, replace
@@ -377,16 +378,22 @@ def run_property(
     A failing sequence is cut after its failing command (to nothing for a
     reset-level failure), since the replay never ran the commands behind
     it, and the cut is shrunk by replaying candidates; the failure already
-    seen is not replayed again. A candidate is accepted when its replay
-    fails with the original kind, and is cut the same way. The shrunk
-    witness is the failure of the last accepted replay, or the original
-    failure if none was accepted, with the last cut as its sequence, which
-    is what a replay of the cut gives.
+    seen is not replayed again, nor is the deletion of the cut's tail,
+    a proper prefix of the cut that the failing replay showed to pass. A
+    candidate is accepted when its replay fails with the original kind,
+    and is cut the same way. The shrunk witness is the failure of the last
+    accepted replay, or the original failure if none was accepted, with
+    the last cut as its sequence, which is what a replay of the cut gives.
+    Against a SUT that is not deterministic the witness is still that
+    replay's failure; only the verdict on a tail deletion is taken from an
+    earlier replay instead of a new one.
     """
     if num_tests < 1:
         raise ValueError("num_tests must be >= 1")
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    if math.isnan(timeout):
+        raise ValueError("timeout must not be NaN")
     if adapter is None and adapter_factory is None:
         raise ValueError("need an adapter or an adapter_factory")
     if workers > 1 and adapter_factory is None:

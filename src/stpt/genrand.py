@@ -254,17 +254,23 @@ def shrink_sequence(
 ) -> CommandSequence:
     """Minimize ``seq`` while ``fails`` still reports a failure.
 
-    ``seq`` already fails, and is already cut after the command its
-    failure needed, so ``fails`` is never called on it. ``fails`` returns
-    None for a passing candidate, and otherwise how many leading commands
-    its failure needed (0 for a failure before the first command). Every
+    ``fails`` returns None for a passing candidate, and otherwise how many
+    leading commands its failure needed (0 for a failure before the first
+    command): ``fails(c) == k`` means ``c[:k]`` fails and no shorter
+    prefix of ``c`` does. A replay that stops at its first divergence
+    meets this. ``seq`` already fails, and is already cut after the
+    command its failure needed, so ``fails`` is never called on it. Every
     failing candidate is cut to that prefix, which costs no further call.
-    Contiguous chunks of half, a quarter, ... of the length, down to 2,
-    are deleted left to right. Last, the same deletion with chunks of one
-    command and a delay-halving pass alternate until neither changes
-    anything. The result is 1-minimal: no single deletion and no single
-    delay halving still fails. It is the cut of the last candidate on
-    which ``fails`` did not return None, or ``seq`` if there was none.
+    The contract also decides every proper prefix of the current cut: it
+    passes. So a chunk deletion that reaches the tail, which leaves such a
+    prefix, is never offered. Contiguous chunks of half, a quarter, ... of
+    the length, down to 2, are deleted left to right. Last, the same
+    deletion with chunks of one command and a delay-halving pass alternate
+    until neither changes anything. The result is 1-minimal: no single
+    deletion and no single delay halving still fails. It is the cut of the
+    last candidate on which ``fails`` did not return None, or ``seq`` if
+    there was none. For a ``fails`` that is not deterministic, only the
+    verdict on a tail deletion rests on the contract instead of a call.
     """
     current = seq
 
@@ -277,10 +283,14 @@ def shrink_sequence(
         return True
 
     def delete_chunks(size: int) -> bool:
-        """Delete runs of ``size`` commands left to right; whether any went."""
+        """Delete runs of ``size`` commands left to right; whether any went.
+
+        The run that ends at the tail is never deleted: what is left would
+        be a proper prefix of the cut, which passes.
+        """
         changed = False
         start = 0
-        while start + size <= len(current):
+        while start + size < len(current):
             commands = current.commands
             if accept(CommandSequence(commands[:start] + commands[start + size :])):
                 changed = True

@@ -9,6 +9,7 @@ not share its shortcuts.
 from __future__ import annotations
 
 import random
+from typing import Callable, Optional
 
 from hypothesis import strategies as st
 
@@ -436,6 +437,71 @@ def greedy_shrink_reference(seq, fails):
         if not changed:
             return current
 
+
+# ---------------------------------------------------------------------------
+# Shrinking reference that offers every chunk deletion
+
+
+def reference_shrink(
+    seq: CommandSequence,
+    fails: Callable[[CommandSequence], Optional[int]],
+) -> CommandSequence:
+    """``shrink_sequence`` as it was before it skipped tail deletions.
+
+    Kept verbatim as the reference: it offers every chunk deletion, the
+    one that leaves a proper prefix of the cut included.
+
+    ``seq`` already fails, and is already cut after the command its
+    failure needed, so ``fails`` is never called on it. ``fails`` returns
+    None for a passing candidate, and otherwise how many leading commands
+    its failure needed (0 for a failure before the first command). Every
+    failing candidate is cut to that prefix, which costs no further call.
+    Contiguous chunks of half, a quarter, ... of the length, down to 2,
+    are deleted left to right. Last, the same deletion with chunks of one
+    command and a delay-halving pass alternate until neither changes
+    anything. The result is 1-minimal: no single deletion and no single
+    delay halving still fails. It is the cut of the last candidate on
+    which ``fails`` did not return None, or ``seq`` if there was none.
+    """
+    current = seq
+
+    def accept(candidate: CommandSequence) -> bool:
+        nonlocal current
+        kept = fails(candidate)
+        if kept is None:
+            return False
+        current = CommandSequence(candidate.commands[:kept])
+        return True
+
+    def delete_chunks(size: int) -> bool:
+        """Delete runs of ``size`` commands left to right; whether any went."""
+        changed = False
+        start = 0
+        while start + size <= len(current):
+            commands = current.commands
+            if accept(CommandSequence(commands[:start] + commands[start + size :])):
+                changed = True
+            else:
+                start += size
+        return changed
+
+    size = len(current) // 2
+    while size >= 2:
+        delete_chunks(size)
+        size //= 2
+    while True:
+        changed = delete_chunks(1)
+        # an accepted halving may move the failure earlier and cut the
+        # sequence, so the bound is read again after every candidate
+        index = 0
+        while index < len(current):
+            halved = current.commands[index].delay // 2
+            if halved and accept(current.with_delay(index, halved)):
+                changed = True
+            else:
+                index += 1
+        if not changed:
+            return current
 
 
 coords = st.integers(min_value=-50, max_value=50)

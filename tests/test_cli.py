@@ -442,6 +442,33 @@ class TestReplay:
         assert cli.main(["--replay", str(report_path)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "extra, named",
+        [
+            (["--suite", "robot", "--fault", "wrongMove", "--seed", "3"],
+             ["--suite", "--fault", "--seed"]),
+            # given at its default value, it is still not read
+            (["--max-len", "12"], ["--max-len"]),
+            (["--dump-behaviours"], ["--dump-behaviours"]),
+        ],
+        ids=["campaign", "default-value", "switch"],
+    )
+    def test_campaign_flags_are_an_input_error(self, tmp_path, capsys, extra, named):
+        run_json_campaign(
+            tmp_path,
+            [
+                "--suite", "therac25",
+                "--fault", "sequenceBug",
+                "--seed", "7",
+                "--num-tests", "200",
+            ],
+        )
+        assert cli.main(["--replay", str(tmp_path / "report.json")] + extra) == 2
+        captured = capsys.readouterr()
+        # nothing is replayed, and every ignored flag is named
+        assert captured.out == ""
+        assert all(flag in captured.err for flag in named)
+
     def test_missing_report_is_an_error(self, tmp_path, capsys):
         assert cli.main(["--replay", str(tmp_path / "nope.json")]) == 2
         assert "error:" in capsys.readouterr().err

@@ -895,6 +895,16 @@ class TestRunProperty:
         with pytest.raises(ValueError):
             run_property(toggle_model(), None, toggle_abstraction, self.GEN)
 
+    def test_rejects_a_nan_timeout_before_the_first_test(self):
+        # a settled Deferred never waits, so this adapter would otherwise
+        # run the campaign as if no timeout were set
+        sut = ToggleSut()
+        with pytest.raises(ValueError, match="timeout"):
+            run_property(
+                toggle_model(), sut, toggle_abstraction, self.GEN, timeout=float("nan")
+            )
+        assert sut.resets == 0
+
     def test_passing_sut_reports_clean(self):
         report = run_property(
             toggle_model(), ToggleSut(), toggle_abstraction, self.GEN, num_tests=1
@@ -1049,7 +1059,13 @@ class TestRunProperty:
         cut = CommandSequence(original.sequence.commands[:2])
         assert record.shrunk == replace(original, sequence=cut)
 
-    def test_wrong_move_campaign_makes_no_opening_shrink_call(self, monkeypatch):
+    @staticmethod
+    def count_shrink_calls(monkeypatch) -> list[int]:
+        """Replays each shrink of a campaign asks for, one entry per failure.
+
+        The shrinker is wrapped through the module global that
+        ``run_property`` calls, as the benchmark counts replays.
+        """
         calls = []
         shrink = conformance.shrink_sequence
 
@@ -1067,11 +1083,24 @@ class TestRunProperty:
                 calls.append(count)
 
         monkeypatch.setattr(conformance, "shrink_sequence", counting_shrink)
+        return calls
+
+    def test_wrong_move_campaign_makes_no_opening_shrink_call(self, monkeypatch):
+        calls = self.count_shrink_calls(monkeypatch)
         report = suite_campaign(robot_suite("wrongMove"), seed=7, num_tests=100, max_len=12)
         assert report.tests_failed == len(calls) == 97
         # a shrinker that replays each failure before shrinking it made
-        # 434 calls here, one per failure more
-        assert sum(calls) == 434 - 97 == 337
+        # 434 calls here, one per failure more, and one that also offered
+        # the deletions of the cut's tail made 337
+        assert sum(calls) == 153
+
+    def test_sequence_bug_campaign_skips_the_tail_deletions(self, monkeypatch):
+        calls = self.count_shrink_calls(monkeypatch)
+        report = suite_campaign(therac_suite("sequenceBug"), seed=7, num_tests=100, max_len=30)
+        assert report.tests_failed == len(calls) == 19
+        # a shrinker that also offered the deletions of the cut's tail,
+        # proper prefixes the failing replay already decided, made 266
+        assert sum(calls) == 214
 
     def test_one_adapter_runs_every_test_on_the_calling_thread(self):
         built, resets = [], []

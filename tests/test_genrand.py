@@ -12,6 +12,7 @@ from helpers import (
     next_u64,
     random_model,
     reference_enabled_commands,
+    reference_shrink,
     weighted,
 )
 from stpt import (
@@ -301,8 +302,19 @@ class TestGenEnabledCommands:
 
 
 def whole(pred):
-    """A shrink predicate that reports every command as needed while ``pred`` holds."""
-    return lambda s: len(s) if pred(s) else None
+    """The shrink predicate of a replay that fails where ``pred`` first holds.
+
+    It reports the shortest failing prefix, the least ``k`` with
+    ``pred(s[:k])``, as ``check_against`` stops at the first divergence.
+    """
+
+    def fails(s: CommandSequence):
+        for k in range(len(s) + 1):
+            if pred(CommandSequence(s.commands[:k])):
+                return k
+        return None
+
+    return fails
 
 
 def seq_of(spec: str) -> CommandSequence:
@@ -338,6 +350,16 @@ def first_completion(pattern: str, window: int):
         return None
 
     return fails
+
+
+FIRST_COMPLETION_CASES = dict(
+    pattern=st.text(alphabet="abc", min_size=1, max_size=3),
+    window=st.integers(min_value=0, max_value=12),
+    commands=st.lists(
+        st.tuples(st.sampled_from("abc"), st.integers(min_value=1, max_value=6)),
+        max_size=16,
+    ),
+)
 
 
 class TestShrinkSequence:
@@ -388,9 +410,9 @@ class TestShrinkSequence:
         shrunk = shrink_sequence(seq_of("b1 x1 x1"), fails)
         assert shrunk == seq_of("x1")
         # the input is never offered; deleting "b" fails at the first "x",
-        # so the second "x" is cut without a call, and only the deletion of
-        # the last "x" is tried, once per round of the fixpoint loop
-        assert seen == [seq_of("x1 x1"), seq_of(""), seq_of("")]
+        # so the second "x" is cut without a call, and deleting the last
+        # "x" would leave a proper prefix of the cut, which passes
+        assert seen == [seq_of("x1 x1")]
 
     def test_reset_level_failure_shrinks_to_nothing(self):
         calls = []
@@ -442,22 +464,58 @@ class TestShrinkSequence:
         assert calls["chunked"] < calls["single"]
 
     @settings(max_examples=200, deadline=None)
-    @given(
-        pattern=st.text(alphabet="abc", min_size=1, max_size=3),
-        window=st.integers(min_value=0, max_value=12),
-        commands=st.lists(
-            st.tuples(st.sampled_from("abc"), st.integers(min_value=1, max_value=6)),
-            max_size=16,
-        ),
-    )
+    @given(**FIRST_COMPLETION_CASES)
     def test_result_fails_is_cut_and_is_one_minimal(self, pattern, window, commands):
         fails = first_completion(pattern, window)
         seq = CommandSequence(tuple(Command(op, delay) for op, delay in commands))
-        assume(fails(seq) is not None)
-        shrunk = shrink_sequence(seq, fails)
+        kept = fails(seq)
+        assume(kept is not None)
+        # the shrinker takes a cut input, as a replay hands it over
+        shrunk = shrink_sequence(CommandSequence(seq.commands[:kept]), fails)
         assert fails(shrunk) == len(shrunk)
         for i in range(len(shrunk)):
             assert fails(shrunk.without(i)) is None
             delay = shrunk.commands[i].delay
             if delay > 1:
                 assert fails(shrunk.with_delay(i, delay // 2)) is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(**FIRST_COMPLETION_CASES)
+    def test_matches_the_reference_without_offering_a_prefix_of_the_cut(
+        self, pattern, window, commands
+    ):
+        fails = first_completion(pattern, window)
+        seq = CommandSequence(tuple(Command(op, delay) for op, delay in commands))
+        kept = fails(seq)
+        assume(kept is not None)
+        cut = CommandSequence(seq.commands[:kept])
+
+        def logged(log):
+            """``fails``, logging each candidate and whether it is a proper
+            prefix of the cut the shrinker holds when it is offered.
+
+            Commands are compared by identity, which slicing keeps: a chunk
+            deletion in a sequence that repeats itself can equal a prefix
+            by value without being the deletion of the tail.
+            """
+            current = cut
+
+            def wrapped(candidate: CommandSequence):
+                nonlocal current
+                n = len(candidate)
+                head = zip(candidate.commands, current.commands)
+                prefix = n < len(current) and all(a is b for a, b in head)
+                log.append((candidate, prefix))
+                k = fails(candidate)
+                if k is not None:
+                    current = CommandSequence(candidate.commands[:k])
+                return k
+
+            return wrapped
+
+        offered, reference_offered = [], []
+        shrunk = shrink_sequence(cut, logged(offered))
+        assert shrunk == reference_shrink(cut, logged(reference_offered))
+        assert not any(prefix for _, prefix in offered)
+        # the same calls, less the ones the contract decides, so no more
+        assert [c for c, _ in offered] == [c for c, prefix in reference_offered if not prefix]
