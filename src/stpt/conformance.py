@@ -275,12 +275,16 @@ def check_against(
         except Exception as err:
             note = f"abstraction raised {err!r} on the observation of {_call(command)}"
             return _fail(FailKind.ABSTRACTION_ERROR, seq, at, expected, note=note)
-        consistent = [s for s in expected if s == observed]
+        if len(expected) == 1:
+            consistent = expected if expected[0] == observed else ()
+        else:
+            consistent = [s for s in expected if s == observed]
         if not consistent:
             if command is None:
                 note = "initial SUT state is not an init state of the model"
                 return _fail(FailKind.INIT_MISMATCH, seq, at, expected, observed, note)
-            expected = sorted(expected, key=lambda s: s.sort_key)
+            if len(expected) > 1:
+                expected = sorted(expected, key=lambda s: s.sort_key)
             note = "observed state matches no model successor"
             return _fail(FailKind.SUT_MISMATCH, seq, at, expected, observed, note)
         if obligations is None:
@@ -378,15 +382,15 @@ def run_property(
     A failing sequence is cut after its failing command (to nothing for a
     reset-level failure), since the replay never ran the commands behind
     it, and the cut is shrunk by replaying candidates; the failure already
-    seen is not replayed again, nor is the deletion of the cut's tail,
-    a proper prefix of the cut that the failing replay showed to pass. A
+    seen is not replayed again, nor is a deletion that leaves a proper
+    prefix of the cut, which the failing replay showed to pass. A
     candidate is accepted when its replay fails with the original kind,
     and is cut the same way. The shrunk witness is the failure of the last
     accepted replay, or the original failure if none was accepted, with
     the last cut as its sequence, which is what a replay of the cut gives.
     Against a SUT that is not deterministic the witness is still that
-    replay's failure; only the verdict on a tail deletion is taken from an
-    earlier replay instead of a new one.
+    replay's failure; only the verdict on a deletion that leaves a prefix
+    is taken from an earlier replay instead of a new one.
     """
     if num_tests < 1:
         raise ValueError("num_tests must be >= 1")
@@ -440,13 +444,15 @@ def run_property(
         # ``cut`` ends where the last accepted replay diverged (or the
         # original failure, if none was), and that replay never ran the
         # commands behind it, so a replay of the cut fails the same way
-        shrunk = Fail(kind, replace(shrunk.witness, sequence=cut))
+        witness = shrunk.witness
+        if witness.sequence != cut:
+            witness = replace(witness, sequence=cut)
         return FailureRecord(
             test_index=test_index,
             kind=kind,
             classification=classify(result),
             original=result.witness,
-            shrunk=shrunk.witness,
+            shrunk=witness,
         )
 
     records = []

@@ -261,16 +261,23 @@ def shrink_sequence(
     meets this. ``seq`` already fails, and is already cut after the
     command its failure needed, so ``fails`` is never called on it. Every
     failing candidate is cut to that prefix, which costs no further call.
+
+    Time shrinks first: when some delay is above 1, the cut with every
+    delay set to one tick is offered before anything else, as an integer
+    shrink tries its floor first. Then contiguous chunks of half, a
+    quarter, ... of the length, down to 2, are deleted left to right.
+    Last, the same deletion with chunks of one command and a
+    delay-halving pass alternate until neither changes anything. The
+    result is 1-minimal: no single deletion and no single delay halving
+    still fails. It is the cut of the last candidate on which ``fails``
+    did not return None, or ``seq`` if there was none.
+
     The contract also decides every proper prefix of the current cut: it
-    passes. So a chunk deletion that reaches the tail, which leaves such a
-    prefix, is never offered. Contiguous chunks of half, a quarter, ... of
-    the length, down to 2, are deleted left to right. Last, the same
-    deletion with chunks of one command and a delay-halving pass alternate
-    until neither changes anything. The result is 1-minimal: no single
-    deletion and no single delay halving still fails. It is the cut of the
-    last candidate on which ``fails`` did not return None, or ``seq`` if
-    there was none. For a ``fails`` that is not deterministic, only the
-    verdict on a tail deletion rests on the contract instead of a call.
+    passes. So a chunk deletion that leaves such a prefix is never
+    offered, whether it deletes the tail or, in a cut that repeats itself
+    with the chunk's period, leaves commands equal to a prefix by value.
+    For a ``fails`` that is not deterministic, only the verdict on such a
+    deletion rests on the contract instead of a call.
     """
     current = seq
 
@@ -285,19 +292,26 @@ def shrink_sequence(
     def delete_chunks(size: int) -> bool:
         """Delete runs of ``size`` commands left to right; whether any went.
 
-        The run that ends at the tail is never deleted: what is left would
-        be a proper prefix of the cut, which passes.
+        What a deletion leaves equals the proper prefix of the cut
+        ``size`` commands shorter exactly when the commands after the run
+        equal those from its start, which always holds at the tail. Such
+        a deletion passes, so it is never offered.
         """
         changed = False
         start = 0
-        while start + size < len(current):
+        while start + size <= len(current):
             commands = current.commands
-            if accept(CommandSequence(commands[:start] + commands[start + size :])):
+            rest = commands[start + size :]
+            if rest != commands[start : len(commands) - size] and accept(
+                CommandSequence(commands[:start] + rest)
+            ):
                 changed = True
             else:
                 start += size
         return changed
 
+    if any(c.delay > 1 for c in current.commands):
+        accept(CommandSequence(tuple(Command(c.op, 1) for c in current.commands)))
     size = len(current) // 2
     while size >= 2:
         delete_chunks(size)

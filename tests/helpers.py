@@ -446,10 +446,11 @@ def reference_shrink(
     seq: CommandSequence,
     fails: Callable[[CommandSequence], Optional[int]],
 ) -> CommandSequence:
-    """``shrink_sequence`` as it was before it skipped tail deletions.
+    """``shrink_sequence`` as it was before it skipped prefix deletions.
 
-    Kept verbatim as the reference: it offers every chunk deletion, the
-    one that leaves a proper prefix of the cut included.
+    Kept verbatim as the reference: it offers every chunk deletion, those
+    that leave a proper prefix of the cut included, and it does not open
+    with the cut with every delay set to one tick.
 
     ``seq`` already fails, and is already cut after the command its
     failure needed, so ``fails`` is never called on it. ``fails`` returns

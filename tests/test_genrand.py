@@ -479,6 +479,28 @@ class TestShrinkSequence:
             if delay > 1:
                 assert fails(shrunk.with_delay(i, delay // 2)) is None
 
+    @staticmethod
+    def logged(fails, cut, log):
+        """``fails``, logging each candidate and whether it equals, by value,
+        a proper prefix of the cut the shrinker holds when it is offered."""
+        current = cut
+
+        def wrapped(candidate: CommandSequence):
+            nonlocal current
+            n = len(candidate)
+            prefix = n < len(current) and candidate.commands == current.commands[:n]
+            log.append((candidate, prefix))
+            k = fails(candidate)
+            if k is not None:
+                current = CommandSequence(candidate.commands[:k])
+            return k
+
+        return wrapped
+
+    @staticmethod
+    def all_ones(seq: CommandSequence) -> CommandSequence:
+        return CommandSequence(tuple(Command(c.op, 1) for c in seq))
+
     @settings(max_examples=200, deadline=None)
     @given(**FIRST_COMPLETION_CASES)
     def test_matches_the_reference_without_offering_a_prefix_of_the_cut(
@@ -490,32 +512,44 @@ class TestShrinkSequence:
         assume(kept is not None)
         cut = CommandSequence(seq.commands[:kept])
 
-        def logged(log):
-            """``fails``, logging each candidate and whether it is a proper
-            prefix of the cut the shrinker holds when it is offered.
-
-            Commands are compared by identity, which slicing keeps: a chunk
-            deletion in a sequence that repeats itself can equal a prefix
-            by value without being the deletion of the tail.
-            """
-            current = cut
-
-            def wrapped(candidate: CommandSequence):
-                nonlocal current
-                n = len(candidate)
-                head = zip(candidate.commands, current.commands)
-                prefix = n < len(current) and all(a is b for a, b in head)
-                log.append((candidate, prefix))
-                k = fails(candidate)
-                if k is not None:
-                    current = CommandSequence(candidate.commands[:k])
-                return k
-
-            return wrapped
-
-        offered, reference_offered = [], []
-        shrunk = shrink_sequence(cut, logged(offered))
-        assert shrunk == reference_shrink(cut, logged(reference_offered))
+        offered = []
+        shrunk = shrink_sequence(cut, self.logged(fails, cut, offered))
+        # the shrinker opens with every delay at one tick, when that
+        # changes anything, and goes on from its cut if it fails
+        opened = cut
+        if any(c.delay > 1 for c in cut):
+            ones = self.all_ones(cut)
+            assert offered[0] == (ones, False)
+            offered = offered[1:]
+            kept = fails(ones)
+            if kept is not None:
+                opened = CommandSequence(ones.commands[:kept])
+        reference_offered = []
+        reference = reference_shrink(opened, self.logged(fails, opened, reference_offered))
+        assert shrunk == reference
         assert not any(prefix for _, prefix in offered)
         # the same calls, less the ones the contract decides, so no more
         assert [c for c, _ in offered] == [c for c, prefix in reference_offered if not prefix]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        delays=st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=12),
+        bound=st.integers(min_value=2, max_value=20),
+    )
+    def test_a_passing_opening_costs_one_call_and_changes_nothing(self, delays, bound):
+        # fails once the delays add up to ``bound``, so setting every delay
+        # of a cut shorter than ``bound`` to one tick passes
+        fails = whole(lambda s: sum(c.delay for c in s) >= bound)
+        seq = CommandSequence(tuple(Command("t", delay) for delay in delays))
+        kept = fails(seq)
+        assume(kept is not None and kept < bound)
+        cut = CommandSequence(seq.commands[:kept])
+
+        offered, reference_offered = [], []
+        shrunk = shrink_sequence(cut, self.logged(fails, cut, offered))
+        reference = reference_shrink(cut, self.logged(fails, cut, reference_offered))
+        assert shrunk == reference
+        # one call more than the reference makes, less the ones the
+        # contract decides
+        assert offered[0] == (self.all_ones(cut), False)
+        assert offered[1:] == [(c, False) for c, prefix in reference_offered if not prefix]
