@@ -275,6 +275,7 @@ def check_against(
         except Exception as err:
             note = f"abstraction raised {err!r} on the observation of {_call(command)}"
             return _fail(FailKind.ABSTRACTION_ERROR, seq, at, expected, note=note)
+        # one comparison spares the comprehension its frame on every step
         if len(expected) == 1:
             consistent = expected if expected[0] == observed else ()
         else:
@@ -283,6 +284,8 @@ def check_against(
             if command is None:
                 note = "initial SUT state is not an init state of the model"
                 return _fail(FailKind.INIT_MISMATCH, seq, at, expected, observed, note)
+            # a sort key spells out every binding, and each failing shrink
+            # candidate reaches this line again
             if len(expected) > 1:
                 expected = sorted(expected, key=lambda s: s.sort_key)
             note = "observed state matches no model successor"
@@ -443,7 +446,8 @@ def run_property(
         cut = shrink_sequence(failing, still_fails)
         # ``cut`` ends where the last accepted replay diverged (or the
         # original failure, if none was), and that replay never ran the
-        # commands behind it, so a replay of the cut fails the same way
+        # commands behind it, so a replay of the cut fails the same way;
+        # ``replace`` rebuilds the frozen witness field by field
         witness = shrunk.witness
         if witness.sequence != cut:
             witness = replace(witness, sequence=cut)

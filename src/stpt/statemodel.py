@@ -141,10 +141,8 @@ class StateModel:
 
     Guards and effects are pure, so each instance memoises its transition
     relation, one row per state: the first time the model meets a state it
-    runs every guard, and the effect of every enabled action, once. Beside
-    the rows it memoises the subset step, what :func:`successors` answers
-    for a tuple of states and an operation, built from those rows. The
-    memos are not fields, so equality and ``repr`` ignore them.
+    runs every guard, and the effect of every enabled action, once. The
+    memo is not a field, so equality and ``repr`` ignore it.
     """
 
     variables: tuple[str, ...]
@@ -173,9 +171,6 @@ class StateModel:
         # State -> {op: distinct successors}, see _row. Filled from any
         # thread: a racing fill stores an equal row twice.
         object.__setattr__(self, "_rows", {})
-        # (tuple of states, op) -> their distinct successors, see
-        # successors. Filled from any thread, as the rows are.
-        object.__setattr__(self, "_steps", {})
 
     def check_state(self, s: State) -> None:
         if set(s.variables) != set(self.variables):
@@ -275,22 +270,20 @@ def successors(
     """Distinct successors of ``op_name`` from any of ``states``, first seen first.
 
     None when the model declares no action with that name; an empty list
-    when the operation is disabled in every one of ``states``. Answered
-    from the model's memo of subset steps, filled from the rows of
-    ``states``; every call returns a list of its own.
+    when the operation is disabled in every one of ``states``.
     """
     if op_name not in model._names:
         return None
-    key = (tuple(states), op_name)
-    found = model._steps.get(key)
-    if found is None:
-        fill: list[State] = []
-        for s in key[0]:
-            for nxt in _row(model, s).get(op_name, ()):
-                if nxt not in fill:
-                    fill.append(nxt)
-        found = model._steps[key] = tuple(fill)
-    return list(found)
+    rows = model._rows
+    found: list[State] = []
+    for s in states:
+        row = rows.get(s)
+        if row is None:
+            row = _row(model, s)
+        for nxt in row.get(op_name, ()):
+            if nxt not in found:
+                found.append(nxt)
+    return found
 
 
 def enabled_actions(model: StateModel, s: State) -> list[str]:

@@ -6,7 +6,7 @@ import time
 from dataclasses import replace
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import gen_int_in_range, greedy_shrink_reference, random_model, weighted
@@ -38,7 +38,6 @@ from stpt import (
     Witness,
     check_against,
     classify,
-    correct_behaviours,
     gen_enabled_commands,
     robot_suite,
     run_property,
@@ -863,49 +862,6 @@ class TestPassImpliesConformance:
                     FailKind.SPATIAL_VIOLATION,
                     FailKind.UNKNOWN_OPERATION,
                 )
-
-
-class TestStepMemo:
-    @given(st.integers(0, 10_000), st.integers(0, 2**32 - 1))
-    @settings(max_examples=50, deadline=None)
-    def test_replays_against_random_answers_memoise_only_met_states(self, seed, answers):
-        model = random_model(seed)
-        fresh = random_model(seed)
-        pool = sorted(
-            {s for b in correct_behaviours(fresh, 2) for s in b.states},
-            key=lambda s: s.sort_key,
-        )
-        # modular effects never reach a negative value
-        pool.append(State({name: -1 for name in model.variables}))
-
-        class RandomStateSut:
-            """Answers a state drawn from ``pool`` to every call."""
-
-            def __init__(self):
-                self.rnd = random.Random(answers)
-
-            def vocabulary(self):
-                return model.action_names
-
-            def reset(self):
-                return self.apply(None, 0)
-
-            def apply(self, command, at_time):
-                return Deferred.successful(RawObservation(self.rnd.choice(pool)))
-
-        gen = gen_enabled_commands(model, {name: 1 for name in model.action_names}, 6)
-        run_property(
-            model, RandomStateSut(), lambda raw: raw.payload, gen,
-            num_tests=20, seed=seed,
-        )
-        # a model whose weighted operations are all disabled at init
-        # generates empty sequences only
-        assume(model._steps)
-        for (states, op), found in model._steps.items():
-            assert isinstance(states, tuple)
-            assert all(s in model._rows for s in states)
-            union = [nxt for s in states for nxt in step(fresh, s, op)]
-            assert found == tuple(sorted(set(union), key=union.index))
 
 
 class TestRunProperty:
