@@ -528,7 +528,12 @@ class TestTraceCheck:
             [self.OCCUPIED, {**self.OCCUPIED, "time": 300}],
         )
         assert cli.main(argv) == 2
-        capsys.readouterr()
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "error: trace is not time-ordered: "
+            "observation 1 at time 300 after time 400\n"
+        )
 
     def test_empty_formula_file_exits_two(self, tmp_path, capsys):
         argv = self.write_inputs(tmp_path, ["# nothing here"], [self.OCCUPIED])

@@ -47,6 +47,7 @@ from stpt import (
     normalize,
     window_intersection,
 )
+from stpt import spatial
 from stpt.spatial import NonMonotonicTrace, always_false, always_true
 
 AREA_FORMULA = Implies(
@@ -68,6 +69,45 @@ class Unknown(Invariant):
 traces = st.lists(observations, max_size=6).map(
     lambda obs: sorted(obs, key=lambda o: o.time)
 )
+
+
+@st.composite
+def formulas_on_their_trace(draw):
+    """A sorted trace of up to 30 observations and a formula aimed at it.
+
+    Times repeat, and every window bound is one of the trace's times, or
+    one tick beside it, so the failure scope's bisection meets its edges.
+    Owners come from the trace. Boxes are small, so the oracle's cells
+    stay few and coverage is often met.
+    """
+    small = st.integers(0, 6)
+    small_boxes = st.builds(Box, small, small, small, small)
+    times = sorted(draw(st.lists(st.integers(0, 12), min_size=1, max_size=30)))
+    trace = [
+        Observation(t, draw(st.sampled_from(["arm", "cart", "crane"])),
+                    draw(st.lists(small_boxes, max_size=3)))
+        for t in times
+    ]
+    bounds = st.sampled_from(times).flatmap(lambda t: st.integers(t - 1, t + 1))
+    atoms = st.one_of(
+        st.just(TrueAtom()),
+        st.just(FalseAtom()),
+        st.builds(TimeInterval, st.builds(TimeWindow, bounds, bounds)),
+        st.builds(Owner, st.sampled_from([obs.owner for obs in trace])),
+        st.builds(OccupyBox, small_boxes),
+        st.builds(OccupyPoint, small, small),
+    )
+    formula = draw(st.recursive(
+        atoms,
+        lambda children: st.one_of(
+            st.builds(Not, children),
+            st.builds(Implies, children, children),
+            st.lists(children, min_size=1, max_size=3).map(And),
+            st.lists(children, min_size=1, max_size=3).map(Or),
+        ),
+        max_leaves=10,
+    ))
+    return formula, trace
 
 
 def _swapped(box: Box, swap: bool) -> Box:
@@ -154,6 +194,13 @@ class TestBoxGeometry:
     def test_corners_must_be_integers(self, corners):
         with pytest.raises(TypeError, match="box corners must be integers"):
             Box(*corners)
+
+    @pytest.mark.parametrize(
+        "bounds", [(0.5, 3), (True, 2), (0, False), (0, "3"), (None, 1), (2.0, 2.0)]
+    )
+    def test_window_bounds_must_be_integers(self, bounds):
+        with pytest.raises(TypeError, match="time window bounds must be integers"):
+            TimeWindow(*bounds)
 
     @pytest.mark.parametrize(
         "a,b,expected",
@@ -416,6 +463,69 @@ class TestCheckTrace:
     def test_agrees_with_oracle(self, inv, trace):
         at = oracle_first_violation(inv, trace)
         assert check_trace(inv, trace) == TraceVerdict(holds=at is None, first_violation=at)
+
+    @given(formulas_on_their_trace())
+    @settings(max_examples=300)
+    def test_agrees_with_oracle_at_the_edges_of_the_scope(self, case):
+        inv, trace = case
+        at = oracle_first_violation(inv, trace)
+        assert check_trace(inv, trace) == TraceVerdict(holds=at is None, first_violation=at)
+
+    def test_judges_only_the_observations_in_scope(self, monkeypatch):
+        judged = []
+
+        def counting_box_covered(target, boxes):
+            judged.append(boxes)
+            return True
+
+        monkeypatch.setattr(spatial, "box_covered", counting_box_covered)
+        # each formula judges its box first, so every observation judged
+        # costs one box_covered call
+        box = OccupyBox(Box(0, 0, 1, 1))
+        arm_at_2_to_3 = And((ARM, TimeInterval(TimeWindow(2, 3))))
+        trace = [
+            Observation(t, owner, (Box(0, 0, 1, 1),))
+            for t in range(5) for owner in ("arm", "cart")
+        ]
+        assert check_trace(Or((box, Not(ARM))), trace).holds
+        assert len(judged) == 5
+        judged.clear()
+        assert check_trace(Or((box, Not(arm_at_2_to_3))), trace).holds
+        assert len(judged) == 2
+        judged.clear()
+        assert check_trace(Implies(arm_at_2_to_3, TrueAtom()), trace).holds
+        assert judged == []
+
+
+class TestMonotonicityEverywhere:
+    """A decreasing trace is refused even where the formula cannot fail."""
+
+    def test_formula_that_cannot_fail(self):
+        trace = [Observation(4, "x", ()), Observation(3, "x", ())]
+        with pytest.raises(NonMonotonicTrace) as err:
+            check_trace(Implies(Owner("x"), TrueAtom()), trace)
+        assert str(err.value) == "observation 1 at time 3 after time 4"
+
+    def test_decrease_outside_the_window(self):
+        inv = Implies(TimeInterval(TimeWindow(0, 5)), OccupyPoint(0, 0))
+        trace = [
+            Observation(t, "arm", (Box(0, 0, 0, 0),)) for t in (1, 2, 100, 99, 120)
+        ]
+        with pytest.raises(NonMonotonicTrace) as err:
+            check_trace(inv, trace)
+        assert str(err.value) == "observation 3 at time 99 after time 100"
+
+    def test_decrease_outside_the_owner(self):
+        inv = Implies(ARM, OccupyPoint(0, 0))
+        trace = [
+            Observation(1, "arm", (Box(0, 0, 0, 0),)),
+            Observation(5, "cart", ()),
+            Observation(3, "cart", ()),
+            Observation(6, "arm", (Box(0, 0, 0, 0),)),
+        ]
+        with pytest.raises(NonMonotonicTrace) as err:
+            check_trace(inv, trace)
+        assert str(err.value) == "observation 2 at time 3 after time 5"
 
 
 class TestDetectCollisions:
