@@ -345,6 +345,8 @@ def _load_invariants(path: str) -> list[tuple[int, Invariant]]:
             raw_lines = fh.read().splitlines()
     except OSError as err:
         raise CliError(str(err))
+    except UnicodeDecodeError as err:
+        raise CliError(f"{path}: {err}")
     out = []
     for lineno, line in enumerate(raw_lines, start=1):
         stripped = line.strip()
@@ -365,7 +367,7 @@ def _load_trace(path: str) -> list[Observation]:
             data = json.load(fh)
     except OSError as err:
         raise CliError(str(err))
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, UnicodeDecodeError) as err:
         raise CliError(f"{path}: {err}")
     if not isinstance(data, list):
         raise CliError(f"{path}: trace must be a JSON array of observations")

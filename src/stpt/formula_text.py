@@ -52,9 +52,21 @@ _TOKEN_RE = re.compile(
 )
 
 
+# The deepest nesting of parentheses a formula may have. Parsing and
+# compiling a formula each take two Python frames per level, so at the
+# default recursion limit of 1,000 frames this leaves 20 for the callers.
+_MAX_DEPTH = 490
+
+
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """The tokens of ``text``, refused past ``_MAX_DEPTH`` nested parentheses.
+
+    The depth is counted here, before any recursion, so a formula nested
+    too deeply is a parse error and never a ``RecursionError``.
+    """
     tokens = []
     pos = 0
+    depth = 0
     while pos < len(text):
         match = _TOKEN_RE.match(text, pos)
         if match is None:
@@ -66,6 +78,12 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             if value is not None:
                 tokens.append((kind, value, match.start(kind)))
                 break
+        if value == "(":
+            depth += 1
+            if depth > _MAX_DEPTH:
+                raise FormulaParseError("nested too deeply", match.start(kind))
+        elif value == ")":
+            depth -= 1
         pos = match.end()
     tokens.append(("eof", "", len(text)))
     return tokens

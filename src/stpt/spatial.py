@@ -197,6 +197,10 @@ class OccupyPoint(Invariant):
     x: int
     y: int
 
+    def __post_init__(self) -> None:
+        if not (is_int(self.x) and is_int(self.y)):
+            raise TypeError(f"point coordinates must be integers, got {(self.x, self.y)}")
+
 
 @dataclass(frozen=True)
 class Observation:
@@ -204,7 +208,10 @@ class Observation:
 
     A multi-component scene at time t is a list of Observations sharing t,
     one per owner. ``occupied`` may be empty and is stored sorted and
-    deduplicated.
+    deduplicated. The same boxes are also kept as ``(x1, y1, x2, y2)``
+    tuples in ``_corners``, which the compiled ``OccupyBox`` and
+    ``OccupyPoint`` predicates unpack; it is not a field, so equality,
+    hashing and ``repr`` see only the three above.
     """
 
     time: int
@@ -216,6 +223,7 @@ class Observation:
         object.__setattr__(self, "owner", owner)
         boxes = tuple(sorted(set(occupied)))
         object.__setattr__(self, "occupied", boxes)
+        object.__setattr__(self, "_corners", tuple(box.as_tuple() for box in boxes))
 
 
 @dataclass(frozen=True)
@@ -295,18 +303,73 @@ def always_false(obs: Observation) -> bool:
     return False
 
 
+_Corners = tuple[int, int, int, int]
+
+
 def box_covered(target: Box, boxes: Sequence[Box]) -> bool:
     """Whether ``target`` is fully covered by the union of ``boxes``.
 
-    Subtracts each box in turn from what is left of the target and stops
-    as soon as nothing is left. Every remainder piece is a closed integer
-    rectangle, held as an ``(x1, y1, x2, y2)`` tuple, so the answer is
-    exact on the integer grid, and its cost grows with the number of
-    pieces rather than with the target's area.
+    The boolean form of the coverage kernel that a compiled ``OccupyBox``
+    runs (see :func:`_coverage_kernel`), over the boxes' corners.
     """
-    pending = [target.as_tuple()]
-    for box in boxes:
-        bx1, by1, bx2, by2 = box.x1, box.y1, box.x2, box.y2
+    return _coverage_kernel(target)([box.as_tuple() for box in boxes])
+
+
+def _coverage_kernel(target: Box) -> Callable[[Sequence[_Corners]], bool]:
+    """The coverage test of ``target``, as a function of the boxes' corners.
+
+    The test takes ``(x1, y1, x2, y2)`` tuples, such as an observation's
+    ``_corners``, and holds what is left of the target, the piece, as one
+    rectangle in locals. A box that contains the piece decides "covered",
+    a disjoint box is skipped, and a box that spans the piece across and
+    overlaps one side moves that side. Only a box that would split the
+    piece hands it, with the boxes from there on, to :func:`_subtract`.
+    So a judgment costs a few comparisons per box and allocates nothing
+    until a split, and it is exact on the integer grid either way.
+    """
+    tx1, ty1, tx2, ty2 = target.x1, target.y1, target.x2, target.y2
+
+    def covered(corners: Sequence[_Corners]) -> bool:
+        x1, y1, x2, y2 = tx1, ty1, tx2, ty2
+        for bx1, by1, bx2, by2 in corners:
+            if bx1 > x2 or bx2 < x1 or by1 > y2 or by2 < y1:
+                continue
+            if by1 <= y1 and by2 >= y2:
+                # the box spans the piece's height: it covers it or cuts
+                # its left or right side, unless it lies strictly inside
+                if bx1 <= x1:
+                    if bx2 >= x2:
+                        return True
+                    x1 = bx2 + 1
+                    continue
+                if bx2 >= x2:
+                    x2 = bx1 - 1
+                    continue
+            elif bx1 <= x1 and bx2 >= x2:
+                # the box spans the piece's width
+                if by1 <= y1:
+                    y1 = by2 + 1
+                    continue
+                if by2 >= y2:
+                    y2 = by1 - 1
+                    continue
+            # from the first box equal to this one on: every box not yet
+            # subtracted, and subtracting a box twice changes nothing
+            at = corners.index((bx1, by1, bx2, by2))
+            return _subtract([(x1, y1, x2, y2)], corners[at:])
+        return False
+
+    return covered
+
+
+def _subtract(pending: list[_Corners], boxes: Sequence[_Corners]) -> bool:
+    """Whether subtracting ``boxes`` in turn leaves nothing of ``pending``.
+
+    Every remainder piece is a closed integer rectangle, so the answer is
+    exact on the integer grid, and its cost grows with the number of
+    pieces rather than with the area. Stops as soon as nothing is left.
+    """
+    for bx1, by1, bx2, by2 in boxes:
         rest = []
         for piece in pending:
             px1, py1, px2, py2 = piece
@@ -407,7 +470,10 @@ def _compile(inv: Invariant) -> _Compiled:
     only for its owner, ``TrueAtom`` never fails and ``FalseAtom`` never
     holds, ``Not`` swaps the two, and the connectives combine them as
     their truth tables say. Both scopes may be wider than the truth, never
-    narrower.
+    narrower. An ``OccupyBox`` compiles to one coverage kernel for its box
+    (:func:`_coverage_kernel`), and it and ``OccupyPoint`` read the corner
+    tuples that an :class:`Observation` prepares when built, so judging
+    them reads no ``Box`` attribute.
     """
     for cls in type(inv).__mro__:
         compiler = _COMPILERS.get(cls)
@@ -441,26 +507,27 @@ def _compile_implies(inv: Implies) -> _Compiled:
     return (lambda obs: not antecedent(obs) or consequent(obs)), may_hold, may_fail
 
 
-def _junction(
-    terms: tuple[Invariant, ...],
-    absorbing: bool,
-    combine: Callable[[list[Predicate]], Predicate],
-) -> _Compiled:
-    """``And`` (``absorbing`` False) or ``Or`` (True) of the compiled terms.
+def _compile_junction(inv: Junction) -> _Compiled:
+    """``And`` or ``Or`` of the compiled terms.
 
-    Every term is compiled. The absorbing constant decides the whole, the
-    other constant drops out, and ``combine`` joins the predicates left.
-    ``And`` may hold where all its terms may and fail where any may, and
-    ``Or`` is the dual; both start from the scopes of the constant that
-    drops out.
+    Every term is compiled. The absorbing constant (FALSE for ``And``,
+    TRUE for ``Or``) decides the whole, the other constant drops out, and
+    the predicates left are joined. ``And`` may hold where all its terms
+    may and fail where any may, and ``Or`` is the dual; both start from
+    the scopes of the constant that drops out. It is the compiler of both
+    directly, so compiling a nested formula takes two frames per level,
+    whatever the connective (``formula_text`` bounds the nesting by it).
     """
     preds = []
     decided = False
+    absorbing = isinstance(inv, Or)
     if absorbing:
-        join_holds, join_fails, may_hold, may_fail = _hull, _meet, _NOWHERE, _EVERYWHERE
+        combine, join_holds, join_fails = _any_of, _hull, _meet
+        may_hold, may_fail = _NOWHERE, _EVERYWHERE
     else:
-        join_holds, join_fails, may_hold, may_fail = _meet, _hull, _EVERYWHERE, _NOWHERE
-    for term in terms:
+        combine, join_holds, join_fails = _all_of, _meet, _hull
+        may_hold, may_fail = _EVERYWHERE, _NOWHERE
+    for term in inv.terms:
         compiled, holds, fails = _compile(term)
         may_hold = join_holds(may_hold, holds)
         may_fail = join_fails(may_fail, fails)
@@ -520,16 +587,16 @@ def _compile_owner(inv: Owner) -> _Compiled:
 
 
 def _compile_box(inv: OccupyBox) -> _Compiled:
-    box = inv.box
-    return (lambda obs: box_covered(box, obs.occupied)), _EVERYWHERE, _EVERYWHERE
+    covered = _coverage_kernel(inv.box)
+    return (lambda obs: covered(obs._corners)), _EVERYWHERE, _EVERYWHERE
 
 
 def _compile_point(inv: OccupyPoint) -> _Compiled:
     x, y = inv.x, inv.y
 
     def occupies_point(obs: Observation) -> bool:
-        for b in obs.occupied:
-            if b.x1 <= x <= b.x2 and b.y1 <= y <= b.y2:
+        for x1, y1, x2, y2 in obs._corners:
+            if x1 <= x <= x2 and y1 <= y <= y2:
                 return True
         return False
 
@@ -539,8 +606,8 @@ def _compile_point(inv: OccupyPoint) -> _Compiled:
 _COMPILERS = {
     TrueAtom: lambda inv: (True, _EVERYWHERE, _NOWHERE),
     FalseAtom: lambda inv: (False, _NOWHERE, _EVERYWHERE),
-    And: lambda inv: _junction(inv.terms, False, _all_of),
-    Or: lambda inv: _junction(inv.terms, True, _any_of),
+    And: _compile_junction,
+    Or: _compile_junction,
     Not: _compile_not,
     Implies: _compile_implies,
     TimeInterval: _compile_time,
@@ -573,7 +640,10 @@ def check_trace(inv: Invariant, trace: Sequence[Observation]) -> TraceVerdict:
     and only the observations in scope are judged, in index order, up to
     the first violation. So a call costs a read and a sort of the times,
     linear when they are in order, plus one judgment per observation in
-    scope. The verdict carries the smallest violating index, if any.
+    scope. A judgment of ``OccupyBox`` runs the box's coverage kernel over
+    the observation's corner tuples, a few comparisons per occupied box
+    until one would split what is left of the box. The verdict carries
+    the smallest violating index, if any.
     """
     compiled, _, (start, end, owners) = _compile(inv)
     # on CPython 3.11 (a shared 2-vCPU Xeon) and 600 observations, the

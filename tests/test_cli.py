@@ -544,6 +544,64 @@ class TestTraceCheck:
         assert cli.main(["--suite", "trace-check"]) == 2
         capsys.readouterr()
 
+    def test_non_utf8_formula_file_exits_two(self, tmp_path, capsys):
+        argv = self.write_inputs(tmp_path, [PAPER_FORMULA], [self.OCCUPIED])
+        inv = tmp_path / "inv.txt"
+        inv.write_bytes(b"# caf\xe9\n" + PAPER_FORMULA.encode())
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            f"error: {inv}: 'utf-8' codec can't decode byte 0xe9 in position 5: "
+            "invalid continuation byte\n"
+        )
+
+    def test_non_utf8_trace_exits_two(self, tmp_path, capsys):
+        argv = self.write_inputs(tmp_path, [PAPER_FORMULA], [self.OCCUPIED])
+        trace = tmp_path / "trace.json"
+        trace.write_bytes(b"\xff" + json.dumps([self.OCCUPIED]).encode())
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            f"error: {trace}: 'utf-8' codec can't decode byte 0xff in position 0: "
+            "invalid start byte\n"
+        )
+
+    def test_deeply_nested_formula_exits_two(self, tmp_path, capsys):
+        deep = "NOT(" * 1200 + "TRUE" + ")" * 1200
+        argv = self.write_inputs(tmp_path, ["# deep", deep], [self.OCCUPIED])
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        # the 491st parenthesis is refused, before any recursion
+        assert err == f"error: {tmp_path / 'inv.txt'}:2: nested too deeply (at position 1963)\n"
+
+    @pytest.mark.parametrize(
+        "formula",
+        [
+            "NOT(" * 490 + "TRUE" + ")" * 490,
+            'IMPLIES(Owner("AreaOfInterest"),' * 489
+            + "OccupyBox(1051,3056,1505,3603)" + ")" * 489,
+            "AND(" + "NOT(AND(" * 244 + "OccupyPoint(1060,3060)" + ",TRUE))" * 244 + ")",
+        ],
+        ids=["not", "implies", "and-not"],
+    )
+    def test_formulas_at_the_nesting_limit_are_judged(self, tmp_path, formula):
+        # in a process of its own, as the command runs, so the test
+        # runner's frames do not count against the recursion limit
+        argv = self.write_inputs(tmp_path, [formula], [self.OCCUPIED])
+        src = os.path.dirname(os.path.dirname(stpt.__file__))
+        done = subprocess.run(
+            [sys.executable, "-m", "stpt", *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=120,
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout == "line 1: holds\n"
+
     @pytest.mark.parametrize(
         "time", ["2", 2.0, True, None, [2]],
         ids=["string", "float", "bool", "null", "list"],

@@ -112,6 +112,20 @@ class TestParseErrors:
         assert err.value.position == 9
         assert "position 9" in str(err.value)
 
+    @pytest.mark.parametrize("depth", [491, 1200])
+    def test_refuses_formulas_nested_too_deeply(self, depth):
+        with pytest.raises(FormulaParseError, match="nested too deeply") as err:
+            parse_invariant("NOT(" * depth + "TRUE" + ")" * depth)
+        # the position of the 491st opening parenthesis
+        assert err.value.position == 4 * 490 + 3
+
+    def test_nesting_counts_open_parentheses(self):
+        # 490 terms side by side are no deeper than one
+        flat = "AND(" + ",".join(["NOT(TRUE)"] * 490) + ")"
+        assert parse_invariant(flat) == And((Not(TrueAtom()),) * 490)
+        with pytest.raises(FormulaParseError, match="nested too deeply"):
+            parse_invariant("OccupyPoint(" * 491)
+
     def test_error_is_a_value_error(self):
         with pytest.raises(ValueError):
             parse_invariant("???")

@@ -1,7 +1,8 @@
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+import pickle
+from dataclasses import dataclass, fields, replace
 
 import pytest
 from hypothesis import given, settings
@@ -151,6 +152,48 @@ def near_covers(draw):
     return _swapped(target, swaps[-1]), cover
 
 
+@st.composite
+def strip_covers(draw):
+    """A target and strips across it, in any order, one perhaps a cell short.
+
+    The strips run the target's full height (or width) and may reach past
+    it. Taken in a random order, a strip at an edge cuts that side of what
+    is left, one in the middle splits it, and the last one covers the
+    rest, so every route of the coverage kernel runs. A strip grown by a
+    cell, shrunk along its length, or cut back across leaves the verdict
+    to the cells.
+    """
+    target = draw(boxes)
+    vertical = draw(st.booleans())
+    lo, hi = (target.x1, target.x2) if vertical else (target.y1, target.y2)
+    cuts = sorted(draw(st.sets(st.integers(lo + 1, hi), max_size=4))) if lo < hi else []
+    edges = [lo] + cuts + [hi + 1]
+    strips = []
+    for a, b in zip(edges, edges[1:]):
+        below, above = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+        if vertical:
+            strips.append(Box(a, target.y1 - below, b - 1, target.y2 + above))
+        else:
+            strips.append(Box(target.x1 - below, a, target.x2 + above, b - 1))
+    index = draw(st.integers(0, len(strips) - 1))
+    s = strips[index]
+    tweak = draw(st.sampled_from(["none", "grow", "short", "narrow"]))
+    if tweak == "grow":
+        strips[index] = Box(s.x1 - 1, s.y1 - 1, s.x2 + 1, s.y2 + 1)
+    elif tweak == "short":
+        # one cell short along the strip, at the target's low end
+        if vertical:
+            strips[index] = Box(s.x1, target.y1 + 1, s.x2, s.y2)
+        else:
+            strips[index] = Box(target.x1 + 1, s.y1, s.x2, s.y2)
+    elif tweak == "narrow" and (s.x2 > s.x1 if vertical else s.y2 > s.y1):
+        # one cell narrower across the strip
+        strips[index] = Box(s.x1, s.y1, s.x2 - 1, s.y2) if vertical else Box(
+            s.x1, s.y1, s.x2, s.y2 - 1
+        )
+    return target, draw(st.permutations(strips))
+
+
 class TestOrderedWhenBuilt:
     @given(boxes)
     def test_box_equals_its_swapped_twins(self, box):
@@ -201,6 +244,13 @@ class TestBoxGeometry:
     def test_window_bounds_must_be_integers(self, bounds):
         with pytest.raises(TypeError, match="time window bounds must be integers"):
             TimeWindow(*bounds)
+
+    @pytest.mark.parametrize(
+        "point", [(True, 2.5), (True, 2), (0, False), (1.5, 2), (1, 2.0), ("1", 2), (1, None)]
+    )
+    def test_point_coordinates_must_be_integers(self, point):
+        with pytest.raises(TypeError, match="point coordinates must be integers"):
+            OccupyPoint(*point)
 
     @pytest.mark.parametrize(
         "a,b,expected",
@@ -429,6 +479,87 @@ class TestBoxCoverage:
         want = set(cells(target)) <= covered_cells_bruteforce(cover)
         assert box_covered(target, cover) == want
 
+    @given(strip_covers())
+    @settings(max_examples=400)
+    def test_kernel_agrees_with_cell_brute_force_on_strips(self, case):
+        target, cover = case
+        want = set(cells(target)) <= covered_cells_bruteforce(cover)
+        assert box_covered(target, cover) == want
+        holds = compile_invariant(OccupyBox(target))
+        assert holds(Observation(0, "arm", cover)) == want
+
+    @pytest.mark.parametrize(
+        "cover,splits",
+        [
+            ([Box(0, 0, 9, 9)], False),
+            ([Box(-5, 3, 20, 4), Box(0, 0, 9, 9)], True),
+            ([Box(0, -1, 3, 10), Box(4, 0, 9, 9)], False),
+            ([Box(7, 0, 12, 9), Box(0, 0, 6, 9)], False),
+            ([Box(0, 0, 9, 2), Box(-3, 3, 9, 9)], False),
+            ([Box(0, 8, 9, 9), Box(0, 0, 9, 7)], False),
+            ([Box(4, 0, 5, 9), Box(0, 0, 3, 9), Box(6, 0, 9, 9)], True),
+            ([Box(0, 4, 9, 5), Box(0, 0, 9, 3), Box(0, 6, 9, 9)], True),
+            ([Box(3, 3, 6, 6), Box(0, 0, 9, 2), Box(0, 7, 9, 9), Box(0, 0, 2, 9),
+              Box(7, 0, 9, 9)], True),
+            ([Box(0, 0, 3, 9), Box(5, 0, 9, 9)], False),
+            ([Box(20, 20, 30, 30), Box(0, 0, 9, 8)], False),
+        ],
+    )
+    def test_only_a_split_falls_back_to_subtraction(self, monkeypatch, cover, splits):
+        # a box that contains, misses, or cuts one side of what is left
+        # moves a corner; one that would split it hands over the rest
+        target = Box(0, 0, 9, 9)
+        want = set(cells(target)) <= covered_cells_bruteforce(cover)
+        subtractions = []
+
+        def counting_subtract(pending, boxes):
+            subtractions.append(pending)
+            return real_subtract(pending, boxes)
+
+        real_subtract = spatial._subtract
+        monkeypatch.setattr(spatial, "_subtract", counting_subtract)
+        assert box_covered(target, cover) == want
+        assert len(subtractions) == int(splits)
+
+
+class TestObservationCorners:
+    """The corner tuples an observation keeps for its predicates."""
+
+    OBS = Observation(7, "arm", [Box(5, 5, 0, 0), Box(9, 1, 8, 2), Box(0, 0, 5, 5)])
+
+    @given(observations)
+    @settings(max_examples=200)
+    def test_match_the_occupied_boxes(self, obs):
+        assert obs._corners == tuple(box.as_tuple() for box in obs.occupied)
+
+    def test_are_not_a_field(self):
+        obs = self.OBS
+        assert [f.name for f in fields(obs)] == ["time", "owner", "occupied"]
+        assert obs._corners == ((0, 0, 5, 5), (8, 1, 9, 2))
+        assert repr(obs) == (
+            "Observation(time=7, owner='arm', occupied=(Box(x1=0, y1=0, x2=5, y2=5), "
+            "Box(x1=8, y1=1, x2=9, y2=2)))"
+        )
+        assert hash(obs) == hash((7, "arm", obs.occupied))
+        twin = Observation(7, "arm", reversed(obs.occupied))
+        assert twin == obs and hash(twin) == hash(obs)
+        assert obs != Observation(7, "arm", obs.occupied[:1])
+
+    def test_survive_pickling_and_copies(self):
+        obs = self.OBS
+        for copied in (pickle.loads(pickle.dumps(obs)), copy.copy(obs), copy.deepcopy(obs)):
+            assert copied == obs
+            assert repr(copied) == repr(obs)
+            assert copied._corners == obs._corners
+
+    def test_follow_replace(self):
+        moved = replace(self.OBS, time=8)
+        assert moved == Observation(8, "arm", self.OBS.occupied)
+        assert moved._corners == self.OBS._corners
+        shrunk = replace(self.OBS, occupied=[Box(3, 3, 2, 2)])
+        assert shrunk.occupied == (Box(2, 2, 3, 3),)
+        assert shrunk._corners == ((2, 2, 3, 3),)
+
 
 class TestCheckTrace:
     def test_empty_trace_holds(self):
@@ -474,13 +605,16 @@ class TestCheckTrace:
     def test_judges_only_the_observations_in_scope(self, monkeypatch):
         judged = []
 
-        def counting_box_covered(target, boxes):
-            judged.append(boxes)
-            return True
+        def counting_kernel(target):
+            def covered(corners):
+                judged.append(corners)
+                return True
 
-        monkeypatch.setattr(spatial, "box_covered", counting_box_covered)
+            return covered
+
+        monkeypatch.setattr(spatial, "_coverage_kernel", counting_kernel)
         # each formula judges its box first, so every observation judged
-        # costs one box_covered call
+        # costs one run of the box's coverage kernel
         box = OccupyBox(Box(0, 0, 1, 1))
         arm_at_2_to_3 = And((ARM, TimeInterval(TimeWindow(2, 3))))
         trace = [
