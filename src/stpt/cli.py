@@ -10,7 +10,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Optional
+from typing import Callable, Optional
 
 from .conformance import Fail, FailKind, check_against, run_property
 from .formula_text import FormulaParseError, parse_invariant
@@ -44,6 +44,25 @@ class CliError(Exception):
 _MODEL_SUITES = ("therac25", "robot")
 _SUITES = _MODEL_SUITES + ("trace-check",)
 
+# The flags each mode reads, and those it needs, in the order main picks a mode.
+# Any other flag is an input error; --robot-config is read only with the robot suite.
+_MODES = {
+    "--replay": ("--replay --robot-config --out", ""),
+    "--suite trace-check": ("--suite --invariants --trace --out", "--invariants --trace"),
+    "--dump-behaviours": ("--dump-behaviours --suite --depth --out --robot-config", "--suite"),
+    "a campaign": ("--suite --fault --seed --num-tests --max-len --weights --timeout-ms --report "
+                   "--out --workers --robot-config", "--suite"),
+}
+
+
+def _int_at_least(low: int) -> Callable[[str], int]:
+    """An argparse type: an integer no less than ``low``."""
+    def integer(text: str) -> int:  # argparse names it in "invalid integer value"
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {text}")
+        return int(text)
+    return integer
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -61,10 +80,10 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="campaign seed (default: $STPT_SEED or 0)",
     )
-    parser.add_argument("--num-tests", type=int, default=100)
-    parser.add_argument("--max-len", type=int, default=12)
+    parser.add_argument("--num-tests", type=_int_at_least(1), default=100)
+    parser.add_argument("--max-len", type=_int_at_least(1), default=12)
     parser.add_argument(
-        "--depth", type=int, default=3, help="for --dump-behaviours"
+        "--depth", type=_int_at_least(0), default=3, help="--dump-behaviours: most transitions"
     )
     parser.add_argument("--fault", default=FAULT_NONE)
     parser.add_argument(
@@ -73,7 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="OP=W,...",
         help="override operation weights, e.g. CursorUp=5,OtherKindOfOperation=1",
     )
-    parser.add_argument("--timeout-ms", type=int, default=5000)
+    parser.add_argument("--timeout-ms", type=_int_at_least(1), default=5000)
     parser.add_argument("--report", choices=("text", "json"), default="text")
     parser.add_argument("--out", default=None, help="write output here instead of stdout")
     parser.add_argument(
@@ -83,17 +102,17 @@ def _build_parser() -> argparse.ArgumentParser:
         help="re-run the shrunk failures of a JSON report",
     )
     parser.add_argument(
-        "--invariants", default=None, help="formula file for trace-check"
+        "--invariants", default=None, help="--suite trace-check: formula file, one a line"
     )
     parser.add_argument(
-        "--trace", default=None, help="observation trace (JSON) for trace-check"
+        "--trace", default=None, help="--suite trace-check: observation trace (JSON)"
     )
     parser.add_argument(
         "--dump-behaviours",
         action="store_true",
         help="enumerate model behaviours up to --depth instead of testing",
     )
-    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument("--workers", type=_int_at_least(1), default=1)
     parser.add_argument(
         "--robot-config", default=None, help="JSON deployment file for the robot suite"
     )
@@ -104,8 +123,11 @@ def _emit(text: str, out: Optional[str]) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as err:
+            raise CliError(f"cannot write --out {out}: {err.strerror}")
 
 
 def _resolve_seed(args: argparse.Namespace) -> int:
@@ -127,12 +149,6 @@ def _build_suite(name: str, fault: str, deployment: Optional[RobotConfig]) -> Su
         return robot_suite(fault, deployment)
     except (ValueError, KeyError, TypeError) as err:
         raise CliError(str(err))
-
-
-def _check_robot_config(suite: str, path: Optional[str]) -> None:
-    """Only the robot suite reads a deployment file."""
-    if path is not None and suite != "robot":
-        raise CliError(f"--robot-config applies only to the robot suite, not {suite}")
 
 
 def _load_deployment(path: Optional[str]) -> Optional[RobotConfig]:
@@ -161,6 +177,8 @@ def _parse_weights(text: str) -> dict[str, int]:
             raise CliError(f"weight for {op!r} must be an integer")
         if weight <= 0:
             raise CliError(f"weight for {op!r} must be positive")
+        if op in weights:
+            raise CliError(f"weight for {op!r} given twice")
         weights[op] = weight
     if not weights:
         raise CliError("no weights given")
@@ -170,14 +188,6 @@ def _parse_weights(text: str) -> dict[str, int]:
 def _run_campaign(
     suite: Suite, args: argparse.Namespace, deployment: Optional[RobotConfig]
 ) -> int:
-    if args.num_tests < 1:
-        raise CliError("--num-tests must be >= 1")
-    if args.max_len < 1:
-        raise CliError("--max-len must be >= 1")
-    if args.workers < 1:
-        raise CliError("--workers must be >= 1")
-    if args.timeout_ms < 1:
-        raise CliError("--timeout-ms must be >= 1")
     seed = _resolve_seed(args)
     if args.weights is None:
         weights = dict(suite.default_weights)
@@ -221,8 +231,6 @@ def _run_campaign(
 
 
 def _run_dump(suite: Suite, args: argparse.Namespace) -> int:
-    if args.depth < 0:
-        raise CliError("--depth must be >= 0")
     try:
         behaviours = correct_behaviours(suite.model, args.depth)
     except StateCapExceeded as err:
@@ -256,31 +264,7 @@ def _replay_deployment(recorded: object, path: Optional[str]) -> Optional[RobotC
     return deployment
 
 
-# a replay takes everything else from the report it replays
-_REPLAY_FLAGS = ("replay", "robot_config", "out")
-
-
-def _check_replay_flags(
-    parser: argparse.ArgumentParser, argv: Optional[list[str]], args: argparse.Namespace
-) -> None:
-    """Refuse a flag that a replay would ignore, even one given its default value."""
-    unset = object()
-    # parsed again over a namespace that already holds every option, so
-    # argparse fills in no default and what is not ``unset`` was given
-    given = parser.parse_args(argv, argparse.Namespace(**dict.fromkeys(vars(args), unset)))
-    stray = sorted(
-        "--" + dest.replace("_", "-")
-        for dest, value in vars(given).items()
-        if value is not unset and dest not in _REPLAY_FLAGS
-    )
-    if stray:
-        raise CliError(
-            f"--replay reads only --robot-config and --out; {', '.join(stray)} "
-            "cannot be given with it"
-        )
-
-
-def _run_replay(args: argparse.Namespace) -> int:
+def _run_replay(args: argparse.Namespace, given: set[str]) -> int:
     try:
         doc = load_report(args.replay)
     except (OSError, ValueError) as err:
@@ -291,7 +275,7 @@ def _run_replay(args: argparse.Namespace) -> int:
     suite_name = config.get("suite")
     if suite_name not in _MODEL_SUITES:
         raise CliError(f"report names unknown suite {suite_name!r}")
-    _check_robot_config(suite_name, args.robot_config)
+    _check_flags("--replay", given, suite_name)
     deployment = None
     if suite_name == "robot":
         deployment = _replay_deployment(config.get("robotConfig"), args.robot_config)
@@ -387,8 +371,6 @@ def _load_trace(path: str) -> list[Observation]:
 
 
 def _run_trace_check(args: argparse.Namespace) -> int:
-    if args.invariants is None or args.trace is None:
-        raise CliError("trace-check needs --invariants and --trace")
     invariants = _load_invariants(args.invariants)
     trace = _load_trace(args.trace)
     lines = []
@@ -409,19 +391,38 @@ def _run_trace_check(args: argparse.Namespace) -> int:
     return 1 if violated else 0
 
 
+def _check_flags(mode: str, given: set[str], suite: Optional[str]) -> None:
+    """Refuse each flag that ``mode`` does not read, and ask for those it needs."""
+    reads, needs = (row.split() for row in _MODES[mode])
+    if not given.issuperset(needs):
+        raise CliError(f"{mode} needs {' and '.join(needs)}")
+    reads = [flag for flag in reads if flag != "--robot-config" or suite == "robot"]
+    stray = sorted(given.difference(reads))
+    if stray == ["--robot-config"]:
+        raise CliError(f"--robot-config applies only to the robot suite, not {suite}")
+    if stray:
+        raise CliError(
+            f"{mode} reads only {', '.join(reads)}; {', '.join(stray)} cannot be given with it"
+        )
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    unset = object()
+    # parsed again over a namespace that already holds every option, so argparse
+    # fills in no default and what is not ``unset`` was given, at its default too
+    again = vars(parser.parse_args(argv, argparse.Namespace(**dict.fromkeys(vars(args), unset))))
+    given = {"--" + dest.replace("_", "-") for dest in again if again[dest] is not unset}
     try:
         if args.replay is not None:
-            _check_replay_flags(parser, argv, args)
-            return _run_replay(args)
-        if args.suite is None:
-            raise CliError("--suite is required (or use --replay)")
-        _check_robot_config(args.suite, args.robot_config)
+            return _run_replay(args, given)
+        mode = "--suite trace-check" if args.suite == "trace-check" else (
+            "--dump-behaviours" if args.dump_behaviours else "a campaign")
+        _check_flags(mode, given, args.suite)
         if args.suite == "trace-check":
             return _run_trace_check(args)
         deployment = _load_deployment(args.robot_config)

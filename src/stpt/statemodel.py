@@ -18,10 +18,10 @@ DEFAULT_STATE_CAP = 100_000
 
 
 class StateCapExceeded(RuntimeError):
-    """The model has more distinct states than explicit enumeration allows."""
+    """Explicit enumeration met more distinct states, or behaviours, than it allows."""
 
-    def __init__(self, cap: int, visited: int):
-        super().__init__(f"visited {visited} distinct states, cap is {cap}")
+    def __init__(self, cap: int, visited: int, what: str = "distinct states"):
+        super().__init__(f"visited {visited} {what}, cap is {cap}")
         self.cap = cap
         self.visited = visited
 
@@ -308,7 +308,9 @@ def correct_behaviours(
 
     Breadth-first from every init state, expanding every enabled action.
     Output is ordered lexicographically by action-name sequence. Raises
-    :class:`StateCapExceeded` when the distinct states seen pass the cap.
+    :class:`StateCapExceeded` when the distinct states seen, or the
+    behaviours built, pass the cap: a model with few states can still have
+    more behaviours than memory holds.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
@@ -333,6 +335,8 @@ def correct_behaviours(
                             behaviour.actions + (name,),
                         )
                     )
+                    if len(out) + len(grown) > state_cap:
+                        raise StateCapExceeded(state_cap, len(out) + len(grown), "behaviours")
         out.extend(grown)
         frontier = grown
         if not frontier:

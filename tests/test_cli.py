@@ -886,6 +886,124 @@ class TestRobotConfigFlag:
         self.assert_refused(replay + ["--robot-config", path], capsys)
 
 
+class TestFlagTable:
+    """Each mode reads the flags in its row of the table and refuses any other."""
+
+    # each flag at its default value, or at one its own mode would accept
+    VALUES = {
+        "--suite": ["robot"],
+        "--seed": ["0"],
+        "--num-tests": ["100"],
+        "--max-len": ["12"],
+        "--depth": ["3"],
+        "--fault": ["none"],
+        "--weights": ["moveToQ=1"],
+        "--timeout-ms": ["5000"],
+        "--report": ["text"],
+        "--invariants": ["inv.txt"],
+        "--trace": ["trace.json"],
+        "--dump-behaviours": [],
+        "--workers": ["1"],
+    }
+    # --replay and --dump-behaviours choose a mode, so a campaign never meets
+    # them, and trace-check refuses --robot-config under its own message
+    UNREAD = {
+        "campaign": ["--depth", "--invariants", "--trace"],
+        "dump": [
+            "--seed", "--num-tests", "--max-len", "--fault", "--weights",
+            "--timeout-ms", "--report", "--invariants", "--trace", "--workers",
+        ],
+        "trace-check": [
+            "--seed", "--num-tests", "--max-len", "--depth", "--fault", "--weights",
+            "--timeout-ms", "--report", "--dump-behaviours", "--workers",
+        ],
+        "replay": [
+            "--suite", "--seed", "--num-tests", "--max-len", "--depth", "--fault",
+            "--weights", "--timeout-ms", "--report", "--invariants", "--trace",
+            "--dump-behaviours", "--workers",
+        ],
+    }
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        """A directory holding a formula file, a trace and a robot report."""
+        where = tmp_path_factory.mktemp("flags")
+        (where / "inv.txt").write_text(PAPER_FORMULA + "\n")
+        (where / "trace.json").write_text(json.dumps([TestTraceCheck.OCCUPIED]))
+        argv = ["--suite", "robot", "--fault", "wrongMove", "--num-tests", "3"]
+        assert cli.main(argv + ["--report", "json", "--out", str(where / "r.json")]) == 1
+        return where
+
+    def mode_argv(self, mode, where):
+        return {
+            "campaign": ["--suite", "robot", "--num-tests", "2"],
+            "dump": ["--suite", "robot", "--dump-behaviours", "--depth", "1"],
+            "trace-check": [
+                "--suite", "trace-check",
+                "--invariants", str(where / "inv.txt"),
+                "--trace", str(where / "trace.json"),
+            ],
+            "replay": ["--replay", str(where / "r.json")],
+        }[mode]
+
+    @pytest.mark.parametrize(
+        "mode, flag",
+        [(mode, flag) for mode, flags in UNREAD.items() for flag in flags],
+        ids=[f"{mode}{flag}" for mode, flags in UNREAD.items() for flag in flags],
+    )
+    def test_unread_flag_is_an_input_error(self, inputs, capsys, mode, flag):
+        argv = self.mode_argv(mode, inputs) + [flag, *self.VALUES[flag]]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert flag in captured.err
+
+    def test_every_stray_flag_is_named(self, inputs, capsys):
+        argv = self.mode_argv("dump", inputs) + ["--fault", "none", "--seed", "3"]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: --dump-behaviours reads only --dump-behaviours, --suite, --depth, "
+            "--out, --robot-config; --fault, --seed cannot be given with it\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv, flag, message",
+        [
+            (["--suite", "robot", "--dump-behaviours", "--depth", "-1"], "--depth", "must be >= 0"),
+            (["--suite", "robot", "--num-tests", "0"], "--num-tests", "must be >= 1"),
+            (["--suite", "robot", "--max-len", "0"], "--max-len", "must be >= 1"),
+            (["--suite", "robot", "--workers", "0"], "--workers", "must be >= 1"),
+            (["--suite", "robot", "--timeout-ms", "-5"], "--timeout-ms", "must be >= 1"),
+            (["--suite", "robot", "--workers", "two"], "--workers", "invalid integer value"),
+        ],
+    )
+    def test_out_of_range_is_refused_where_the_flag_is_declared(
+        self, capsys, argv, flag, message
+    ):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {flag}: {message}" in captured.err
+
+    @pytest.mark.parametrize("mode", ["campaign", "dump", "trace-check", "replay"])
+    @pytest.mark.parametrize("target", ["missing/out.txt", "."], ids=["no-dir", "a-dir"])
+    def test_unwritable_out_is_an_input_error(self, inputs, capsys, mode, target):
+        out = str(inputs / target)
+        assert cli.main(self.mode_argv(mode, inputs) + ["--out", out]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write --out {out}: ")
+
+    def test_weight_given_twice_is_an_input_error(self, capsys):
+        argv = ["--suite", "therac25", "--weights", "CursorUp=1,CursorUp=2"]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: weight for 'CursorUp' given twice\n"
+
+
 class TestModuleEntry:
     ARGV = [
         "--suite", "therac25",

@@ -464,6 +464,16 @@ class TestCorrectBehaviours:
         assert err.value.cap == 5
         assert err.value.visited > 5
 
+    def test_behaviour_cap_bounds_a_model_with_few_states(self):
+        # four states, four operations enabled in each: depth 6 builds 5,461
+        # behaviours, which no state count would stop
+        model = robot_suite().model
+        assert len(correct_behaviours(model, 6, state_cap=5461)) == 5461
+        with pytest.raises(StateCapExceeded) as err:
+            correct_behaviours(model, 6, state_cap=100)
+        assert err.value.cap == 100
+        assert "behaviours" in str(err.value)
+
     def test_empty_init_yields_nothing(self):
         model = StateModel(["x"], [])
         assert correct_behaviours(model, 3) == ()
