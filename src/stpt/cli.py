@@ -10,7 +10,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Callable, Optional
+from typing import Optional
 
 from .conformance import Fail, FailKind, check_against, run_property
 from .formula_text import FormulaParseError, parse_invariant
@@ -53,15 +53,13 @@ _MODES = {
     "a campaign": ("--suite --fault --seed --num-tests --max-len --weights --timeout-ms --report "
                    "--out --workers --robot-config", "--suite"),
 }
-
-
-def _int_at_least(low: int) -> Callable[[str], int]:
-    """An argparse type: an integer no less than ``low``."""
-    def integer(text: str) -> int:  # argparse names it in "invalid integer value"
-        if int(text) < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {text}")
-        return int(text)
-    return integer
+# The integer flags, each with its least value (None for any). A given value
+# stays text until the mode table has accepted its flag, so a flag the mode
+# does not read is named as such whatever its value.
+_INTEGERS = {
+    "--seed": None, "--num-tests": 1, "--max-len": 1, "--depth": 0, "--timeout-ms": 1,
+    "--workers": 1,
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -76,15 +74,12 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--suite", choices=_SUITES, help="scenario to run")
     parser.add_argument(
         "--seed",
-        type=int,
         default=None,
         help="campaign seed (default: $STPT_SEED or 0)",
     )
-    parser.add_argument("--num-tests", type=_int_at_least(1), default=100)
-    parser.add_argument("--max-len", type=_int_at_least(1), default=12)
-    parser.add_argument(
-        "--depth", type=_int_at_least(0), default=3, help="--dump-behaviours: most transitions"
-    )
+    parser.add_argument("--num-tests", default=100)
+    parser.add_argument("--max-len", default=12)
+    parser.add_argument("--depth", default=3, help="--dump-behaviours: most transitions")
     parser.add_argument("--fault", default=FAULT_NONE)
     parser.add_argument(
         "--weights",
@@ -92,7 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="OP=W,...",
         help="override operation weights, e.g. CursorUp=5,OtherKindOfOperation=1",
     )
-    parser.add_argument("--timeout-ms", type=_int_at_least(1), default=5000)
+    parser.add_argument("--timeout-ms", default=5000)
     parser.add_argument("--report", choices=("text", "json"), default="text")
     parser.add_argument("--out", default=None, help="write output here instead of stdout")
     parser.add_argument(
@@ -112,7 +107,7 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="enumerate model behaviours up to --depth instead of testing",
     )
-    parser.add_argument("--workers", type=_int_at_least(1), default=1)
+    parser.add_argument("--workers", default=1)
     parser.add_argument(
         "--robot-config", default=None, help="JSON deployment file for the robot suite"
     )
@@ -128,6 +123,23 @@ def _emit(text: str, out: Optional[str]) -> None:
                 fh.write(text)
         except OSError as err:
             raise CliError(f"cannot write --out {out}: {err.strerror}")
+
+
+def _check_out(out: Optional[str]) -> None:
+    """Refuse an ``--out`` that :func:`_emit` could not open, before any work.
+
+    The file is opened for appending, which leaves one that exists as it
+    was, and one that did not exist is removed again.
+    """
+    if out is None:
+        return
+    existed = os.path.lexists(out)
+    try:
+        open(out, "a", encoding="utf-8").close()
+    except OSError as err:
+        raise CliError(f"cannot write --out {out}: {err.strerror}")
+    if not existed:
+        os.remove(out)
 
 
 def _resolve_seed(args: argparse.Namespace) -> int:
@@ -275,7 +287,7 @@ def _run_replay(args: argparse.Namespace, given: set[str]) -> int:
     suite_name = config.get("suite")
     if suite_name not in _MODEL_SUITES:
         raise CliError(f"report names unknown suite {suite_name!r}")
-    _check_flags("--replay", given, suite_name)
+    _check_flags("--replay", given, args, suite_name)
     deployment = None
     if suite_name == "robot":
         deployment = _replay_deployment(config.get("robotConfig"), args.robot_config)
@@ -391,8 +403,15 @@ def _run_trace_check(args: argparse.Namespace) -> int:
     return 1 if violated else 0
 
 
-def _check_flags(mode: str, given: set[str], suite: Optional[str]) -> None:
-    """Refuse each flag that ``mode`` does not read, and ask for those it needs."""
+def _check_flags(
+    mode: str, given: set[str], args: argparse.Namespace, suite: Optional[str]
+) -> None:
+    """Refuse each flag that ``mode`` does not read, and ask for those it needs.
+
+    Then read each integer flag given, refusing text that is not an
+    integer or a value out of range, and refuse an ``--out`` that cannot
+    be written. Every mode calls this before its work starts.
+    """
     reads, needs = (row.split() for row in _MODES[mode])
     if not given.issuperset(needs):
         raise CliError(f"{mode} needs {' and '.join(needs)}")
@@ -404,6 +423,19 @@ def _check_flags(mode: str, given: set[str], suite: Optional[str]) -> None:
         raise CliError(
             f"{mode} reads only {', '.join(reads)}; {', '.join(stray)} cannot be given with it"
         )
+    for flag, least in _INTEGERS.items():
+        if flag not in given:
+            continue
+        dest = flag[2:].replace("-", "_")
+        text = getattr(args, dest)
+        try:
+            value = int(text)
+        except ValueError:
+            raise CliError(f"argument {flag}: invalid integer value: {text!r}")
+        if least is not None and value < least:
+            raise CliError(f"argument {flag}: must be >= {least}, got {text}")
+        setattr(args, dest, value)
+    _check_out(args.out)
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -422,7 +454,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             return _run_replay(args, given)
         mode = "--suite trace-check" if args.suite == "trace-check" else (
             "--dump-behaviours" if args.dump_behaviours else "a campaign")
-        _check_flags(mode, given, args.suite)
+        _check_flags(mode, given, args, args.suite)
         if args.suite == "trace-check":
             return _run_trace_check(args)
         deployment = _load_deployment(args.robot_config)

@@ -3,8 +3,8 @@
 A command sequence is replayed against both the model and the system
 under test (SUT). The SUT side is asynchronous: every applied command
 yields a :class:`Deferred` that completes with a raw observation. An
-abstraction function maps raw observations back into model states, and a
-subset construction tracks which model states remain consistent. Spatial
+abstraction function maps raw observations back into model states, and
+the replay tracks the model state consistent with what it saw. Spatial
 obligations are evaluated against the occupancy facts each observation
 reports. Failures carry a witness and a coarse classification of where
 the blame likely lies.
@@ -17,7 +17,7 @@ import threading
 import time
 from dataclasses import dataclass, replace
 from enum import Enum
-from itertools import chain, count
+from itertools import chain
 from typing import Any, Callable, Generic, Iterable, Optional, Protocol, TypeVar, Union
 
 from .genrand import Command, CommandSequence, Generator, Rng, shrink_sequence
@@ -29,7 +29,7 @@ from .spatial import (
     always_true,
     compile_invariant,
 )
-from .statemodel import State, StateModel, successors
+from .statemodel import State, StateModel, _row
 
 A = TypeVar("A")
 
@@ -49,8 +49,12 @@ class Deferred(Generic[A]):
     resolution, from any thread, raises :class:`AlreadyCompleted`.
     Consume with :meth:`wait`, which blocks until the outcome is set or
     the timeout passes. :meth:`successful` and :meth:`failed` build one
-    that is resolved from the start, with no lock to take.
+    that is resolved from the start: an outcome is never unset, so it
+    needs no lock, and each builds it in one frame. A replay makes one
+    per step, so the three fields are slots.
     """
+
+    __slots__ = ("_lock", "_pending", "_outcome")
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -60,20 +64,18 @@ class Deferred(Generic[A]):
         self._outcome: Optional[tuple[str, Any]] = None
 
     @classmethod
-    def _resolved(cls, outcome: tuple[str, Any]) -> Deferred[A]:
+    def successful(cls, value: A) -> Deferred[A]:
         d: Deferred[A] = cls.__new__(cls)
-        # An outcome is never unset, so neither lock is ever taken
         d._lock = d._pending = None
-        d._outcome = outcome
+        d._outcome = ("ok", value)
         return d
 
     @classmethod
-    def successful(cls, value: A) -> Deferred[A]:
-        return cls._resolved(("ok", value))
-
-    @classmethod
     def failed(cls, error: BaseException) -> Deferred[A]:
-        return cls._resolved(("failed", error))
+        d: Deferred[A] = cls.__new__(cls)
+        d._lock = d._pending = None
+        d._outcome = ("failed", error)
+        return d
 
     def complete(self, value: A) -> None:
         self._resolve(("ok", value))
@@ -225,8 +227,8 @@ def check_against(
 
     The replay is one loop: the reset is its first step and each command
     one more. A command step asks the model first, so an operation it
-    rejects (unknown, or disabled in every consistent state) never
-    reaches the SUT. Then every step runs the same body: the SUT call
+    rejects (unknown, or disabled in the consistent state) never reaches
+    the SUT. Then every step runs the same body: the SUT call
     (``Timeout`` if it does not settle, ``SutError`` if it raises or its
     Deferred fails), the abstraction (``AbstractionError`` if it raises),
     the match (``InitMismatch`` at the reset, ``SutMismatch`` after it)
@@ -237,25 +239,38 @@ def check_against(
     A one-off call compiles the invariants once, right after the init
     match; ``_obligations`` is what ``_compile_obligations`` made of
     ``st_invariants``, for a caller that replays many sequences.
+
+    The model's expected states are distinct, so the match leaves at most
+    one consistent state, which is always the model's canonical object
+    (see :class:`~stpt.statemodel.StateModel`): its memoised row is the
+    whole subset step. The match tries identity before equality, so an
+    abstraction that hands out the model's objects for the states it has
+    met (as the suites' does) never calls ``State.__eq__``. The issue
+    time of each command is kept as a running clock.
     """
     obligations = _obligations
-    # the reset is step (None, None, 0): no fail_index, no command, clock 0;
-    # it sets ``consistent`` before any command step reads it
-    steps = chain(((None, None, 0),), zip(count(), seq, seq.timestamps))
-    for at, command, at_time in steps:
+    rows = model._rows
+    at_time = 0
+    # the reset is step (None, None): no fail_index and no command; its
+    # match sets ``state`` before any command step reads it
+    for at, command in chain(((None, None),), enumerate(seq.commands)):
         if command is None:
             expected = model.init
         else:
-            expected = successors(model, consistent, command.op)
-            if expected is None:
-                note = f"operation {command.op!r} not declared in model"
-                return _fail(FailKind.UNKNOWN_OPERATION, seq, at, consistent, note=note)
+            at_time += command.delay
+            row = rows.get(state)
+            if row is None:
+                row = _row(model, state)
+            expected = row.get(command.op, ())
             if not expected:
+                if command.op not in model.action_names:
+                    note = f"operation {command.op!r} not declared in model"
+                    return _fail(FailKind.UNKNOWN_OPERATION, seq, at, (state,), note=note)
                 note = (
                     "specification inconsistency: operation "
                     f"{command.op!r} not enabled in model"
                 )
-                return _fail(FailKind.DISABLED_ACTION, seq, at, consistent, note=note)
+                return _fail(FailKind.DISABLED_ACTION, seq, at, (state,), note=note)
         try:
             deferred = (
                 adapter.reset() if command is None else adapter.apply(command, at_time)
@@ -275,12 +290,10 @@ def check_against(
         except Exception as err:
             note = f"abstraction raised {err!r} on the observation of {_call(command)}"
             return _fail(FailKind.ABSTRACTION_ERROR, seq, at, expected, note=note)
-        # one comparison spares the comprehension its frame on every step
-        if len(expected) == 1:
-            consistent = expected if expected[0] == observed else ()
+        for state in expected:
+            if state is observed or state == observed:
+                break
         else:
-            consistent = [s for s in expected if s == observed]
-        if not consistent:
             if command is None:
                 note = "initial SUT state is not an init state of the model"
                 return _fail(FailKind.INIT_MISMATCH, seq, at, expected, observed, note)
@@ -301,12 +314,12 @@ def check_against(
                     if not holds(observation):
                         note = "spatial obligation violated"
                         return _fail(
-                            FailKind.SPATIAL_VIOLATION, seq, at, consistent,
+                            FailKind.SPATIAL_VIOLATION, seq, at, (state,),
                             observed, note, invariant, observation,
                         )
         except Exception as err:
             note = f"{_call(command)} reported occupancy that cannot be judged: {err!r}"
-            return _fail(FailKind.SUT_ERROR, seq, at, consistent, observed, note)
+            return _fail(FailKind.SUT_ERROR, seq, at, (state,), observed, note)
     return Pass()
 
 

@@ -191,9 +191,12 @@ def gen_enabled_commands(
 
     One kernel makes every draw on the raw state of the ``Rng``, each by
     rejection over whole 64-bit outputs, and builds the ``Rng`` it returns
-    only at the end. The draws, and their order, are those of the composed
-    reference generator in ``tests/helpers.py``: a weighted pick walks the
-    enabled operations in ``repr`` order. The pick at each tuple of states,
+    only at the end. The pick and the delay of each command, one-word
+    draws both, run the splitmix64 step in place; the length, and a pick
+    whose weights sum to 2**64 or more, go through ``_draw``. The draws,
+    and their order, are those of the composed reference generator in
+    ``tests/helpers.py``: a weighted pick walks the enabled operations
+    in ``repr`` order. The pick at each tuple of states,
     and where each operation leads from it, is memoised for every run of
     this generator, and each ``(op, delay)`` command is built once.
     """
@@ -208,7 +211,7 @@ def gen_enabled_commands(
     # indexed by the drawn delay less one
     commands = {op: tuple(Command(op, d) for d in range(1, 6)) for op, _ in ranked}
     length_limit, length_words = _rejection(max_len)
-    delay_limit, delay_words = _rejection(5)
+    delay_limit = _rejection(5)[0]
     picks: dict[tuple[State, ...], Optional[_Pick]] = {}
 
     def pick_at(states: tuple[State, ...]) -> Optional[_Pick]:
@@ -229,10 +232,29 @@ def gen_enabled_commands(
         for _ in range(length + 1):
             if pick is None:
                 break
-            value, state = _draw(state, gamma, pick.span, pick.limit, pick.words)
+            # the pick and the delay are one-word draws, each with the
+            # splitmix64 step of _draw and _mix64 written out in place
+            if pick.words == 1:
+                limit = pick.limit
+                while True:
+                    state = (state + gamma) & _MASK64
+                    z = (state ^ (state >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
+                    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
+                    z ^= z >> 31
+                    if z < limit:
+                        break
+                value = z % pick.span
+            else:
+                value, state = _draw(state, gamma, pick.span, pick.limit, pick.words)
             index = bisect_right(pick.bounds, value)
-            delay, state = _draw(state, gamma, 5, delay_limit, delay_words)
-            out.append(pick.commands[index][delay])
+            while True:
+                state = (state + gamma) & _MASK64
+                z = (state ^ (state >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
+                z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
+                z ^= z >> 31
+                if z < delay_limit:
+                    break
+            out.append(pick.commands[index][z % 5])
             nxt = pick.nexts[index]
             if nxt is _UNSEEN:
                 nxt = pick.nexts[index] = pick_at(

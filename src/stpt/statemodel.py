@@ -140,9 +140,17 @@ class StateModel:
     consistency scan reports it) but yields no behaviours.
 
     Guards and effects are pure, so each instance memoises its transition
-    relation, one row per state: the first time the model meets a state it
-    runs every guard, and the effect of every enabled action, once. The
-    memo is not a field, so equality and ``repr`` ignore it.
+    relation, one row per state: the first time a state's row is asked
+    for, it runs every guard, and the effect of every enabled action, once.
+
+    The model also hands out one canonical :class:`State` object per value
+    it has met: each init state, each row key and each successor stored in
+    a row is that object, interned as the row is filled, and
+    :func:`has_met` returns it. A caller that passes the model's own
+    object back gets dictionary hits on identity, without a call to
+    ``State.__eq__``; identity is only a shortcut, and equality still
+    decides. Neither table is a field, so equality and ``repr`` ignore
+    them.
     """
 
     variables: tuple[str, ...]
@@ -168,8 +176,10 @@ class StateModel:
         object.__setattr__(self, "init", tuple(states))
         object.__setattr__(self, "actions", tuple(actions))
         object.__setattr__(self, "_names", frozenset(a.name for a in self.actions))
-        # State -> {op: distinct successors}, see _row. Filled from any
-        # thread: a racing fill stores an equal row twice.
+        # Each state met to its canonical object, see has_met.
+        object.__setattr__(self, "_met", {s: s for s in self.init})
+        # Canonical state -> {op: canonical successors}, see _row. Filled
+        # from any thread: a racing fill stores an equal row twice.
         object.__setattr__(self, "_rows", {})
 
     def check_state(self, s: State) -> None:
@@ -242,11 +252,15 @@ def _row(model: StateModel, s: State) -> dict[str, tuple[State, ...]]:
     """The operations enabled at ``s``, each with its distinct successors.
 
     First true guard first, successors in declaration order. Filled, and
-    ``s`` checked, the first time the model meets ``s``.
+    ``s`` checked, on the first call for a state equal to ``s``. The row is
+    keyed by the canonical object of ``s`` and holds the canonical object
+    of each successor: both are interned as the row is filled.
     """
     row = model._rows.get(s)
     if row is None:
         model.check_state(s)
+        met = model._met
+        s = met.setdefault(s, s)
         fill: dict[str, list[State]] = {}
         for action in model.actions:
             if action.guard(s):
@@ -255,13 +269,20 @@ def _row(model: StateModel, s: State) -> dict[str, tuple[State, ...]]:
                 nexts = fill.setdefault(action.name, [])
                 if result not in nexts:
                     nexts.append(result)
-        row = model._rows[s] = {op: tuple(nexts) for op, nexts in fill.items()}
+        row = model._rows[s] = {
+            op: tuple(met.setdefault(nxt, nxt) for nxt in nexts)
+            for op, nexts in fill.items()
+        }
     return row
 
 
-def has_met(model: StateModel, s: State) -> bool:
-    """Whether the model has filled the row of ``s``. Fills nothing."""
-    return s in model._rows
+def has_met(model: StateModel, s: State) -> Optional[State]:
+    """The model's canonical object for ``s``, or None if it has met no equal state.
+
+    The model has met its init states, every state whose row it filled,
+    and every successor in those rows. Fills nothing.
+    """
+    return model._met.get(s)
 
 
 def successors(

@@ -147,11 +147,14 @@ class TheracSim:
 def _interning_abstraction(model: StateModel) -> Abstraction:
     """The suite abstraction: each model variable read from the payload.
 
-    A payload whose state the model has met gives the same State object
-    every time, looked up by each value with its class, so ``True``, ``1``
-    and ``1.0`` never share an entry. Only such states are kept, so a SUT
-    that answers at random cannot grow the table. Any other payload
-    builds a fresh State, which raises on an unsupported value.
+    A payload whose state the model has met gives the model's canonical
+    object for it (see :func:`~stpt.statemodel.has_met`), the same one
+    every time, so the match in ``check_against`` and every row lookup
+    hit on identity. The table is keyed by each value with its class, so
+    ``True``, ``1`` and ``1.0`` never share an entry. Only met states are
+    kept, so a SUT that answers at random cannot grow the table. Any
+    other payload builds a fresh State, which raises on an unsupported
+    value.
     """
     names = model.variables
     pick = itemgetter(*names)
@@ -168,8 +171,9 @@ def _interning_abstraction(model: StateModel) -> Abstraction:
             observed = None
         if observed is None:
             observed = State(dict(zip(names, values)))
-            if has_met(model, observed):
-                known[key] = observed
+            met = has_met(model, observed)
+            if met is not None:
+                observed = known[key] = met
         return observed
 
     return abstraction

@@ -23,6 +23,7 @@ from stpt import (
     Box,
     CollisionWitness,
     EmptyInit,
+    FailKind,
     FalseAtom,
     Implies,
     NeverEnabled,
@@ -41,7 +42,7 @@ from stpt import (
     TrueAtom,
 )
 from stpt.genrand import InvalidRange, _mix64, _MASK64
-from stpt.statemodel import enabled_actions, successors
+from stpt.statemodel import enabled_actions, step, successors
 from stpt.suts import (
     OP_CURSOR_UP,
     OP_SELECT_ELECTRON,
@@ -165,6 +166,49 @@ def oracle_spec_consistency(model: StateModel, suppress_noop=()) -> list:
         if n in enabled and n not in changed and n not in suppress_noop
     ]
     return warnings
+
+
+# ---------------------------------------------------------------------------
+# Replay oracle
+
+
+def oracle_check(model: StateModel, adapter, abstraction, seq: CommandSequence):
+    """What ``check_against`` answers with no invariants, by brute force.
+
+    None for a pass, else ``(kind, fail_index, expected_states,
+    observed_state)``. Tracks the whole set of consistent model states
+    through the unmemoised ``step``, compares states with ``==`` only,
+    and takes issue times from ``seq.timestamps``. The adapter must
+    settle every call at once and without error.
+    """
+
+    def observe(deferred):
+        settled = deferred.wait(0)
+        assert settled is not None and settled[0] == "ok", settled
+        return abstraction(settled[1])
+
+    observed = observe(adapter.reset())
+    consistent = [s for s in model.init if s == observed]
+    if not consistent:
+        return FailKind.INIT_MISMATCH, None, model.init, observed
+    for index, (command, at_time) in enumerate(zip(seq.commands, seq.timestamps)):
+        outcomes = [step(model, s, command.op) for s in consistent]
+        if all(outcome is None for outcome in outcomes):
+            return FailKind.UNKNOWN_OPERATION, index, tuple(consistent), None
+        expected = []
+        for outcome in outcomes:
+            for nxt in outcome:
+                if nxt not in expected:
+                    expected.append(nxt)
+        if not expected:
+            return FailKind.DISABLED_ACTION, index, tuple(consistent), None
+        observed = observe(adapter.apply(command, at_time))
+        consistent = [s for s in expected if s == observed]
+        if not consistent:
+            if len(expected) > 1:
+                expected.sort(key=lambda s: s.sort_key)
+            return FailKind.SUT_MISMATCH, index, tuple(expected), observed
+    return None
 
 
 # ---------------------------------------------------------------------------

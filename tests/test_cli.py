@@ -996,6 +996,54 @@ class TestFlagTable:
         assert captured.out == ""
         assert captured.err.startswith(f"error: cannot write --out {out}: ")
 
+    @pytest.mark.parametrize(
+        "mode, flag, value",
+        [
+            ("trace-check", "--num-tests", "-1"),
+            ("trace-check", "--workers", "0"),
+            ("dump", "--max-len", "0"),
+            ("campaign", "--depth", "-1"),
+            ("replay", "--timeout-ms", "-5"),
+            ("trace-check", "--workers", "two"),
+            ("dump", "--seed", "x"),
+        ],
+    )
+    def test_unread_flag_is_named_before_its_value(self, inputs, capsys, mode, flag, value):
+        assert cli.main(self.mode_argv(mode, inputs) + [flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"; {flag} cannot be given with it\n")
+
+    # the call in cli that starts each mode's work
+    WORK = {
+        "campaign": "run_property",
+        "dump": "correct_behaviours",
+        "trace-check": "check_trace",
+        "replay": "check_against",
+    }
+
+    @pytest.mark.parametrize("mode", list(WORK))
+    def test_unwritable_out_is_refused_before_the_work(self, inputs, capsys, monkeypatch, mode):
+        def work(*args, **kwargs):
+            raise AssertionError(f"{mode} started its work")
+
+        monkeypatch.setattr(cli, self.WORK[mode], work)
+        out = str(inputs / "missing" / "out.txt")
+        assert cli.main(self.mode_argv(mode, inputs) + ["--out", out]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot write --out {out}: No such file or directory\n"
+
+    def test_refused_run_leaves_out_as_it_was(self, tmp_path, capsys):
+        argv = ["--suite", "therac25", "--weights", "CursorUp=0"]
+        new, old = tmp_path / "new.txt", tmp_path / "old.txt"
+        old.write_text("kept\n")
+        for out in (new, old):
+            assert cli.main(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: weight for 'CursorUp' must be positive\n" * 2
+        assert not new.exists()
+        assert old.read_text() == "kept\n"
+
     def test_weight_given_twice_is_an_input_error(self, capsys):
         argv = ["--suite", "therac25", "--weights", "CursorUp=1,CursorUp=2"]
         assert cli.main(argv) == 2

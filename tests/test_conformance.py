@@ -6,10 +6,16 @@ import time
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import gen_int_in_range, greedy_shrink_reference, random_model, weighted
+from helpers import (
+    gen_int_in_range,
+    greedy_shrink_reference,
+    oracle_check,
+    random_model,
+    weighted,
+)
 from stpt import (
     ActionSpec,
     AlreadyCompleted,
@@ -46,7 +52,7 @@ from stpt import (
 from stpt import conformance
 from stpt.statemodel import step, successors
 from stpt.suts import OP_CURSOR_UP, OP_OTHER, OP_SELECT_ELECTRON, OP_SELECT_PHOTON
-from stpt.suts import RobotSim
+from stpt.suts import RobotSim, _interning_abstraction
 
 
 def unguarded_commands(vocab, max_len, rng) -> CommandSequence:
@@ -801,6 +807,91 @@ class TestNondeterministicModels:
             State({"x": 2}),
         )
         assert result.witness.observed_state == State({"x": 9})
+
+
+class BranchingSut:
+    """Walks a model, taking at each call the branch its script names.
+
+    Script entries are read in turn, round robin. Below 14 an entry picks
+    one of the model's outcomes from the SUT's current state, or stays
+    when there is none; 14 stays put, and 15 reports a state off the model.
+    With ``fresh`` the payload is a State built anew for every report,
+    never the model's own object; otherwise it is a dict for the suites'
+    abstraction to read. ``times`` records the issue time of each apply.
+    """
+
+    def __init__(self, model, script, fresh):
+        self.model, self.script, self.fresh = model, script, fresh
+        self.off = State(dict.fromkeys(model.variables, -1))
+
+    def _report(self, choices):
+        entry = self.script[self.calls % len(self.script)]
+        self.calls += 1
+        if entry < 14:
+            self.state = choices[entry % len(choices)]
+        elif entry == 15:
+            self.state = self.off
+        bindings = dict(self.state.items())
+        return Deferred.successful(RawObservation(State(bindings) if self.fresh else bindings))
+
+    def reset(self):
+        self.calls = 0
+        self.times = []
+        self.state = self.off
+        return self._report(self.model.init)
+
+    def apply(self, command, at_time):
+        self.times.append(at_time)
+        # a replay stops at the first report off the model, so the state is the model's
+        return self._report(step(self.model, self.state, command.op) or [self.state])
+
+    def vocabulary(self):
+        return self.model.action_names
+
+
+class TestReplayOracle:
+    """``check_against`` against the brute-force replay of ``helpers.oracle_check``.
+
+    The random models have up to three init states and nondeterministic
+    operations. The commands are drawn blind to the guards, one in ten of
+    them an operation no model declares.
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        script=st.lists(st.integers(0, 15), min_size=1, max_size=12),
+        commands=st.lists(st.tuples(st.integers(0, 9), st.integers(1, 5)), max_size=8),
+        fresh=st.booleans(),
+    )
+    # model 4's first operation leads from its first init state to three
+    # states out of sort order, and the SUT then reports one off the model
+    @example(seed=4, script=[0, 15], commands=[(0, 1)], fresh=False)
+    @example(seed=4, script=[0, 15], commands=[(0, 1)], fresh=True)
+    def test_agrees_with_the_oracle(self, seed, script, commands, fresh):
+        model = random_model(seed)
+        abstraction = (lambda raw: raw.payload) if fresh else _interning_abstraction(model)
+        names = model.action_names
+        seq = CommandSequence(tuple(
+            Command(names[pick % len(names)] if pick < 9 else "omega", delay)
+            for pick, delay in commands
+        ))
+        reference = BranchingSut(model, script, fresh)
+        want = oracle_check(model, reference, abstraction, seq)
+        # the oracle fills no row, so the first replay meets a cold model
+        for _ in ("cold", "warm"):
+            sut = BranchingSut(model, script, fresh)
+            got = check_against(model, sut, abstraction, seq)
+            assert sut.times == reference.times
+            if want is None:
+                assert got == Pass()
+            else:
+                assert isinstance(got, Fail)
+                witness = got.witness
+                assert (
+                    got.kind, witness.fail_index, witness.expected_states,
+                    witness.observed_state,
+                ) == want
 
 
 class TestPassImpliesConformance:

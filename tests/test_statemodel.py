@@ -25,6 +25,7 @@ from stpt import (
     step,
     successors,
 )
+from stpt.statemodel import has_met
 from stpt.suts import robot_suite, therac_suite
 
 
@@ -360,6 +361,68 @@ class TestTransitionMemo:
         assert not any(t.is_alive() for t in threads)
         assert got == [expected] * workers
         assert table(shared, pool) == expected
+        # and every thread interned the same object for each state
+        met = shared._met
+        for key, row in shared._rows.items():
+            assert met[key] is key
+            assert all(met[nxt] is nxt for nexts in row.values() for nxt in nexts)
+
+
+class TestCanonicalStates:
+    """The model hands out one object per state value it has met."""
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=100)
+    def test_met_states_are_the_row_keys(self, seed):
+        model = random_model(seed)
+        # the scan fills the row of every reachable state
+        spec_consistency(model)
+        keys = {s: s for s in model._rows}
+        for s in model.init:
+            assert keys[s] is s
+        for row in model._rows.values():
+            for nexts in row.values():
+                for nxt in nexts:
+                    assert keys[nxt] is nxt
+        for s in keys:
+            assert has_met(model, State(dict(s.items()))) is s
+        assert has_met(model, State(dict.fromkeys(model.variables, -1))) is None
+
+    def test_a_successor_is_met_once_its_row_is_filled(self):
+        model = counter_model()
+        zero, one = State({"n": 0}), State({"n": 1})
+        assert has_met(model, zero) is model.init[0]
+        assert has_met(model, one) is None
+        # step is the reference and fills nothing
+        assert step(model, model.init[0], "inc") == [one]
+        assert has_met(model, one) is None
+        (got,) = successors(model, [zero], "inc")
+        assert has_met(model, one) is got and got is not one
+        assert successors(model, [one], "inc")[0] is has_met(model, State({"n": 2}))
+        # a row asked for with an equal object is keyed by the met one
+        assert [s for s in model._rows if s == one][0] is got
+
+    def test_values_of_different_classes_stay_apart(self):
+        values = (True, 1, "1")
+        model = StateModel(
+            ["v"],
+            [State({"v": v}) for v in values],
+            [ActionSpec("stay", lambda s: True, lambda s: s)],
+        )
+        spec_consistency(model)
+        assert len(model._rows) == 3
+        for v in values:
+            met = has_met(model, State({"v": v}))
+            assert type(met["v"]) is type(v) and met["v"] == v
+            assert successors(model, [met], "stay")[0] is met
+
+    def test_equality_and_repr_ignore_the_tables(self):
+        cold = counter_model()
+        warm = StateModel(cold.variables, cold.init, cold.actions)
+        correct_behaviours(warm, 3)
+        assert warm._rows and len(warm._met) > len(cold._met)
+        assert warm == cold and hash(warm) == hash(cold)
+        assert repr(warm) == repr(cold)
 
 
 class TestEnabledActions:

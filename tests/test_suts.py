@@ -43,6 +43,7 @@ from stpt import (
     therac_suite,
 )
 from stpt.spatial import always_false, always_true
+from stpt.statemodel import has_met
 from stpt.suts import (
     ARM_OWNER,
     robot_config_from_json,
@@ -272,8 +273,9 @@ class TestInternedAbstraction:
                 State({"mode": MODE_ELECTRON, "beam": BEAM_PHOTON}),
             ),
             (robot_suite(FAULT_WRONG_MOVE), State({"position": "M"})),
+            (robot_suite(FAULT_WRONG_INIT), State({"position": "K"})),
         ],
-        ids=["therac25", "robot"],
+        ids=["therac25", "robot", "robot-wrongInit"],
     )
     def test_states_equal_those_built_fresh(self, suite, off_model):
         # the scan fills the model's row of every reachable state
@@ -288,6 +290,8 @@ class TestInternedAbstraction:
             assert again == fresh
             # a state the model has met is handed out again, others built anew
             assert (again is got) == (s in reachable)
+            # and the one handed out is the model's own object
+            assert (got is has_met(suite.model, s)) == (s in reachable)
         assert len(interned_table(suite.abstraction)) == len(reachable)
 
     def test_values_of_different_classes_stay_apart(self):
