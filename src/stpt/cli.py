@@ -375,7 +375,14 @@ def _load_trace(path: str) -> list[Observation]:
                 raise TypeError(f"time must be an integer, got {time!r}")
             if not isinstance(owner, str):
                 raise TypeError(f"owner must be a string, got {owner!r}")
-            occupied = [Box(*box) for box in entry.get("boxes", [])]
+            boxes = entry.get("boxes", [])
+            if not isinstance(boxes, list) or not all(
+                isinstance(box, list) and len(box) == 4 for box in boxes
+            ):
+                raise TypeError(
+                    f"boxes must be an array of [x1, y1, x2, y2] arrays, got {boxes!r}"
+                )
+            occupied = [Box(*box) for box in boxes]
             observations.append(Observation(time=time, owner=owner, occupied=occupied))
         except (AttributeError, KeyError, TypeError) as err:
             raise CliError(f"{path}: bad observation {index}: {err}")

@@ -629,6 +629,23 @@ class TestTraceCheck:
         assert "box corners must be integers" in err
 
     @pytest.mark.parametrize(
+        "boxes",
+        ["abcd", [{"a": 1}], None, [[1, 1, 5]]],
+        ids=["string", "object", "null", "three-corners"],
+    )
+    def test_boxes_not_an_array_of_corner_arrays_exits_two(self, tmp_path, capsys, boxes):
+        argv = self.write_inputs(
+            tmp_path, [PAPER_FORMULA], [{**self.OCCUPIED, "boxes": boxes}]
+        )
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            f"error: {tmp_path / 'trace.json'}: bad observation 0: boxes must be an "
+            f"array of [x1, y1, x2, y2] arrays, got {boxes!r}\n"
+        )
+
+    @pytest.mark.parametrize(
         "owner", [7, None, ["AreaOfInterest"]], ids=["int", "null", "list"]
     )
     def test_non_string_owner_exits_two(self, tmp_path, capsys, owner):

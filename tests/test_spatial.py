@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import copy
 import pickle
+import sys
+import threading
+import time
 from dataclasses import dataclass, fields, replace
 
 import pytest
@@ -72,6 +75,12 @@ traces = st.lists(observations, max_size=6).map(
 )
 
 
+_crew = st.sampled_from(["arm", "cart", "crane"])
+_small = st.integers(0, 6)
+_small_boxes = st.builds(Box, _small, _small, _small, _small)
+_small_ticks = st.integers(0, 12)
+
+
 @st.composite
 def formulas_on_their_trace(draw):
     """A sorted trace of up to 30 observations and a formula aimed at it.
@@ -81,12 +90,9 @@ def formulas_on_their_trace(draw):
     Owners come from the trace. Boxes are small, so the oracle's cells
     stay few and coverage is often met.
     """
-    small = st.integers(0, 6)
-    small_boxes = st.builds(Box, small, small, small, small)
-    times = sorted(draw(st.lists(st.integers(0, 12), min_size=1, max_size=30)))
+    times = sorted(draw(st.lists(_small_ticks, min_size=1, max_size=30)))
     trace = [
-        Observation(t, draw(st.sampled_from(["arm", "cart", "crane"])),
-                    draw(st.lists(small_boxes, max_size=3)))
+        Observation(t, draw(_crew), draw(st.lists(_small_boxes, max_size=3)))
         for t in times
     ]
     bounds = st.sampled_from(times).flatmap(lambda t: st.integers(t - 1, t + 1))
@@ -95,8 +101,8 @@ def formulas_on_their_trace(draw):
         st.just(FalseAtom()),
         st.builds(TimeInterval, st.builds(TimeWindow, bounds, bounds)),
         st.builds(Owner, st.sampled_from([obs.owner for obs in trace])),
-        st.builds(OccupyBox, small_boxes),
-        st.builds(OccupyPoint, small, small),
+        st.builds(OccupyBox, _small_boxes),
+        st.builds(OccupyPoint, _small, _small),
     )
     formula = draw(st.recursive(
         atoms,
@@ -606,9 +612,10 @@ class TestCheckTrace:
         judged = []
 
         def counting_kernel(target):
+            # an observation without the unit box at the origin violates
             def covered(corners):
                 judged.append(corners)
-                return True
+                return (0, 0, 1, 1) in corners
 
             return covered
 
@@ -629,6 +636,136 @@ class TestCheckTrace:
         judged.clear()
         assert check_trace(Implies(arm_at_2_to_3, TrueAtom()), trace).holds
         assert judged == []
+
+        # two owners, written as an OR of Owner terms, with a marker box
+        # that tells each observation's corners apart
+        crew = [
+            Observation(i // 3, ("arm", "cart", "crane")[i % 3],
+                        (Box(0, 0, 1, 1), Box(9, i, 9, i)))
+            for i in range(15)
+        ]
+        index_of = {obs._corners: i for i, obs in enumerate(crew)}
+        arm_or_cart = Implies(
+            And((Or((ARM, Owner("cart"))), TimeInterval(TimeWindow(1, 3)))), box
+        )
+        judged.clear()
+        assert check_trace(arm_or_cart, crew).holds
+        assert [index_of[corners] for corners in judged] == [3, 4, 6, 7, 9, 10]
+        # whichever owner's observations come first, the verdict is the
+        # smaller of the two owners' violations
+        for arm_at, cart_at in ((6, 10), (9, 7)):
+            broken = list(crew)
+            for i in (arm_at, cart_at):
+                broken[i] = replace(crew[i], occupied=crew[i].occupied[1:])
+            verdict = check_trace(arm_or_cart, broken)
+            assert verdict == TraceVerdict(holds=False, first_violation=min(arm_at, cart_at))
+
+
+_crew_observations = st.builds(
+    Observation, _small_ticks, _crew, st.lists(_small_boxes, max_size=3)
+)
+_crew_formulas = st.recursive(
+    st.one_of(
+        st.just(TrueAtom()),
+        st.just(FalseAtom()),
+        st.builds(TimeInterval, st.builds(TimeWindow, _small_ticks, _small_ticks)),
+        st.builds(Owner, _crew),
+        st.builds(OccupyBox, _small_boxes),
+        st.builds(OccupyPoint, _small, _small),
+    ),
+    lambda children: st.one_of(
+        st.builds(Not, children),
+        st.builds(Implies, children, children),
+        st.lists(children, min_size=1, max_size=3).map(And),
+        st.lists(children, min_size=1, max_size=3).map(Or),
+    ),
+    max_leaves=8,
+)
+_crew_traces = st.lists(_crew_observations, max_size=8).map(
+    lambda obs: sorted(obs, key=lambda o: o.time)
+)
+_EDITS = ("none", "append", "replace", "decrease", "sort", "equal", "tuple")
+
+
+class TestSharedRead:
+    """A trace read once is read again whenever it is no longer equal."""
+
+    @given(st.data(), _crew_traces, _crew_traces)
+    @settings(max_examples=300)
+    def test_verdicts_follow_traces_edited_in_place(self, data, first, second):
+        traces = [first, second]
+        for _ in range(data.draw(st.integers(1, 12), label="calls")):
+            trace = traces[data.draw(st.integers(0, 1), label="trace")]
+            edit = data.draw(st.sampled_from(_EDITS), label="edit")
+            if edit == "append":
+                trace.append(data.draw(_crew_observations, label="appended"))
+            elif len(trace) > 1 and edit in ("replace", "decrease", "equal"):
+                i = data.draw(st.integers(1, len(trace) - 1), label="index")
+                obs = trace[i]
+                if edit == "replace":
+                    trace[i] = data.draw(st.one_of(
+                        st.builds(replace, st.just(obs), owner=_crew),
+                        st.builds(replace, st.just(obs), time=_small_ticks),
+                    ), label="replaced")
+                elif edit == "decrease":
+                    # below every time, so below the one before it
+                    trace[i] = replace(obs, time=min(o.time for o in trace) - 1)
+                else:
+                    trace[i] = Observation(obs.time, obs.owner, obs.occupied)
+                    assert trace[i] == obs and trace[i] is not obs
+            elif edit == "sort":
+                trace.sort(key=lambda o: o.time)
+            given_trace = tuple(trace) if edit == "tuple" else trace
+            inv = data.draw(_crew_formulas, label="formula")
+            if any(b.time < a.time for a, b in zip(trace, trace[1:])):
+                with pytest.raises(NonMonotonicTrace):
+                    check_trace(inv, given_trace)
+            else:
+                at = oracle_first_violation(inv, trace)
+                verdict = check_trace(inv, given_trace)
+                assert verdict == TraceVerdict(holds=at is None, first_violation=at)
+
+    def test_threads_checking_their_own_traces_agree(self):
+        # trace k has k + 4 observations and its first bare arm at index
+        # k, so times or owners read from another thread's trace show as
+        # a wrong verdict or an error; each call yields first, so the
+        # threads take turns and most calls replace the memo
+        traces = [
+            [Observation(t, "arm", (Box(0, 0, 1, 1),)) for t in range(k)]
+            + [Observation(k, "arm", ()), Observation(k, "cart", ())]
+            + [Observation(k + 1, "arm", ()), Observation(k + 2, "cart", ())]
+            for k in range(4)
+        ]
+        inv = Implies(ARM, OccupyPoint(0, 0))
+        start = threading.Barrier(len(traces))
+        wrong = []
+
+        def work(k):
+            start.wait()
+            for _ in range(300):
+                time.sleep(0)
+                try:
+                    verdict = check_trace(inv, traces[k])
+                except Exception as err:
+                    verdict = err
+                if verdict != TraceVerdict(holds=False, first_violation=k):
+                    wrong.append((k, verdict))
+
+        threads = [
+            threading.Thread(target=work, args=(k,), daemon=True)
+            for k in range(len(traces))
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
 
 
 class TestMonotonicityEverywhere:
