@@ -14,7 +14,7 @@ from typing import Optional
 
 from .conformance import Fail, FailKind, check_against, run_property
 from .formula_text import FormulaParseError, parse_invariant
-from .genrand import gen_enabled_commands
+from .genrand import InvalidRange, gen_enabled_commands
 from .reports import (
     RESET_POSITION,
     commands_from_json,
@@ -187,8 +187,6 @@ def _parse_weights(text: str) -> dict[str, int]:
             weight = int(value)
         except ValueError:
             raise CliError(f"weight for {op!r} must be an integer")
-        if weight <= 0:
-            raise CliError(f"weight for {op!r} must be positive")
         if op in weights:
             raise CliError(f"weight for {op!r} given twice")
         weights[op] = weight
@@ -205,16 +203,18 @@ def _run_campaign(
         weights = dict(suite.default_weights)
     else:
         weights = _parse_weights(args.weights)
-        unknown = set(weights) - set(suite.model.action_names)
-        if unknown:
-            raise CliError(
-                f"weights name operations the model lacks: {sorted(unknown)}"
-            )
+    try:
+        generator = gen_enabled_commands(suite.model, weights, args.max_len)
+    except InvalidRange as err:
+        raise CliError(str(err))
+    unknown = set(weights).difference(suite.model.action_names)
+    if unknown:
+        raise CliError(f"weights name operations the model lacks: {sorted(unknown)}")
     report = run_property(
         suite.model,
         None,
         suite.abstraction,
-        gen_enabled_commands(suite.model, weights, args.max_len),
+        generator,
         st_invariants=suite.st_invariants,
         num_tests=args.num_tests,
         seed=seed,
@@ -371,10 +371,6 @@ def _load_trace(path: str) -> list[Observation]:
     for index, entry in enumerate(data):
         try:
             time, owner = entry["time"], entry["owner"]
-            if not is_int(time):
-                raise TypeError(f"time must be an integer, got {time!r}")
-            if not isinstance(owner, str):
-                raise TypeError(f"owner must be a string, got {owner!r}")
             boxes = entry.get("boxes", [])
             if not isinstance(boxes, list) or not all(
                 isinstance(box, list) and len(box) == 4 for box in boxes

@@ -263,7 +263,7 @@ def check_against(
                 row = _row(model, state)
             expected = row.get(command.op, ())
             if not expected:
-                if command.op not in model.action_names:
+                if command.op not in model._names:
                     note = f"operation {command.op!r} not declared in model"
                     return _fail(FailKind.UNKNOWN_OPERATION, seq, at, (state,), note=note)
                 note = (

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, Generic, Mapping, Optional, TypeVar
 
+from .spatial import is_int
 from .statemodel import State, StateModel, enabled_actions, successors
 
 A = TypeVar("A")
@@ -78,13 +79,24 @@ class Generator(Generic[A]):
 
 @dataclass(frozen=True)
 class Command:
-    """One operation call, issued ``delay`` ticks after the previous one."""
+    """One operation call, issued ``delay`` ticks after the previous one.
+
+    ``op`` must be a ``str`` and ``delay`` an integer, not a bool
+    (``TypeError``), of at least 1 (``ValueError``).
+    """
 
     op: str
     delay: int
 
     def __post_init__(self) -> None:
-        if self.delay < 1:
+        op, delay = self.op, self.delay
+        # the type test lets a plain int skip the is_int call: the shrinker
+        # builds a Command for every candidate delay
+        if not isinstance(op, str) or type(delay) is not int and not is_int(delay):
+            raise TypeError(
+                f"need a string op and an integer delay, got op {op!r} and delay {delay!r}"
+            )
+        if delay < 1:
             raise ValueError("delay must be >= 1")
 
 
@@ -107,13 +119,6 @@ class CommandSequence:
             clock += command.delay
             out.append(clock)
         return tuple(out)
-
-    def without(self, index: int) -> CommandSequence:
-        if not 0 <= index < len(self.commands):
-            raise IndexError(index)
-        return CommandSequence(
-            self.commands[:index] + self.commands[index + 1 :]
-        )
 
     def with_delay(self, index: int, delay: int) -> CommandSequence:
         if not 0 <= index < len(self.commands):

@@ -27,13 +27,7 @@ def command_to_json(command: Command) -> dict:
 
 def commands_from_json(items: Any) -> CommandSequence:
     """The commands :func:`command_to_json` wrote; TypeError or ValueError otherwise."""
-    commands = []
-    for item in items:
-        op, delay = item["op"], item["delay"]
-        if not (isinstance(op, str) and is_int(delay)):
-            raise TypeError(f"need a string op and an integer delay, got {item!r}")
-        commands.append(Command(op, delay))
-    return CommandSequence(tuple(commands))
+    return CommandSequence(tuple(Command(item["op"], item["delay"]) for item in items))
 
 
 def config_echo(

@@ -211,7 +211,8 @@ class Observation:
     deduplicated. The same boxes are also kept as ``(x1, y1, x2, y2)``
     tuples in ``_corners``, which the compiled ``OccupyBox`` and
     ``OccupyPoint`` predicates unpack; it is not a field, so equality,
-    hashing and ``repr`` see only the three above.
+    hashing and ``repr`` see only the three above. ``time`` must be an
+    integer, not a bool, and ``owner`` a ``str`` (``TypeError``).
     """
 
     time: int
@@ -219,6 +220,12 @@ class Observation:
     occupied: tuple[Box, ...] = ()
 
     def __init__(self, time: int, owner: str, occupied: Iterable[Box] = ()):
+        # the type test lets a plain int skip the is_int call: a campaign
+        # builds an observation per owner at every step it judges
+        if type(time) is not int and not is_int(time):
+            raise TypeError(f"time must be an integer, got {time!r}")
+        if not isinstance(owner, str):
+            raise TypeError(f"owner must be a string, got {owner!r}")
         object.__setattr__(self, "time", time)
         object.__setattr__(self, "owner", owner)
         boxes = tuple(sorted(set(occupied)))

@@ -150,7 +150,8 @@ class StateModel:
     object back gets dictionary hits on identity, without a call to
     ``State.__eq__``; identity is only a shortcut, and equality still
     decides. Neither table is a field, so equality and ``repr`` ignore
-    them.
+    them, nor is ``action_names``, the distinct action names in
+    declaration order, built once with the model.
     """
 
     variables: tuple[str, ...]
@@ -175,7 +176,9 @@ class StateModel:
         states.sort(key=lambda s: s.sort_key)
         object.__setattr__(self, "init", tuple(states))
         object.__setattr__(self, "actions", tuple(actions))
-        object.__setattr__(self, "_names", frozenset(a.name for a in self.actions))
+        names = tuple(dict.fromkeys(a.name for a in self.actions))
+        object.__setattr__(self, "action_names", names)
+        object.__setattr__(self, "_names", frozenset(names))
         # Each state met to its canonical object, see has_met.
         object.__setattr__(self, "_met", {s: s for s in self.init})
         # Canonical state -> {op: canonical successors}, see _row. Filled
@@ -187,15 +190,6 @@ class StateModel:
             raise ValueError(
                 f"state binds {s.variables}, model declares {self.variables}"
             )
-
-    @property
-    def action_names(self) -> tuple[str, ...]:
-        """Distinct action names in declaration order."""
-        seen = []
-        for action in self.actions:
-            if action.name not in seen:
-                seen.append(action.name)
-        return tuple(seen)
 
 
 # ---------------------------------------------------------------------------

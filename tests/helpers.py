@@ -449,6 +449,13 @@ def reference_enabled_commands(model, weights, max_len) -> Generator[CommandSequ
 # Greedy shrinking reference
 
 
+def without(seq: CommandSequence, index: int) -> CommandSequence:
+    """``seq`` less its command at ``index``; IndexError out of range."""
+    if not 0 <= index < len(seq):
+        raise IndexError(index)
+    return CommandSequence(seq.commands[:index] + seq.commands[index + 1 :])
+
+
 def greedy_shrink_reference(seq, fails):
     """1-minimal shrink of ``seq`` under the bool predicate ``fails``.
 
@@ -463,7 +470,7 @@ def greedy_shrink_reference(seq, fails):
         changed = False
         index = 0
         while index < len(current):
-            candidate = current.without(index)
+            candidate = without(current, index)
             if fails(candidate):
                 current = candidate
                 changed = True

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from helpers import oracle_behaviours, oracle_collisions, random_model
+from helpers import oracle_behaviours, oracle_collisions, random_model, without
 from stpt import (
     And,
     Box,
@@ -211,7 +211,7 @@ def test_criterion_4_shrinking_minimality(therac_campaign):
             bad.append(("window", seq))
             continue
         for i in range(len(seq)):
-            if same_kind_fail(seq.without(i)):
+            if same_kind_fail(without(seq, i)):
                 bad.append(("deletable", seq))
                 break
             delay = seq.commands[i].delay

@@ -12,6 +12,7 @@ import pytest
 import stpt
 from helpers import oracle_behaviours
 from stpt import cli, therac_suite
+from stpt.genrand import InvalidRange, gen_enabled_commands
 from stpt.suts import (
     OP_CURSOR_UP,
     OP_SELECT_ELECTRON,
@@ -1067,6 +1068,28 @@ class TestFlagTable:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: weight for 'CursorUp' given twice\n"
+
+    @pytest.mark.parametrize(
+        "weights, op", [("CursorUp=0", "CursorUp"), ("flyToMoon=-3", "flyToMoon")]
+    )
+    def test_weight_positivity_is_checked_by_the_generator(
+        self, capsys, monkeypatch, weights, op
+    ):
+        raised = []
+
+        def generator(*args):
+            try:
+                return gen_enabled_commands(*args)
+            except InvalidRange as err:
+                raised.append(str(err))
+                raise
+
+        monkeypatch.setattr(cli, "gen_enabled_commands", generator)
+        assert cli.main(["--suite", "therac25", "--weights", weights]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: weight for {op!r} must be positive\n"
+        assert raised == [f"weight for {op!r} must be positive"]
 
 
 class TestModuleEntry:

@@ -15,6 +15,7 @@ from helpers import (
     oracle_check,
     random_model,
     weighted,
+    without,
 )
 from stpt import (
     ActionSpec,
@@ -457,6 +458,19 @@ class TestSpatialChecking:
         assert isinstance(result, Fail)
         assert result.kind == FailKind.SPATIAL_VIOLATION
         assert result.witness.invariant is given
+
+    def test_judged_fact_whose_owner_is_no_string_is_a_sut_error(self):
+        # the owner 7 is outside the obligation's scope, but it cannot be
+        # the owner of an observation, so the occupancy is never judged
+        sut = ToggleSut(facts=(OccupancyFact(7, TimeWindow(0, 100), Box(0, 0, 4, 4)),))
+        result = self.check(sut, ["turnOn"], (self.WANT_BIG,))
+        assert isinstance(result, Fail)
+        assert result.kind == FailKind.SUT_ERROR
+        assert result.witness.fail_index is None
+        assert result.witness.note == (
+            "reset reported occupancy that cannot be judged: "
+            "TypeError('owner must be a string, got 7')"
+        )
 
     def test_stale_facts_outside_window_are_ignored(self):
         later = ToggleSut(
@@ -1052,7 +1066,7 @@ class TestRunProperty:
             assert replayed.witness.fail_index == record.shrunk.fail_index
             shrunk = record.shrunk.sequence
             for i in range(len(shrunk)):
-                assert not same_kind(shrunk.without(i))
+                assert not same_kind(without(shrunk, i))
                 delay = shrunk.commands[i].delay
                 if delay > 1:
                     assert not same_kind(shrunk.with_delay(i, delay // 2))

@@ -14,6 +14,7 @@ from helpers import (
     reference_enabled_commands,
     reference_shrink,
     weighted,
+    without,
 )
 from stpt import (
     Command,
@@ -130,20 +131,36 @@ class TestCommands:
         with pytest.raises(ValueError):
             Command("op", 0)
 
+    @pytest.mark.parametrize(
+        "op, delay",
+        # a delay below 1 of the wrong type is a TypeError too
+        [("x", 2.5), ("x", True), ("x", "2"), ("x", 0.5), ("x", False), (5, 1), (None, 1)],
+        ids=["float-delay", "bool-delay", "str-delay", "small-float-delay", "false-delay",
+             "int-op", "none-op"],
+    )
+    def test_op_must_be_a_string_and_delay_an_integer(self, op, delay):
+        with pytest.raises(TypeError, match="need a string op and an integer delay"):
+            Command(op, delay)
+
     def test_timestamps_are_prefix_sums(self):
         seq = CommandSequence((Command("a", 2), Command("b", 3), Command("c", 1)))
         assert seq.timestamps == (2, 5, 6)
 
-    def test_without_and_with_delay(self):
+    def test_with_delay(self):
         seq = CommandSequence((Command("a", 2), Command("b", 3)))
-        assert seq.without(0) == CommandSequence((Command("b", 3),))
         assert seq.with_delay(1, 9) == CommandSequence(
             (Command("a", 2), Command("b", 9))
         )
         with pytest.raises(IndexError):
-            seq.without(2)
-        with pytest.raises(IndexError):
             seq.with_delay(-1, 1)
+
+    def test_reference_without_drops_one_command(self):
+        seq = CommandSequence((Command("a", 2), Command("b", 3)))
+        assert without(seq, 0) == CommandSequence((Command("b", 3),))
+        with pytest.raises(IndexError):
+            without(seq, 2)
+        with pytest.raises(IndexError):
+            without(seq, -1)
 
     def test_empty_sequence_is_legal(self):
         seq = CommandSequence()
@@ -378,7 +395,7 @@ class TestShrinkSequence:
         shrunk = shrink_sequence(start, whole(fails))
         assert fails(shrunk)
         for i in range(len(shrunk)):
-            assert not fails(shrunk.without(i))
+            assert not fails(without(shrunk, i))
             delay = shrunk.commands[i].delay
             if delay > 1:
                 assert not fails(shrunk.with_delay(i, delay // 2))
@@ -474,7 +491,7 @@ class TestShrinkSequence:
         shrunk = shrink_sequence(CommandSequence(seq.commands[:kept]), fails)
         assert fails(shrunk) == len(shrunk)
         for i in range(len(shrunk)):
-            assert fails(shrunk.without(i)) is None
+            assert fails(without(shrunk, i)) is None
             delay = shrunk.commands[i].delay
             if delay > 1:
                 assert fails(shrunk.with_delay(i, delay // 2)) is None

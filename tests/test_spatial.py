@@ -79,6 +79,9 @@ _crew = st.sampled_from(["arm", "cart", "crane"])
 _small = st.integers(0, 6)
 _small_boxes = st.builds(Box, _small, _small, _small, _small)
 _small_ticks = st.integers(0, 12)
+_crew_observations = st.builds(
+    Observation, _small_ticks, _crew, st.lists(_small_boxes, max_size=3)
+)
 
 
 @st.composite
@@ -115,6 +118,32 @@ def formulas_on_their_trace(draw):
         max_leaves=10,
     ))
     return formula, trace
+
+
+@st.composite
+def two_owner_scopes(draw):
+    """A formula scoped to two owners, on a trace where both violate it.
+
+    The formula is ``IMPLIES(AND(TimeInterval(a, b), OR(Owner(p),
+    Owner(q))), f)``, its terms in any order, where ``f`` is an atom that
+    an observation without boxes violates. The trace holds one such
+    observation of each owner inside the window, at drawn times, so the
+    verdict is the smaller of the two owners' first violations, and the
+    owner the scope's set lists first is often the one that violates
+    later.
+    """
+    p, q = draw(st.permutations(["arm", "cart", "crane"]))[:2]
+    start, end = sorted(draw(st.lists(_small_ticks, min_size=2, max_size=2)))
+    trace = draw(st.lists(_crew_observations, max_size=12))
+    trace += [Observation(draw(st.integers(start, end)), owner) for owner in (p, q)]
+    trace.sort(key=lambda obs: obs.time)
+    scope = [TimeInterval(TimeWindow(start, end)), Or((Owner(p), Owner(q)))]
+    then = draw(st.one_of(
+        st.just(FalseAtom()),
+        st.builds(OccupyBox, _small_boxes),
+        st.builds(OccupyPoint, _small, _small),
+    ))
+    return Implies(And(tuple(draw(st.permutations(scope)))), then), trace
 
 
 def _swapped(box: Box, swap: bool) -> Box:
@@ -257,6 +286,16 @@ class TestBoxGeometry:
     def test_point_coordinates_must_be_integers(self, point):
         with pytest.raises(TypeError, match="point coordinates must be integers"):
             OccupyPoint(*point)
+
+    @pytest.mark.parametrize("time", [0.5, True, "3", None, 2.0])
+    def test_observation_time_must_be_an_integer(self, time):
+        with pytest.raises(TypeError, match=f"time must be an integer, got {time!r}"):
+            Observation(time, "arm")
+
+    @pytest.mark.parametrize("owner", [None, 3, b"arm", ("arm",)])
+    def test_observation_owner_must_be_a_string(self, owner):
+        with pytest.raises(TypeError, match="owner must be a string, got "):
+            Observation(3, owner)
 
     @pytest.mark.parametrize(
         "a,b,expected",
@@ -608,6 +647,14 @@ class TestCheckTrace:
         at = oracle_first_violation(inv, trace)
         assert check_trace(inv, trace) == TraceVerdict(holds=at is None, first_violation=at)
 
+    @given(two_owner_scopes())
+    @settings(max_examples=300)
+    def test_agrees_with_oracle_when_both_owners_of_the_scope_violate(self, case):
+        inv, trace = case
+        at = oracle_first_violation(inv, trace)
+        assert at is not None
+        assert check_trace(inv, trace) == TraceVerdict(holds=False, first_violation=at)
+
     def test_judges_only_the_observations_in_scope(self, monkeypatch):
         judged = []
 
@@ -661,9 +708,6 @@ class TestCheckTrace:
             assert verdict == TraceVerdict(holds=False, first_violation=min(arm_at, cart_at))
 
 
-_crew_observations = st.builds(
-    Observation, _small_ticks, _crew, st.lists(_small_boxes, max_size=3)
-)
 _crew_formulas = st.recursive(
     st.one_of(
         st.just(TrueAtom()),
