@@ -50,8 +50,10 @@ class Deferred(Generic[A]):
     Consume with :meth:`wait`, which blocks until the outcome is set or
     the timeout passes. :meth:`successful` and :meth:`failed` build one
     that is resolved from the start: an outcome is never unset, so it
-    needs no lock, and each builds it in one frame. A replay makes one
-    per step, so the three fields are slots.
+    needs no lock, and each builds it in one frame. A replay can make one
+    per step, so the three fields are slots. A resolved one never
+    changes, so an adapter may hand the same one out for several calls,
+    as the suites' simulators do for an answer they have built before.
     """
 
     __slots__ = ("_lock", "_pending", "_outcome")

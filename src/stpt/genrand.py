@@ -192,7 +192,8 @@ def gen_enabled_commands(
     disabled-operation check. Generation stops early when no weighted
     operation is enabled, so sequences may be shorter than the drawn
     length (or empty). ``weights`` is read, and every weight checked to
-    be positive, once, when the generator is built.
+    be a positive integer (a ``bool`` is none), once, when the generator
+    is built.
 
     One kernel makes every draw on the raw state of the ``Rng``, each by
     rejection over whole 64-bit outputs, and builds the ``Rng`` it returns
@@ -211,6 +212,8 @@ def gen_enabled_commands(
         raise InvalidRange("weights must be nonempty")
     ranked = sorted(weights.items(), key=lambda kv: repr(kv[0]))
     for op, weight in ranked:
+        if not is_int(weight):
+            raise InvalidRange(f"weight for {op!r} must be an integer, got {weight!r}")
         if weight <= 0:
             raise InvalidRange(f"weight for {op!r} must be positive")
     # indexed by the drawn delay less one

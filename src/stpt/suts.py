@@ -12,11 +12,21 @@ harness has something real to catch:
 
 A :class:`Suite` bundles the model, abstraction, invariants, default
 operation weights, and an adapter factory for one named scenario.
+
+Each simulator keeps a table of the answers it has built, keyed by all an
+answer depends on: the mode, the beam and the clock for the terminal, the
+position and the clock for the arm. A step whose key is in the table
+gets the resolved :class:`~stpt.conformance.Deferred` built before, which
+never changes, so the answer is the one a fresh build would give. Every
+replay resets the clock to 0 and issues with delays of 1 to 5, so the
+same keys come back replay after replay. A table belongs to one
+simulator and is emptied when it holds :data:`ANSWER_TABLE_CAP` entries.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_right, insort
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, Mapping, Optional
@@ -43,6 +53,9 @@ FAULT_NONE = "none"
 FAULT_WRONG_INIT = "wrongInit"
 FAULT_WRONG_MOVE = "wrongMove"
 FAULT_SEQUENCE_BUG = "sequenceBug"
+
+# the most answers one simulator keeps; a full table is emptied
+ANSWER_TABLE_CAP = 1024
 
 
 class UnknownWaypoint(ValueError):
@@ -82,8 +95,6 @@ OP_SELECT_ELECTRON = "Select25MevElectronMode"
 OP_CURSOR_UP = "CursorUp"
 OP_OTHER = "OtherKindOfOperation"
 
-_SELECTIONS = (OP_SELECT_PHOTON, OP_SELECT_ELECTRON)
-
 
 class TheracSim:
     """Terminal controller for a two-mode beam device.
@@ -91,57 +102,78 @@ class TheracSim:
     With ``sequence_bug`` enabled, switching to electron mode within
     :data:`EDIT_WINDOW_TICKS` of a photon selection, with at least one
     cursor movement strictly in between, updates the displayed mode but
-    leaves the beam at the photon level.
+    leaves the beam at the photon level. "In between" compares issue
+    times, so a cursor movement issued before the photon selection at a
+    later time counts too.
+
+    An answer depends on the mode, the beam and the clock alone, so the
+    table of answers is keyed by the three and holds at most
+    :data:`ANSWER_TABLE_CAP` of them. An answer found there was built for
+    the same three values and cannot have changed since, so it equals the
+    one a fresh build would give. A clock that is not an ``int`` is never
+    looked up, since ``2.0`` would find the entry of ``2``. The trigger
+    is checked from the time of the last selection, if it was a photon
+    one, and the sorted times of every cursor movement since the reset.
     """
 
     EDIT_WINDOW_TICKS = 8
 
     def __init__(self, sequence_bug: bool = False):
         self.sequence_bug = sequence_bug
+        self._answers: dict[tuple[str, str, int], Deferred[RawObservation]] = {}
         self.reset()
 
     def reset(self) -> Deferred[RawObservation]:
         self._mode = MODE_NONE
         self._beam = BEAM_OFF
-        self._history: list[tuple[str, int]] = []
-        return Deferred.successful(self._observe(0))
+        self._photon_at: Optional[int] = None
+        self._cursor_times: list[int] = []
+        return self._answer(0)
 
     def vocabulary(self) -> tuple[str, ...]:
         return (OP_SELECT_PHOTON, OP_SELECT_ELECTRON, OP_CURSOR_UP, OP_OTHER)
 
-    def _observe(self, clock: int) -> RawObservation:
-        payload = {"mode": self._mode, "beam": self._beam}
-        return RawObservation(payload=payload, occupancy=(), clock=clock)
+    def _answer(self, clock: int) -> Deferred[RawObservation]:
+        mode, beam = self._mode, self._beam
+        key = (mode, beam, clock)
+        answers = self._answers
+        answer = answers.get(key) if type(clock) is int else None
+        if answer is None:
+            answer = Deferred.successful(
+                RawObservation({"mode": mode, "beam": beam}, (), clock)
+            )
+            if type(clock) is int:
+                if len(answers) >= ANSWER_TABLE_CAP:
+                    answers.clear()
+                answers[key] = answer
+        return answer
 
     def _bug_fires(self, at_time: int) -> bool:
-        # most recent selection must be a photon one, close enough in time,
-        # with a cursor movement strictly between the two selections
-        for op, t in reversed(self._history):
-            if op not in _SELECTIONS:
-                continue
-            if op != OP_SELECT_PHOTON:
-                return False
-            if at_time - t > self.EDIT_WINDOW_TICKS:
-                return False
-            return any(
-                o == OP_CURSOR_UP and t < u < at_time for o, u in self._history
-            )
-        return False
+        # the last selection must be a photon one, close enough in time,
+        # with a cursor movement at a time strictly between the two
+        t = self._photon_at
+        if t is None or at_time - t > self.EDIT_WINDOW_TICKS:
+            return False
+        cursors = self._cursor_times
+        after = bisect_right(cursors, t)
+        return after < len(cursors) and cursors[after] < at_time
 
     def apply(self, command: Command, at_time: int) -> Deferred[RawObservation]:
         op = command.op
         if op == OP_SELECT_PHOTON:
             self._mode = MODE_PHOTON
             self._beam = BEAM_PHOTON
+            self._photon_at = at_time
         elif op == OP_SELECT_ELECTRON:
-            stale = self.sequence_bug and self._bug_fires(at_time)
-            self._mode = MODE_ELECTRON
-            if not stale:
+            if not (self.sequence_bug and self._bug_fires(at_time)):
                 self._beam = BEAM_ELECTRON
-        elif op not in (OP_CURSOR_UP, OP_OTHER):
+            self._mode = MODE_ELECTRON
+            self._photon_at = None
+        elif op == OP_CURSOR_UP:
+            insort(self._cursor_times, at_time)
+        elif op != OP_OTHER:
             return Deferred.failed(ValueError(f"unsupported operation {op!r}"))
-        self._history.append((op, at_time))
-        return Deferred.successful(self._observe(at_time))
+        return self._answer(at_time)
 
 
 def _interning_abstraction(model: StateModel) -> Abstraction:
@@ -340,12 +372,24 @@ class RobotSim:
     the arrival clock. While parked on a documented waypoint the arm
     reports an occupancy fact for that waypoint's footprint; on an
     undocumented position it reports nothing.
+
+    An answer depends on the position, the clock and the footprint the
+    config gives that position now, so the table of answers is keyed by
+    the position and the clock, holds at most :data:`ANSWER_TABLE_CAP` of
+    them, and keeps with each the footprint it was built with. An answer
+    is handed back only while the config still gives that same footprint
+    object, so a waypoint replaced in the config is reported anew, and
+    every answer equals the one a fresh build would give. A clock that is
+    not an ``int`` is never looked up, as for :class:`TheracSim`.
     """
 
     def __init__(self, config: RobotConfig, fault: str = FAULT_NONE):
         _check_fault(fault, _ROBOT_FAULTS)
         self._config = config
         self._fault = fault
+        self._answers: dict[
+            tuple[str, int], tuple[Optional[Box], Deferred[RawObservation]]
+        ] = {}
         self.reset()
 
     def _park(self, position: str) -> None:
@@ -355,32 +399,38 @@ class RobotSim:
 
     def reset(self) -> Deferred[RawObservation]:
         self._park(self._config.init)
-        return Deferred.successful(self._observe(0))
+        return self._answer(0)
 
     def vocabulary(self) -> tuple[str, ...]:
         moves = tuple(MOVE_PREFIX + name for name in sorted(self._config.waypoints))
         return (OP_INITIALISE,) + moves
 
-    def _observe(self, clock: int) -> RawObservation:
-        waypoint = self._config.waypoints.get(self._position)
+    def _answer(self, clock: int) -> Deferred[RawObservation]:
+        position = self._position
+        waypoint = self._config.waypoints.get(position)
+        footprint = None if waypoint is None else waypoint.footprint
+        key = (position, clock)
+        answers = self._answers
+        entry = answers.get(key) if type(clock) is int else None
+        if entry is not None and entry[0] is footprint:
+            return entry[1]
         occupancy = ()
-        if waypoint is not None:
-            occupancy = (
-                OccupancyFact(
-                    ARM_OWNER, TimeWindow(clock, clock), waypoint.footprint
-                ),
-            )
-        return RawObservation(
-            payload={"position": self._position},
-            occupancy=occupancy,
-            clock=clock,
+        if footprint is not None:
+            occupancy = (OccupancyFact(ARM_OWNER, TimeWindow(clock, clock), footprint),)
+        answer = Deferred.successful(
+            RawObservation({"position": position}, occupancy, clock)
         )
+        if type(clock) is int:
+            if len(answers) >= ANSWER_TABLE_CAP:
+                answers.clear()
+            answers[key] = (footprint, answer)
+        return answer
 
     def apply(self, command: Command, at_time: int) -> Deferred[RawObservation]:
         op = command.op
         if op == OP_INITIALISE:
             self._park(HOME_WAYPOINT)
-            return Deferred.successful(self._observe(at_time))
+            return self._answer(at_time)
         if op.startswith(MOVE_PREFIX):
             target = op[len(MOVE_PREFIX) :]
             if target not in self._config.waypoints:
@@ -390,7 +440,7 @@ class RobotSim:
                 self._position = WRONG_MOVE_POSITION
             else:
                 self._position = target
-            return Deferred.successful(self._observe(arrival))
+            return self._answer(arrival)
         return Deferred.failed(ValueError(f"unsupported operation {op!r}"))
 
 

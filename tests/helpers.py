@@ -22,6 +22,7 @@ from stpt import (
     And,
     Box,
     CollisionWitness,
+    Deferred,
     EmptyInit,
     FailKind,
     FalseAtom,
@@ -35,6 +36,8 @@ from stpt import (
     OccupyPoint,
     Or,
     Owner,
+    RawObservation,
+    RobotSim,
     State,
     StateModel,
     TimeInterval,
@@ -44,7 +47,15 @@ from stpt import (
 from stpt.genrand import InvalidRange, _mix64, _MASK64
 from stpt.statemodel import enabled_actions, step, successors
 from stpt.suts import (
+    ARM_OWNER,
+    BEAM_ELECTRON,
+    BEAM_OFF,
+    BEAM_PHOTON,
+    MODE_ELECTRON,
+    MODE_NONE,
+    MODE_PHOTON,
     OP_CURSOR_UP,
+    OP_OTHER,
     OP_SELECT_ELECTRON,
     OP_SELECT_PHOTON,
 )
@@ -342,6 +353,83 @@ def therac_first_disagreement(ops_with_times, window=8):
         ):
             return k
     return None
+
+
+# ---------------------------------------------------------------------------
+# Reference simulators: every answer built fresh
+
+
+class ReferenceTheracSim:
+    """The terminal of :class:`~stpt.suts.TheracSim`, keeping no answer.
+
+    Each step builds its payload and observation anew, and the trigger is
+    found by scanning the whole (op, time) history since the reset.
+    """
+
+    EDIT_WINDOW_TICKS = 8
+
+    def __init__(self, sequence_bug: bool = False):
+        self.sequence_bug = sequence_bug
+        self.reset()
+
+    def reset(self) -> Deferred:
+        self._mode = MODE_NONE
+        self._beam = BEAM_OFF
+        self._history: list[tuple[str, int]] = []
+        return Deferred.successful(self._observe(0))
+
+    def _observe(self, clock: int) -> RawObservation:
+        payload = {"mode": self._mode, "beam": self._beam}
+        return RawObservation(payload=payload, occupancy=(), clock=clock)
+
+    def _bug_fires(self, at_time: int) -> bool:
+        # most recent selection must be a photon one, close enough in time,
+        # with a cursor movement strictly between the two selections
+        for op, t in reversed(self._history):
+            if op not in (OP_SELECT_PHOTON, OP_SELECT_ELECTRON):
+                continue
+            if op != OP_SELECT_PHOTON:
+                return False
+            if at_time - t > self.EDIT_WINDOW_TICKS:
+                return False
+            return any(
+                o == OP_CURSOR_UP and t < u < at_time for o, u in self._history
+            )
+        return False
+
+    def apply(self, command: Command, at_time: int) -> Deferred:
+        op = command.op
+        if op == OP_SELECT_PHOTON:
+            self._mode = MODE_PHOTON
+            self._beam = BEAM_PHOTON
+        elif op == OP_SELECT_ELECTRON:
+            stale = self.sequence_bug and self._bug_fires(at_time)
+            self._mode = MODE_ELECTRON
+            if not stale:
+                self._beam = BEAM_ELECTRON
+        elif op not in (OP_CURSOR_UP, OP_OTHER):
+            return Deferred.failed(ValueError(f"unsupported operation {op!r}"))
+        self._history.append((op, at_time))
+        return Deferred.successful(self._observe(at_time))
+
+
+class ReferenceRobotSim(RobotSim):
+    """:class:`~stpt.suts.RobotSim` with every answer built fresh."""
+
+    def _answer(self, clock: int) -> Deferred:
+        waypoint = self._config.waypoints.get(self._position)
+        occupancy = ()
+        if waypoint is not None:
+            occupancy = (
+                OccupancyFact(ARM_OWNER, TimeWindow(clock, clock), waypoint.footprint),
+            )
+        return Deferred.successful(
+            RawObservation(
+                payload={"position": self._position},
+                occupancy=occupancy,
+                clock=clock,
+            )
+        )
 
 
 # ---------------------------------------------------------------------------

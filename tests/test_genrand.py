@@ -25,7 +25,7 @@ from stpt import (
 )
 from stpt.genrand import InvalidRange
 from stpt.statemodel import enabled_actions, step
-from stpt.suts import OP_SELECT_PHOTON, therac_suite
+from stpt.suts import OP_CURSOR_UP, OP_SELECT_PHOTON, therac_suite
 
 
 def draw_many(gen, rng: Rng, count: int) -> list:
@@ -241,6 +241,25 @@ class TestGenEnabledCommands:
         weights = dict(therac_suite("none").default_weights, **{op: 0})
         with pytest.raises(InvalidRange):
             gen_enabled_commands(therac_suite("none").model, weights, max_len=5)
+
+    @pytest.mark.parametrize("weight", [0.5, "3", True], ids=["float", "str", "bool"])
+    def test_weight_that_is_no_integer_is_rejected_when_built(self, weight):
+        suite = therac_suite("none")
+        weights = dict(suite.default_weights, **{OP_CURSOR_UP: weight})
+        with pytest.raises(InvalidRange) as refused:
+            gen_enabled_commands(suite.model, weights, max_len=5)
+        assert str(refused.value) == (
+            f"weight for {OP_CURSOR_UP!r} must be an integer, got {weight!r}"
+        )
+
+    def test_weight_beyond_64_bits_is_valid(self):
+        suite = therac_suite("none")
+        weights = dict(suite.default_weights, **{OP_CURSOR_UP: 2**70})
+        gen = gen_enabled_commands(suite.model, weights, max_len=5)
+        seqs = [gen.run(Rng.from_seed(s))[0] for s in range(20)]
+        # the other weights sum to 7, so nearly every pick is the cursor
+        assert all(c.op == OP_CURSOR_UP for seq in seqs for c in seq.commands)
+        assert seqs[0].commands
 
     @settings(max_examples=300, deadline=None)
     @given(

@@ -3,10 +3,13 @@ from __future__ import annotations
 import inspect
 import json
 import random
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import therac_first_disagreement
+from helpers import ReferenceRobotSim, ReferenceTheracSim, therac_first_disagreement
 from stpt import (
     ActionSpec,
     And,
@@ -18,6 +21,7 @@ from stpt import (
     FalseAtom,
     Implies,
     Observation,
+    OccupancyFact,
     OccupyBox,
     Owner,
     Pass,
@@ -42,9 +46,11 @@ from stpt import (
     step,
     therac_suite,
 )
+from stpt import suts
 from stpt.spatial import always_false, always_true
 from stpt.statemodel import has_met
 from stpt.suts import (
+    ANSWER_TABLE_CAP,
     ARM_OWNER,
     robot_config_from_json,
     robot_config_to_json,
@@ -427,6 +433,136 @@ class TestRobotSim:
     def test_fault_validation(self):
         with pytest.raises(ValueError):
             RobotSim(RobotConfig(), fault=FAULT_SEQUENCE_BUG)
+
+
+def outcome(call) -> tuple:
+    """What a SUT call gives: its observation's fields, its failure, or what it raised."""
+    try:
+        status, value = call().wait(0)
+    except Exception as err:
+        return "raised", type(err), str(err)
+    if status == "ok":
+        return status, value.payload, value.occupancy, value.clock, type(value.clock)
+    return status, type(value), str(value)
+
+
+ROBOT_OPS = (OP_INITIALISE, "moveToQ", "moveToR", "moveToS", "moveToY", "moveToZ", "dance")
+
+# each interned simulator beside its reference, with the operations it is
+# driven by, unsupported ones included
+SIM_PAIRS = {
+    "therac": (lambda: TheracSim(), lambda: ReferenceTheracSim(), THERAC_VOCAB + ("fire",)),
+    "therac-bug": (
+        lambda: TheracSim(sequence_bug=True),
+        lambda: ReferenceTheracSim(sequence_bug=True),
+        THERAC_VOCAB + ("fire",),
+    ),
+    **{
+        f"robot-{fault}": (
+            lambda fault=fault: RobotSim(RobotConfig(), fault),
+            lambda fault=fault: ReferenceRobotSim(RobotConfig(), fault),
+            ROBOT_OPS,
+        )
+        for fault in (FAULT_NONE, FAULT_WRONG_INIT, FAULT_WRONG_MOVE)
+    },
+    "robot-still": (
+        lambda: RobotSim(RobotConfig(init="Q", motion_duration=0)),
+        lambda: ReferenceRobotSim(RobotConfig(init="Q", motion_duration=0)),
+        ROBOT_OPS,
+    ),
+}
+
+# a sim with an operation that leaves its state as it is
+STAYS = [("therac-bug", OP_OTHER), ("robot-none", OP_INITIALISE)]
+
+
+class TestInternedAnswers:
+    @pytest.mark.parametrize("cap", [ANSWER_TABLE_CAP, 3], ids=["cap", "tiny-cap"])
+    @pytest.mark.parametrize("pair", sorted(SIM_PAIRS))
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_answers_equal_those_built_fresh(self, pair, cap, data):
+        make, make_reference, ops = SIM_PAIRS[pair]
+        # each op with the step from the last time, which may go back, so
+        # (state, clock) keys come back replay after replay
+        replays = data.draw(
+            st.lists(
+                st.lists(st.tuples(st.sampled_from(ops), st.integers(-2, 5)), max_size=40),
+                min_size=1,
+                max_size=8,
+            )
+        )
+        with patch.object(suts, "ANSWER_TABLE_CAP", cap):
+            sim, reference = make(), make_reference()
+            for replay in replays:
+                assert outcome(sim.reset) == outcome(reference.reset)
+                at_time = 0
+                for op, shift in replay:
+                    at_time = max(0, at_time + shift)
+                    command = Command(op, 1)
+                    assert outcome(lambda: sim.apply(command, at_time)) == outcome(
+                        lambda: reference.apply(command, at_time)
+                    )
+                    assert len(sim._answers) <= cap
+
+    @pytest.mark.parametrize("pair", sorted(SIM_PAIRS))
+    def test_a_clock_that_is_no_int_is_never_served_from_the_table(self, pair):
+        make, make_reference, ops = SIM_PAIRS[pair]
+        sim, reference = make(), make_reference()
+        for at_time in (2, 2.0, 1, True, 2):
+            for op in ops:
+                command = Command(op, 1)
+                assert outcome(lambda: sim.apply(command, at_time)) == outcome(
+                    lambda: reference.apply(command, at_time)
+                )
+
+    @pytest.mark.parametrize("pair, op", STAYS)
+    def test_a_key_met_again_gets_the_same_deferred(self, pair, op):
+        make = SIM_PAIRS[pair][0]
+        sim = make()
+        assert sim.reset() is sim.reset()
+        first = sim.apply(Command(op, 1), 5)
+        assert sim.apply(Command(op, 1), 5) is first
+        assert sim.apply(Command(op, 1), 6) is not first
+        # each simulator has a table of its own
+        assert make().apply(Command(op, 1), 5) is not first
+
+    @pytest.mark.parametrize("pair, op", STAYS)
+    def test_table_never_exceeds_the_cap(self, pair, op):
+        make, make_reference, _ = SIM_PAIRS[pair]
+        sim, reference = make(), make_reference()
+        sizes = []
+        for clock in range(3 * ANSWER_TABLE_CAP + 5):
+            command = Command(op, 1)
+            assert outcome(lambda: sim.apply(command, clock)) == outcome(
+                lambda: reference.apply(command, clock)
+            )
+            sizes.append(len(sim._answers))
+        assert max(sizes) == ANSWER_TABLE_CAP
+        # emptied when full, and filling again
+        assert sizes[-1] < ANSWER_TABLE_CAP
+
+    def test_replaced_waypoint_is_reported_with_its_new_footprint(self):
+        config = RobotConfig()
+        sim = RobotSim(config)
+        lost = RobotSim(config, FAULT_WRONG_INIT)
+
+        def replay():
+            sim.reset()
+            _, raw = sim.apply(Command("moveToQ", 1), 1).wait(0)
+            _, parked = lost.reset().wait(0)
+            return raw.occupancy, parked.occupancy
+
+        arrival = 1 + config.motion_duration
+        window = TimeWindow(arrival, arrival)
+        assert replay() == ((OccupancyFact(ARM_OWNER, window, Box(38, 8, 42, 12)),), ())
+        config.waypoints["Q"] = Waypoint(at=(40, 10), footprint=Box(30, 0, 50, 20))
+        # the position the wrongInit fault parks on becomes a waypoint
+        config.waypoints["K"] = Waypoint(at=(0, 0), footprint=Box(0, 0, 2, 2))
+        assert replay() == (
+            (OccupancyFact(ARM_OWNER, window, Box(30, 0, 50, 20)),),
+            (OccupancyFact(ARM_OWNER, TimeWindow(0, 0), Box(0, 0, 2, 2)),),
+        )
 
 
 class TestRobotConfig:
