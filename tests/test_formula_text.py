@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import invariants
 from stpt import (
@@ -86,6 +89,38 @@ def test_printing_is_stable_after_one_round_trip(inv):
 
 
 class TestParseErrors:
+    # one row or more per message kind: the text, the message and its position
+    @pytest.mark.parametrize(
+        "text,message,position",
+        [
+            ("AND(TRUE,@)", "unexpected character '@'", 9),
+            ('Owner("unterminated', "unexpected character '\"'", 6),
+            ("NOT(" * 491 + "TRUE", "nested too deeply", 1963),
+            ("", "expected name, found 'eof'", 0),
+            ("NOT(1)", "expected name, found '1'", 4),
+            ("AND(TRUE,)", "expected name, found ')'", 9),
+            ("Owner(7)", "expected string, found '7'", 6),
+            ('OccupyBox(1,2,"x",4)', "expected int, found '\"x\"'", 14),
+            ("NOT TRUE", "expected (, found 'TRUE'", 4),
+            ("OccupyPoint(1 2)", "expected ), found '2'", 14),
+            ("IMPLIES(TRUE)", "expected 2 argument(s), found 1", 12),
+            ("NOT(TRUE,FALSE)", "expected 1 argument(s), found 2", 14),
+            ("OccupyBox(1,2,3)", "expected 4 argument(s), found 3", 15),
+            ("AND()", "expected at least 1 argument(s), found 0", 4),
+            ("OR()", "expected at least 1 argument(s), found 0", 3),
+            ("Bogus(1,2)", "unknown construct 'Bogus'", 0),
+            ("not(TRUE)", "unknown construct 'not'", 0),
+            ('Owner("a\\q")', "bad string literal", 6),
+            ("NOT(TRUE) trailing", "trailing input 'trailing'", 10),
+            ("TRUE()", "trailing input '('", 4),
+        ],
+    )
+    def test_message_and_position(self, text, message, position):
+        with pytest.raises(FormulaParseError) as err:
+            parse_invariant(text)
+        assert str(err.value) == f"{message} (at position {position})"
+        assert err.value.position == position
+
     @pytest.mark.parametrize(
         "bad",
         [
@@ -129,3 +164,37 @@ class TestParseErrors:
     def test_error_is_a_value_error(self):
         with pytest.raises(ValueError):
             parse_invariant("???")
+
+
+# The grammar's own vocabulary, with a name it does not know, a bad string
+# literal, an unterminated one and one stray character, and whole atoms and
+# openers so that some soups parse. Tokens are joined as drawn, so
+# neighbours may merge ("TRUE" and "1" make the name "TRUE1").
+_NAMES = (
+    "TRUE", "FALSE", "AND", "OR", "NOT", "IMPLIES",
+    "TimeInterval", "Owner", "OccupyBox", "OccupyPoint", "Bogus",
+)
+_SOUP_TOKENS = st.one_of(
+    st.sampled_from(_NAMES),
+    st.integers(min_value=-20, max_value=20).map(str),
+    st.sampled_from(["arm", 'a "quoted" name', "back\\slash", ""]).map(json.dumps),
+    st.sampled_from(['"\\q"', '"']),
+    st.sampled_from(["(", ")", ",", " ", "\n", "\t", "$"]),
+    st.sampled_from(
+        [
+            'Owner("arm")', "OccupyPoint(1,-2)", "OccupyBox(3,1,0,2)",
+            "TimeInterval(5,1)", "NOT(", "AND(", "OR(", "IMPLIES(", ",", ")",
+        ]
+    ),
+)
+token_soups = st.lists(_SOUP_TOKENS, max_size=30).map("".join)
+
+
+@given(token_soups)
+@settings(max_examples=500)
+def test_token_soup_parses_or_is_refused(text):
+    try:
+        term = parse_invariant(text)
+    except FormulaParseError:
+        return
+    assert parse_invariant(format_invariant(term)) == term
