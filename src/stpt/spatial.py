@@ -7,7 +7,9 @@ trace is checked at the observations where the formula can fail.
 
 All coordinates and times are integers. Every interval is closed on both
 ends, so boxes include their borders and touching boxes overlap in a
-degenerate (zero-width) box.
+degenerate (zero-width) box. A construct of the formula language is its
+term class, its row in ``_CONSTRUCTS``, its compiler in ``_COMPILERS``,
+and its case in the satisfaction oracle of the tests.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from math import inf
-from typing import Callable, Iterable, Optional, Sequence, Union
+from operator import attrgetter
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 
 def is_int(value: object) -> bool:
@@ -202,6 +205,49 @@ class OccupyPoint(Invariant):
             raise TypeError(f"point coordinates must be integers, got {(self.x, self.y)}")
 
 
+class _Construct(NamedTuple):
+    """A construct's text ``name``, the one ``kind`` of its arguments
+    (``"term"``, ``"int"`` or ``"string"``), their ``arity`` (``0`` for a
+    bare name, ``None`` for one or more), and how to ``build`` the term
+    from them and read its ``args`` back."""
+
+    name: str
+    kind: str
+    arity: Optional[int]
+    build: Callable[..., Invariant]
+    args: Callable[[Invariant], tuple]
+
+
+# The grammar, a row per term class: parsing, printing and normalize read it
+_CONSTRUCTS: dict[type, _Construct] = {
+    TrueAtom: _Construct("TRUE", "term", 0, TrueAtom, lambda inv: ()),
+    FalseAtom: _Construct("FALSE", "term", 0, FalseAtom, lambda inv: ()),
+    And: _Construct("AND", "term", None, lambda *terms: And(terms), attrgetter("terms")),
+    Or: _Construct("OR", "term", None, lambda *terms: Or(terms), attrgetter("terms")),
+    Not: _Construct("NOT", "term", 1, Not, lambda inv: (inv.term,)),
+    Implies: _Construct("IMPLIES", "term", 2, Implies, attrgetter("antecedent", "consequent")),
+    TimeInterval: _Construct(
+        "TimeInterval", "int", 2, lambda *ends: TimeInterval(TimeWindow(*ends)),
+        lambda inv: (inv.window.start, inv.window.end),
+    ),
+    Owner: _Construct("Owner", "string", 1, Owner, lambda inv: (inv.name,)),
+    OccupyBox: _Construct(
+        "OccupyBox", "int", 4, lambda *corners: OccupyBox(Box(*corners)),
+        lambda inv: inv.box.as_tuple(),
+    ),
+    OccupyPoint: _Construct("OccupyPoint", "int", 2, OccupyPoint, attrgetter("x", "y")),
+}
+
+
+def _construct(inv: Invariant) -> _Construct:
+    """The row of ``inv``'s class, or of the nearest base class that has one."""
+    for cls in type(inv).__mro__:
+        row = _CONSTRUCTS.get(cls)
+        if row is not None:
+            return row
+    raise TypeError(f"unknown invariant term: {inv!r}")
+
+
 @dataclass(frozen=True)
 class Observation:
     """One owner's occupied space at one instant of discrete time.
@@ -272,25 +318,20 @@ def normalize(inv: Invariant) -> Invariant:
     """Canonical form: nested And/Or flattened; atoms are ordered when built.
 
     Semantics-preserving and idempotent. No other simplification is applied,
-    so the term structure stays recognizable.
+    so the term structure stays recognizable. A subclass of ``And`` (say)
+    normalizes to an ``And``.
     """
-    atoms = (TrueAtom, FalseAtom, TimeInterval, Owner, OccupyBox, OccupyPoint)
-    if isinstance(inv, atoms):
+    row = _construct(inv)
+    if row.kind != "term" or row.arity == 0:
         return inv
-    if isinstance(inv, Not):
-        return Not(normalize(inv.term))
-    if isinstance(inv, Implies):
-        return Implies(normalize(inv.antecedent), normalize(inv.consequent))
-    if isinstance(inv, Junction):
-        flat: list[Invariant] = []
-        for term in inv.terms:
-            term = normalize(term)
-            if type(term) is type(inv):
-                flat.extend(term.terms)
-            else:
-                flat.append(term)
-        return type(inv)(flat)
-    raise TypeError(f"unknown invariant term: {inv!r}")
+    terms: list[Invariant] = []
+    for term in map(normalize, row.args(inv)):
+        # AND and OR are associative: a term of the same construct is spliced in
+        if row.arity is None and _CONSTRUCTS.get(type(term)) is row:
+            terms.extend(row.args(term))
+        else:
+            terms.append(term)
+    return row.build(*terms)
 
 
 # ---------------------------------------------------------------------------

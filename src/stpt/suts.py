@@ -299,7 +299,7 @@ class RobotConfig:
             raise ValueError(
                 f"waypoint catalogue must include the home position {HOME_WAYPOINT!r}"
             )
-        if self.init not in self.waypoints:
+        if not isinstance(self.init, str) or self.init not in self.waypoints:
             raise ValueError(f"init position {self.init!r} is not a waypoint")
         if not all(is_int(n) and n >= 0 for n in (self.motion_duration, self.horizon)):
             raise ValueError("motion_duration and horizon must be integers >= 0")
@@ -332,6 +332,11 @@ def robot_config_to_json(config: RobotConfig) -> dict:
     }
 
 
+def _ints(value: object, count: int) -> bool:
+    """Whether ``value`` is a JSON array of ``count`` integers."""
+    return isinstance(value, list) and len(value) == count and all(map(is_int, value))
+
+
 def robot_config_from_json(data: object) -> RobotConfig:
     """The deployment a decoded JSON document describes; see :func:`load_robot_config`."""
     if not isinstance(data, dict):
@@ -342,6 +347,10 @@ def robot_config_from_json(data: object) -> RobotConfig:
         raise ValueError(f"unknown robot config keys: {sorted(unknown)}")
     kwargs: dict = {}
     if "workspace" in data:
+        if not _ints(data["workspace"], 4):
+            raise TypeError(
+                f"workspace must be an integer [x1, y1, x2, y2]: {data['workspace']!r}"
+            )
         kwargs["workspace"] = Box(*data["workspace"])
     if "waypoints" in data:
         if not isinstance(data["waypoints"], dict):
@@ -349,11 +358,15 @@ def robot_config_from_json(data: object) -> RobotConfig:
         waypoints = {}
         for name, spec in data["waypoints"].items():
             at = spec.get("at") if isinstance(spec, dict) else None
-            if not (isinstance(at, list) and len(at) == 2 and all(map(is_int, at))):
+            if not _ints(at, 2):
                 raise TypeError(f"waypoint {name!r} needs an integer [x, y] at: {spec!r}")
             unknown = set(spec) - {"at", "footprint"}
             if unknown:
                 raise ValueError(f"unknown keys in waypoint {name!r}: {sorted(unknown)}")
+            if not _ints(spec.get("footprint"), 4):
+                raise TypeError(
+                    f"waypoint {name!r} needs an integer [x1, y1, x2, y2] footprint: {spec!r}"
+                )
             waypoints[name] = Waypoint(at=tuple(at), footprint=Box(*spec["footprint"]))
         kwargs["waypoints"] = waypoints
     if "init" in data:

@@ -522,6 +522,24 @@ class TestTraceCheck:
         assert cli.main(argv) == 2
         assert "inv.txt:1:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "formula,message",
+        [
+            ("OWNER(", "unknown construct 'OWNER' (at position 0)"),
+            ('IMPLIES(Owner("arm"), $)', "unexpected character '$' (at position 22)"),
+            ("AND()", "expected at least 1 argument(s), found 0 (at position 4)"),
+        ],
+        ids=["unknown-construct", "stray-character-after-space", "empty-and"],
+    )
+    def test_malformed_formula_names_line_and_position(
+        self, tmp_path, capsys, formula, message
+    ):
+        argv = self.write_inputs(tmp_path, ["# first", formula], [self.OCCUPIED])
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {tmp_path / 'inv.txt'}:2: {message}\n"
+
     def test_unsorted_trace_exits_two(self, tmp_path, capsys):
         argv = self.write_inputs(
             tmp_path,
@@ -865,6 +883,36 @@ class TestRobotConfigFlag:
         path = self.write_config(tmp_path, doc)
         assert cli.main(["--suite", "robot", "--robot-config", path]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "doc,message",
+        [
+            (
+                {"waypoints": {"Y": {"at": [10, 10]}}},
+                "waypoint 'Y' needs an integer [x1, y1, x2, y2] footprint: {'at': [10, 10]}",
+            ),
+            (
+                {"waypoints": {"Y": {"at": [10, 10], "footprint": [8, 8, 12, True]}}},
+                "waypoint 'Y' needs an integer [x1, y1, x2, y2] footprint: "
+                "{'at': [10, 10], 'footprint': [8, 8, 12, True]}",
+            ),
+            ({"workspace": {"x": 1}}, "workspace must be an integer [x1, y1, x2, y2]: {'x': 1}"),
+            ({"workspace": [0, 0, 100]}, "workspace must be an integer [x1, y1, x2, y2]: [0, 0, 100]"),
+            ({"init": ["Y"]}, "init position ['Y'] is not a waypoint"),
+        ],
+        ids=["missing-footprint", "bool-footprint", "object-workspace", "three-workspace",
+             "list-init"],
+    )
+    def test_malformed_file_names_the_key(self, tmp_path, capsys, doc, message):
+        path = self.write_config(tmp_path, doc)
+        assert cli.main(["--suite", "robot", "--robot-config", path]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        # the same document recorded in a report
+        report_path, report = self.escaping_report(tmp_path)
+        report["config"]["robotConfig"] = doc
+        Path(report_path).write_text(json.dumps(report))
+        assert cli.main(["--replay", report_path]) == 2
+        assert capsys.readouterr() == ("", f"error: report robotConfig is malformed: {message}\n")
 
     def test_unreadable_file_is_a_configuration_error(self, tmp_path, capsys):
         missing = str(tmp_path / "absent.json")

@@ -12,6 +12,7 @@ from stpt import (
     Box,
     FalseAtom,
     Implies,
+    Invariant,
     Not,
     OccupyBox,
     OccupyPoint,
@@ -25,6 +26,7 @@ from stpt import (
     parse_invariant,
 )
 from stpt.formula_text import FormulaParseError
+from stpt.spatial import _COMPILERS, _CONSTRUCTS
 
 CANONICAL = (
     'IMPLIES(AND(TimeInterval(300,605),Owner("AreaOfInterest")),'
@@ -88,12 +90,42 @@ def test_printing_is_stable_after_one_round_trip(inv):
     assert format_invariant(parse_invariant(text)) == text
 
 
+class _Both(And):
+    """A subclass of a construct, which has no row of its own."""
+
+
+def test_subclass_prints_and_normalizes_as_its_base():
+    term = _Both((TrueAtom(), _Both((FalseAtom(),))))
+    assert format_invariant(term) == "AND(TRUE,AND(FALSE))"
+    assert normalize(term) == And((TrueAtom(), FalseAtom()))
+    assert parse_invariant(format_invariant(term)) == normalize(term)
+
+
+def test_term_outside_the_grammar_is_a_type_error():
+    class Stray(Invariant):
+        pass
+
+    for walk in (format_invariant, normalize):
+        with pytest.raises(TypeError, match="unknown invariant term"):
+            walk(Not(Stray()))
+
+
+def test_every_construct_has_one_row_and_one_compiler():
+    assert set(_CONSTRUCTS) == set(_COMPILERS)
+    names = [row.name for row in _CONSTRUCTS.values()]
+    assert len(set(names)) == len(names)
+
+
 class TestParseErrors:
     # one row or more per message kind: the text, the message and its position
     @pytest.mark.parametrize(
         "text,message,position",
         [
             ("AND(TRUE,@)", "unexpected character '@'", 9),
+            # the character is named, not the whitespace before it
+            ("TRUE  $", "unexpected character '$'", 6),
+            ('IMPLIES(Owner("arm"), $)', "unexpected character '$'", 22),
+            ("NOT(\n\t@)", "unexpected character '@'", 6),
             ('Owner("unterminated', "unexpected character '\"'", 6),
             ("NOT(" * 491 + "TRUE", "nested too deeply", 1963),
             ("", "expected name, found 'eof'", 0),

@@ -665,10 +665,13 @@ class TestRobotConfig:
             {"horizon": True},
             {"horizon": -5},
             {"motionDuration": 2.5},
+            {"waypoints": {"Y": {"at": [10, 10]}}},
+            {"workspace": {"x": 1}},
+            {"init": ["Y"]},
         ],
         ids=["list-waypoints", "float-workspace", "float-footprint", "float-at",
              "three-at", "missing-at", "unknown-waypoint-key", "bool-horizon", "negative-horizon",
-             "float-duration"],
+             "float-duration", "missing-footprint", "object-workspace", "list-init"],
     )
     def test_load_rejects_malformed_values(self, tmp_path, doc):
         path = tmp_path / "robot.json"
