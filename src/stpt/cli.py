@@ -195,9 +195,21 @@ def _parse_weights(text: str) -> dict[str, int]:
     return weights
 
 
+def _timeout_s(ms: object, name: str) -> float:
+    """``ms`` milliseconds in seconds, refusing ``name`` unless ``ms`` is an
+    integer >= 1 whose seconds fit in a float."""
+    if is_int(ms) and ms >= 1:
+        try:
+            return ms / 1000
+        except OverflowError:
+            pass
+    raise CliError(f"{name}: must be an integer >= 1 whose seconds fit in a float, got {ms!r}")
+
+
 def _run_campaign(
     suite: Suite, args: argparse.Namespace, deployment: Optional[RobotConfig]
 ) -> int:
+    timeout = _timeout_s(args.timeout_ms, "argument --timeout-ms")
     seed = _resolve_seed(args)
     if args.weights is None:
         weights = dict(suite.default_weights)
@@ -218,7 +230,7 @@ def _run_campaign(
         st_invariants=suite.st_invariants,
         num_tests=args.num_tests,
         seed=seed,
-        timeout=args.timeout_ms / 1000.0,
+        timeout=timeout,
         workers=args.workers,
         adapter_factory=suite.make_adapter,
     )
@@ -292,9 +304,7 @@ def _run_replay(args: argparse.Namespace, given: set[str]) -> int:
     if suite_name == "robot":
         deployment = _replay_deployment(config.get("robotConfig"), args.robot_config)
     suite = _build_suite(suite_name, config.get("fault", FAULT_NONE), deployment)
-    timeout_ms = config.get("timeoutMs", 5000)
-    if not is_int(timeout_ms) or timeout_ms < 1:
-        raise CliError(f"report timeoutMs must be a positive integer, got {timeout_ms!r}")
+    timeout = _timeout_s(config.get("timeoutMs", 5000), "report timeoutMs")
     failures = doc.get("failures", [])
     if not isinstance(failures, list):
         raise CliError(f"report failures must be a list, got {failures!r}")
@@ -315,7 +325,7 @@ def _run_replay(args: argparse.Namespace, given: set[str]) -> int:
             suite.abstraction,
             seq,
             suite.st_invariants,
-            timeout_ms / 1000.0,
+            timeout,
         )
         if not isinstance(result, Fail):
             lines.append(f"failure {index}: did not reproduce")

@@ -31,7 +31,7 @@ class FormulaParseError(ValueError):
 # the end of the text, after any whitespace, is ``eof``.
 _TOKEN_RE = re.compile(
     r"""\s*(?:
-        (?P<int>-?\d+)
+        (?P<int>-?[0-9]+)
       | (?P<name>[A-Za-z][A-Za-z0-9]*)
       | (?P<string>"(?:[^"\\]|\\.)*")
       | (?P<punct>[(),])
@@ -93,8 +93,11 @@ class _Parser:
         return tok_kind, tok_value, pos
 
     def parse_int(self) -> int:
-        _, value, _ = self.take("int")
-        return int(value)
+        _, value, pos = self.take("int")
+        try:
+            return int(value)
+        except ValueError:  # past the interpreter's limit on integer digits
+            raise FormulaParseError("integer literal too long", pos) from None
 
     def parse_string(self) -> str:
         _, value, pos = self.take("string")
@@ -142,7 +145,11 @@ _SHOW = {"int": format, "string": json.dumps}
 
 
 def format_invariant(inv: Invariant) -> str:
-    """Render a formula in the textual form accepted by ``parse_invariant``."""
+    """Render a formula in the textual form accepted by ``parse_invariant``.
+
+    A term built in Python with an integer past the interpreter's limit on
+    digits (4,300 by default) raises ``ValueError``, as ``str`` of it does.
+    """
     row = _construct(inv)
     if row.arity == 0:
         return row.name

@@ -8,8 +8,8 @@ trace is checked at the observations where the formula can fail.
 All coordinates and times are integers. Every interval is closed on both
 ends, so boxes include their borders and touching boxes overlap in a
 degenerate (zero-width) box. A construct of the formula language is its
-term class, its row in ``_CONSTRUCTS``, its compiler in ``_COMPILERS``,
-and its case in the satisfaction oracle of the tests.
+term class, its row in ``_CONSTRUCTS`` (which holds its compiler), and its
+case in the satisfaction oracle of the tests.
 """
 
 from __future__ import annotations
@@ -203,49 +203,6 @@ class OccupyPoint(Invariant):
     def __post_init__(self) -> None:
         if not (is_int(self.x) and is_int(self.y)):
             raise TypeError(f"point coordinates must be integers, got {(self.x, self.y)}")
-
-
-class _Construct(NamedTuple):
-    """A construct's text ``name``, the one ``kind`` of its arguments
-    (``"term"``, ``"int"`` or ``"string"``), their ``arity`` (``0`` for a
-    bare name, ``None`` for one or more), and how to ``build`` the term
-    from them and read its ``args`` back."""
-
-    name: str
-    kind: str
-    arity: Optional[int]
-    build: Callable[..., Invariant]
-    args: Callable[[Invariant], tuple]
-
-
-# The grammar, a row per term class: parsing, printing and normalize read it
-_CONSTRUCTS: dict[type, _Construct] = {
-    TrueAtom: _Construct("TRUE", "term", 0, TrueAtom, lambda inv: ()),
-    FalseAtom: _Construct("FALSE", "term", 0, FalseAtom, lambda inv: ()),
-    And: _Construct("AND", "term", None, lambda *terms: And(terms), attrgetter("terms")),
-    Or: _Construct("OR", "term", None, lambda *terms: Or(terms), attrgetter("terms")),
-    Not: _Construct("NOT", "term", 1, Not, lambda inv: (inv.term,)),
-    Implies: _Construct("IMPLIES", "term", 2, Implies, attrgetter("antecedent", "consequent")),
-    TimeInterval: _Construct(
-        "TimeInterval", "int", 2, lambda *ends: TimeInterval(TimeWindow(*ends)),
-        lambda inv: (inv.window.start, inv.window.end),
-    ),
-    Owner: _Construct("Owner", "string", 1, Owner, lambda inv: (inv.name,)),
-    OccupyBox: _Construct(
-        "OccupyBox", "int", 4, lambda *corners: OccupyBox(Box(*corners)),
-        lambda inv: inv.box.as_tuple(),
-    ),
-    OccupyPoint: _Construct("OccupyPoint", "int", 2, OccupyPoint, attrgetter("x", "y")),
-}
-
-
-def _construct(inv: Invariant) -> _Construct:
-    """The row of ``inv``'s class, or of the nearest base class that has one."""
-    for cls in type(inv).__mro__:
-        row = _CONSTRUCTS.get(cls)
-        if row is not None:
-            return row
-    raise TypeError(f"unknown invariant term: {inv!r}")
 
 
 @dataclass(frozen=True)
@@ -523,11 +480,7 @@ def _compile(inv: Invariant) -> _Compiled:
     tuples that an :class:`Observation` prepares when built, so judging
     them reads no ``Box`` attribute.
     """
-    for cls in type(inv).__mro__:
-        compiler = _COMPILERS.get(cls)
-        if compiler is not None:
-            return compiler(inv)
-    raise TypeError(f"unknown invariant term: {inv!r}")
+    return _construct(inv).compile(inv)
 
 
 def _negate(compiled: Union[bool, Predicate]) -> Union[bool, Predicate]:
@@ -651,18 +604,63 @@ def _compile_point(inv: OccupyPoint) -> _Compiled:
     return occupies_point, _EVERYWHERE, _EVERYWHERE
 
 
-_COMPILERS = {
-    TrueAtom: lambda inv: (True, _EVERYWHERE, _NOWHERE),
-    FalseAtom: lambda inv: (False, _NOWHERE, _EVERYWHERE),
-    And: _compile_junction,
-    Or: _compile_junction,
-    Not: _compile_not,
-    Implies: _compile_implies,
-    TimeInterval: _compile_time,
-    Owner: _compile_owner,
-    OccupyBox: _compile_box,
-    OccupyPoint: _compile_point,
+class _Construct(NamedTuple):
+    """A construct's text ``name``, the one ``kind`` of its arguments
+    (``"term"``, ``"int"`` or ``"string"``), their ``arity`` (``0`` for a
+    bare name, ``None`` for one or more), how to ``build`` the term from
+    them and read its ``args`` back, and how to ``compile`` it (see
+    :func:`_compile`)."""
+
+    name: str
+    kind: str
+    arity: Optional[int]
+    build: Callable[..., Invariant]
+    args: Callable[[Invariant], tuple]
+    compile: Callable[[Invariant], _Compiled]
+
+
+# The grammar, a row per term class: parsing, printing, normalize and
+# compilation read it
+_CONSTRUCTS: dict[type, _Construct] = {
+    TrueAtom: _Construct(
+        "TRUE", "term", 0, TrueAtom, lambda inv: (), lambda inv: (True, _EVERYWHERE, _NOWHERE)
+    ),
+    FalseAtom: _Construct(
+        "FALSE", "term", 0, FalseAtom, lambda inv: (),
+        lambda inv: (False, _NOWHERE, _EVERYWHERE),
+    ),
+    And: _Construct(
+        "AND", "term", None, lambda *terms: And(terms), attrgetter("terms"), _compile_junction
+    ),
+    Or: _Construct(
+        "OR", "term", None, lambda *terms: Or(terms), attrgetter("terms"), _compile_junction
+    ),
+    Not: _Construct("NOT", "term", 1, Not, lambda inv: (inv.term,), _compile_not),
+    Implies: _Construct(
+        "IMPLIES", "term", 2, Implies, attrgetter("antecedent", "consequent"), _compile_implies
+    ),
+    TimeInterval: _Construct(
+        "TimeInterval", "int", 2, lambda *ends: TimeInterval(TimeWindow(*ends)),
+        lambda inv: (inv.window.start, inv.window.end), _compile_time,
+    ),
+    Owner: _Construct("Owner", "string", 1, Owner, lambda inv: (inv.name,), _compile_owner),
+    OccupyBox: _Construct(
+        "OccupyBox", "int", 4, lambda *corners: OccupyBox(Box(*corners)),
+        lambda inv: inv.box.as_tuple(), _compile_box,
+    ),
+    OccupyPoint: _Construct(
+        "OccupyPoint", "int", 2, OccupyPoint, attrgetter("x", "y"), _compile_point
+    ),
 }
+
+
+def _construct(inv: Invariant) -> _Construct:
+    """The row of ``inv``'s class, or of the nearest base class that has one."""
+    for cls in type(inv).__mro__:
+        row = _CONSTRUCTS.get(cls)
+        if row is not None:
+            return row
+    raise TypeError(f"unknown invariant term: {inv!r}")
 
 
 def evaluate(inv: Invariant, obs: Observation) -> bool:

@@ -12,21 +12,13 @@ harness has something real to catch:
 
 A :class:`Suite` bundles the model, abstraction, invariants, default
 operation weights, and an adapter factory for one named scenario.
-
-Each simulator keeps a table of the answers it has built, keyed by all an
-answer depends on: the mode, the beam and the clock for the terminal, the
-position and the clock for the arm. A step whose key is in the table
-gets the resolved :class:`~stpt.conformance.Deferred` built before, which
-never changes, so the answer is the one a fresh build would give. Every
-replay resets the clock to 0 and issues with delays of 1 to 5, so the
-same keys come back replay after replay. A table belongs to one
-simulator and is emptied when it holds :data:`ANSWER_TABLE_CAP` entries.
 """
 
 from __future__ import annotations
 
 import json
 from bisect import bisect_right, insort
+from copy import deepcopy
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, Mapping, Optional
@@ -80,6 +72,36 @@ class Suite:
     make_adapter: Callable[[], SutAdapter]
 
 
+class _Simulator:
+    """A simulator that answers through a table of the answers it has built.
+
+    An answer is keyed by all it depends on, the clock last: mode, beam and
+    clock for the terminal, position and clock for the arm. ``_observe(key)``
+    builds it on a miss; a hit gets the resolved
+    :class:`~stpt.conformance.Deferred` built before, which never changes,
+    so it equals a fresh build. Replays reset the clock to 0 and issue with
+    delays of 1 to 5, so keys come back replay after replay. A table
+    belongs to one simulator and is emptied when it holds
+    :data:`ANSWER_TABLE_CAP` entries. A clock that is not an ``int`` is
+    never looked up, since ``2.0`` would find the entry of ``2``.
+    """
+
+    def __init__(self) -> None:
+        self._answers: dict[tuple, Deferred[RawObservation]] = {}
+        self.reset()
+
+    def _answer(self, key: tuple) -> Deferred[RawObservation]:
+        if type(key[-1]) is not int:
+            return Deferred.successful(self._observe(key))
+        answers = self._answers
+        answer = answers.get(key)
+        if answer is None:
+            if len(answers) >= ANSWER_TABLE_CAP:
+                answers.clear()
+            answer = answers[key] = Deferred.successful(self._observe(key))
+        return answer
+
+
 # ---------------------------------------------------------------------------
 # Mode/beam terminal
 
@@ -96,7 +118,7 @@ OP_CURSOR_UP = "CursorUp"
 OP_OTHER = "OtherKindOfOperation"
 
 
-class TheracSim:
+class TheracSim(_Simulator):
     """Terminal controller for a two-mode beam device.
 
     With ``sequence_bug`` enabled, switching to electron mode within
@@ -104,49 +126,30 @@ class TheracSim:
     cursor movement strictly in between, updates the displayed mode but
     leaves the beam at the photon level. "In between" compares issue
     times, so a cursor movement issued before the photon selection at a
-    later time counts too.
-
-    An answer depends on the mode, the beam and the clock alone, so the
-    table of answers is keyed by the three and holds at most
-    :data:`ANSWER_TABLE_CAP` of them. An answer found there was built for
-    the same three values and cannot have changed since, so it equals the
-    one a fresh build would give. A clock that is not an ``int`` is never
-    looked up, since ``2.0`` would find the entry of ``2``. The trigger
-    is checked from the time of the last selection, if it was a photon
-    one, and the sorted times of every cursor movement since the reset.
+    later time counts too. The trigger is checked from the time of the
+    last selection, if it was a photon one, and the sorted times of every
+    cursor movement since the reset.
     """
 
     EDIT_WINDOW_TICKS = 8
 
     def __init__(self, sequence_bug: bool = False):
         self.sequence_bug = sequence_bug
-        self._answers: dict[tuple[str, str, int], Deferred[RawObservation]] = {}
-        self.reset()
+        super().__init__()
 
     def reset(self) -> Deferred[RawObservation]:
         self._mode = MODE_NONE
         self._beam = BEAM_OFF
         self._photon_at: Optional[int] = None
         self._cursor_times: list[int] = []
-        return self._answer(0)
+        return self._answer((self._mode, self._beam, 0))
 
     def vocabulary(self) -> tuple[str, ...]:
         return (OP_SELECT_PHOTON, OP_SELECT_ELECTRON, OP_CURSOR_UP, OP_OTHER)
 
-    def _answer(self, clock: int) -> Deferred[RawObservation]:
-        mode, beam = self._mode, self._beam
-        key = (mode, beam, clock)
-        answers = self._answers
-        answer = answers.get(key) if type(clock) is int else None
-        if answer is None:
-            answer = Deferred.successful(
-                RawObservation({"mode": mode, "beam": beam}, (), clock)
-            )
-            if type(clock) is int:
-                if len(answers) >= ANSWER_TABLE_CAP:
-                    answers.clear()
-                answers[key] = answer
-        return answer
+    def _observe(self, key: tuple[str, str, int]) -> RawObservation:
+        mode, beam, clock = key
+        return RawObservation({"mode": mode, "beam": beam}, (), clock)
 
     def _bug_fires(self, at_time: int) -> bool:
         # the last selection must be a photon one, close enough in time,
@@ -173,7 +176,7 @@ class TheracSim:
             insort(self._cursor_times, at_time)
         elif op != OP_OTHER:
             return Deferred.failed(ValueError(f"unsupported operation {op!r}"))
-        return self._answer(at_time)
+        return self._answer((self._mode, self._beam, at_time))
 
 
 def _interning_abstraction(model: StateModel) -> Abstraction:
@@ -378,82 +381,59 @@ def robot_config_from_json(data: object) -> RobotConfig:
     return RobotConfig(**kwargs)
 
 
-class RobotSim:
+class RobotSim(_Simulator):
     """Arm travelling between waypoints on a plane.
 
     Moves take ``motion_duration`` ticks; the deferred completes carrying
     the arrival clock. While parked on a documented waypoint the arm
     reports an occupancy fact for that waypoint's footprint; on an
-    undocumented position it reports nothing.
-
-    An answer depends on the position, the clock and the footprint the
-    config gives that position now, so the table of answers is keyed by
-    the position and the clock, holds at most :data:`ANSWER_TABLE_CAP` of
-    them, and keeps with each the footprint it was built with. An answer
-    is handed back only while the config still gives that same footprint
-    object, so a waypoint replaced in the config is reported anew, and
-    every answer equals the one a fresh build would give. A clock that is
-    not an ``int`` is never looked up, as for :class:`TheracSim`.
+    undocumented position it reports nothing. The footprints, init position
+    and motion duration are copied from ``config`` when the simulator is
+    built, so a later change to ``config`` is not seen.
     """
 
     def __init__(self, config: RobotConfig, fault: str = FAULT_NONE):
         _check_fault(fault, _ROBOT_FAULTS)
-        self._config = config
         self._fault = fault
-        self._answers: dict[
-            tuple[str, int], tuple[Optional[Box], Deferred[RawObservation]]
-        ] = {}
-        self.reset()
-
-    def _park(self, position: str) -> None:
+        self._footprints = {name: w.footprint for name, w in config.waypoints.items()}
         # wrongInit parks the arm on an undocumented position instead
-        wrong = self._fault == FAULT_WRONG_INIT
-        self._position = WRONG_INIT_POSITION if wrong else position
+        wrong = fault == FAULT_WRONG_INIT
+        self._init = WRONG_INIT_POSITION if wrong else config.init
+        self._home = WRONG_INIT_POSITION if wrong else HOME_WAYPOINT
+        self._motion_duration = config.motion_duration
+        super().__init__()
 
     def reset(self) -> Deferred[RawObservation]:
-        self._park(self._config.init)
-        return self._answer(0)
+        self._position = self._init
+        return self._answer((self._position, 0))
 
     def vocabulary(self) -> tuple[str, ...]:
-        moves = tuple(MOVE_PREFIX + name for name in sorted(self._config.waypoints))
+        moves = tuple(MOVE_PREFIX + name for name in sorted(self._footprints))
         return (OP_INITIALISE,) + moves
 
-    def _answer(self, clock: int) -> Deferred[RawObservation]:
-        position = self._position
-        waypoint = self._config.waypoints.get(position)
-        footprint = None if waypoint is None else waypoint.footprint
-        key = (position, clock)
-        answers = self._answers
-        entry = answers.get(key) if type(clock) is int else None
-        if entry is not None and entry[0] is footprint:
-            return entry[1]
+    def _observe(self, key: tuple[str, int]) -> RawObservation:
+        position, clock = key
+        footprint = self._footprints.get(position)
         occupancy = ()
         if footprint is not None:
             occupancy = (OccupancyFact(ARM_OWNER, TimeWindow(clock, clock), footprint),)
-        answer = Deferred.successful(
-            RawObservation({"position": position}, occupancy, clock)
-        )
-        if type(clock) is int:
-            if len(answers) >= ANSWER_TABLE_CAP:
-                answers.clear()
-            answers[key] = (footprint, answer)
-        return answer
+        return RawObservation({"position": position}, occupancy, clock)
 
     def apply(self, command: Command, at_time: int) -> Deferred[RawObservation]:
         op = command.op
         if op == OP_INITIALISE:
-            self._park(HOME_WAYPOINT)
-            return self._answer(at_time)
+            self._position = self._home
+            return self._answer((self._position, at_time))
         if op.startswith(MOVE_PREFIX):
             target = op[len(MOVE_PREFIX) :]
-            if target not in self._config.waypoints:
+            if target not in self._footprints:
                 return Deferred.failed(UnknownWaypoint(target))
-            arrival = at_time + self._config.motion_duration
+            arrival = at_time + self._motion_duration
             if self._fault == FAULT_WRONG_MOVE:
                 self._position = WRONG_MOVE_POSITION
             else:
                 self._position = target
-            return self._answer(arrival)
+            return self._answer((self._position, arrival))
         return Deferred.failed(ValueError(f"unsupported operation {op!r}"))
 
 
@@ -511,9 +491,10 @@ def _workspace_invariants(config: RobotConfig) -> tuple[Invariant, ...]:
 def robot_suite(
     fault: str = FAULT_NONE, config: Optional[RobotConfig] = None
 ) -> Suite:
+    """The robot scenario on a copy of ``config`` (the default deployment
+    for None), which its model, obligations and adapters all read."""
     _check_fault(fault, _ROBOT_FAULTS)
-    if config is None:
-        config = RobotConfig()
+    config = RobotConfig() if config is None else deepcopy(config)
     model = _robot_model(config)
     return Suite(
         name="robot",

@@ -47,7 +47,6 @@ from stpt import (
 from stpt.genrand import InvalidRange, _mix64, _MASK64
 from stpt.statemodel import enabled_actions, step, successors
 from stpt.suts import (
-    ARM_OWNER,
     BEAM_ELECTRON,
     BEAM_OFF,
     BEAM_PHOTON,
@@ -416,20 +415,8 @@ class ReferenceTheracSim:
 class ReferenceRobotSim(RobotSim):
     """:class:`~stpt.suts.RobotSim` with every answer built fresh."""
 
-    def _answer(self, clock: int) -> Deferred:
-        waypoint = self._config.waypoints.get(self._position)
-        occupancy = ()
-        if waypoint is not None:
-            occupancy = (
-                OccupancyFact(ARM_OWNER, TimeWindow(clock, clock), waypoint.footprint),
-            )
-        return Deferred.successful(
-            RawObservation(
-                payload={"position": self._position},
-                occupancy=occupancy,
-                clock=clock,
-            )
-        )
+    def _answer(self, key: tuple) -> Deferred:
+        return Deferred.successful(self._observe(key))
 
 
 # ---------------------------------------------------------------------------

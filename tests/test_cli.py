@@ -405,6 +405,7 @@ class TestReplay:
         "path, value",
         [
             (("config", "timeoutMs"), "5000"),
+            (("config", "timeoutMs"), 10**400),
             (("config",), [1]),
             (("failures",), 5),
             (("failures", 0, "shrunkCommands", 0, "delay"), 2.5),
@@ -419,7 +420,7 @@ class TestReplay:
             (("schemaVersion",), True),
             (("schemaVersion",), 1.0),
         ],
-        ids=["string-timeout", "list-config", "int-failures", "float-delay",
+        ids=["string-timeout", "huge-timeout", "list-config", "int-failures", "float-delay",
              "bool-delay", "int-op", "string-index", "bool-index",
              "negative-index", "float-index", "int-kind", "unknown-kind",
              "bool-schema-version", "float-schema-version"],
@@ -1042,6 +1043,11 @@ class TestFlagTable:
             (["--suite", "robot", "--max-len", "0"], "--max-len", "must be >= 1"),
             (["--suite", "robot", "--workers", "0"], "--workers", "must be >= 1"),
             (["--suite", "robot", "--timeout-ms", "-5"], "--timeout-ms", "must be >= 1"),
+            pytest.param(
+                ["--suite", "robot", "--timeout-ms", "1" + "0" * 400], "--timeout-ms",
+                "must be an integer >= 1 whose seconds fit in a float, got 1" + "0" * 400,
+                id="timeout-seconds-past-a-float",
+            ),
             (["--suite", "robot", "--workers", "two"], "--workers", "invalid integer value"),
         ],
     )

@@ -542,27 +542,37 @@ class TestInternedAnswers:
         # emptied when full, and filling again
         assert sizes[-1] < ANSWER_TABLE_CAP
 
-    def test_replaced_waypoint_is_reported_with_its_new_footprint(self):
+    @pytest.mark.parametrize("fault", [FAULT_NONE, FAULT_WRONG_INIT, FAULT_WRONG_MOVE])
+    def test_the_deployment_is_read_once(self, fault):
         config = RobotConfig()
-        sim = RobotSim(config)
-        lost = RobotSim(config, FAULT_WRONG_INIT)
-
-        def replay():
-            sim.reset()
-            _, raw = sim.apply(Command("moveToQ", 1), 1).wait(0)
-            _, parked = lost.reset().wait(0)
-            return raw.occupancy, parked.occupancy
-
-        arrival = 1 + config.motion_duration
-        window = TimeWindow(arrival, arrival)
-        assert replay() == ((OccupancyFact(ARM_OWNER, window, Box(38, 8, 42, 12)),), ())
+        suite = robot_suite(fault, config)
+        sims = [suite.make_adapter(), RobotSim(config, fault)]
+        built = robot_suite(fault, RobotConfig())
+        # every part of the deployment changes: a footprint, the position
+        # the wrongInit fault parks on becomes a waypoint, a waypoint goes,
+        # and the init position, motion, workspace and horizon all move
         config.waypoints["Q"] = Waypoint(at=(40, 10), footprint=Box(30, 0, 50, 20))
-        # the position the wrongInit fault parks on becomes a waypoint
         config.waypoints["K"] = Waypoint(at=(0, 0), footprint=Box(0, 0, 2, 2))
-        assert replay() == (
-            (OccupancyFact(ARM_OWNER, window, Box(30, 0, 50, 20)),),
-            (OccupancyFact(ARM_OWNER, TimeWindow(0, 0), Box(0, 0, 2, 2)),),
-        )
+        del config.waypoints["R"]
+        config.init = "Q"
+        config.motion_duration = 7
+        config.workspace = Box(0, 0, 10, 10)
+        config.horizon = 5
+        sims.append(suite.make_adapter())
+
+        assert suite.model.init == built.model.init
+        assert correct_behaviours(suite.model, 2) == correct_behaviours(built.model, 2)
+        assert suite.st_invariants == built.st_invariants
+        ops = ("moveToQ", "moveToR", "moveToK", OP_INITIALISE, "moveToQ")
+        want = built.make_adapter()
+        for sim in sims:
+            assert sim.vocabulary() == want.vocabulary()
+            assert outcome(sim.reset) == outcome(want.reset)
+            for at_time, op in enumerate(ops, start=1):
+                command = Command(op, 1)
+                assert outcome(lambda: sim.apply(command, at_time)) == outcome(
+                    lambda: want.apply(command, at_time)
+                )
 
 
 class TestRobotConfig:
