@@ -113,7 +113,12 @@ class Deferred(Generic[A]):
 
 @dataclass(frozen=True)
 class RawObservation:
-    """What the SUT reports after a step: payload, occupancy claims, clock."""
+    """What the SUT reports after a step: payload, occupancy claims, clock.
+
+    An observation, payload included, never changes once handed out, as a
+    resolved :class:`Deferred` never does: an abstraction may remember
+    what it made of one by the object's identity, as the suites' does.
+    """
 
     payload: Any
     occupancy: tuple[OccupancyFact, ...] = ()
@@ -231,8 +236,9 @@ def check_against(
     one more. A command step asks the model first, so an operation it
     rejects (unknown, or disabled in the consistent state) never reaches
     the SUT. Then every step runs the same body: the SUT call
-    (``Timeout`` if it does not settle, ``SutError`` if it raises or its
-    Deferred fails), the abstraction (``AbstractionError`` if it raises),
+    (``Timeout`` if it does not settle, ``SutError`` if it raises, answers
+    with anything but a :class:`Deferred`, or its Deferred fails or
+    raises from ``wait``), the abstraction (``AbstractionError`` if it raises),
     the match (``InitMismatch`` at the reset, ``SutMismatch`` after it)
     and the invariants, judged as given on the step's occupancy
     (``SpatialViolation``, or ``SutError`` if the occupancy cannot be
@@ -274,12 +280,17 @@ def check_against(
                 )
                 return _fail(FailKind.DISABLED_ACTION, seq, at, (state,), note=note)
         try:
-            deferred = (
-                adapter.reset() if command is None else adapter.apply(command, at_time)
-            )
+            answer = adapter.reset() if command is None else adapter.apply(command, at_time)
+            # a resolved Deferred is read in place; any other is waited on
+            if type(answer) is Deferred and answer._outcome is not None:
+                settled = answer._outcome
+            elif isinstance(answer, Deferred):
+                settled = answer.wait(timeout)
+            else:
+                note = f"SUT {_call(command)} returned {answer!r}, not a Deferred"
+                return _fail(FailKind.SUT_ERROR, seq, at, expected, note=note)
         except Exception as err:
-            deferred = Deferred.failed(err)
-        settled = deferred.wait(timeout)
+            settled = ("failed", err)
         if settled is None:
             note = f"{_call(command)} did not complete within {timeout}s"
             return _fail(FailKind.TIMEOUT, seq, at, expected, note=note)

@@ -14,7 +14,9 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cache
 from itertools import accumulate
+from struct import Struct
 from typing import Callable, Generic, Mapping, Optional, TypeVar
 
 from .spatial import is_int
@@ -42,7 +44,7 @@ def _mix_gamma(z: int) -> int:
     z = (z ^ (z >> 33)) * 0xFF51AFD7ED558CCD & _MASK64
     z = (z ^ (z >> 33)) * 0xC4CEB9FE1A85EC53 & _MASK64
     z = (z ^ (z >> 33)) | 1
-    if bin(z ^ (z >> 1)).count("1") < 24:
+    if (z ^ (z >> 1)).bit_count() < 24:
         z ^= 0xAAAAAAAAAAAAAAAA
     return z & _MASK64
 
@@ -62,8 +64,7 @@ class Rng:
         """(advanced self, independent child) pair."""
         s1 = (self.state + self.gamma) & _MASK64
         s2 = (s1 + self.gamma) & _MASK64
-        child = Rng(state=_mix64(s1), gamma=_mix_gamma(s2))
-        return Rng(s2, self.gamma), child
+        return Rng(s2, self.gamma), Rng(_mix64(s1), _mix_gamma(s2))
 
 
 @dataclass(frozen=True)
@@ -139,15 +140,83 @@ def _rejection(span: int) -> tuple[int, int]:
     return (1 << (64 * words)) // span * span, words
 
 
-def _draw(state: int, gamma: int, span: int, limit: int, words: int) -> tuple[int, int]:
-    """A value uniform in [0, span), and the stream state after it."""
+# the most lanes one pass of the kernel computes; a longer run of outputs
+# takes several passes, so the lane constants stay tens of kilobytes and
+# a sequence computes at most one pass ahead of the lanes it reads
+_MAX_LANES = 256
+
+
+@cache
+def _block(size: int) -> tuple[int, int, int, Struct]:
+    """The constants of one kernel pass over ``size`` 128-bit lanes.
+
+    Lane ``i`` (from the least significant end) of ``ones`` holds 1, of
+    ``ramp`` holds ``i + 1`` and of ``mask`` the low 64 bits set; the
+    ``Struct`` reads each lane's low word and skips its high one. Built
+    on first use, for powers of two up to ``_MAX_LANES`` only.
+    """
+    ones = sum(1 << (128 * i) for i in range(size))
+    ramp = sum((i + 1) << (128 * i) for i in range(size))
+    return ones, ramp, ones * _MASK64, Struct("<" + "Q8x" * size)
+
+
+def _extend(lanes: list[int], state: int, gamma: int, count: int) -> None:
+    """Append at least ``count`` more outputs of the stream to ``lanes``.
+
+    ``lanes`` holds the outputs after stream state ``state``: output
+    ``j`` (from 1) is ``_mix64(state + j * gamma)``, a pure function of
+    ``j`` (Steele, Lea and Flood, OOPSLA 2014). So one pass puts the
+    next outputs' states side by side in the 128-bit lanes of one
+    integer and runs the splitmix64 finalizer on all of them at once;
+    masking each lane to its low word before every multiply keeps the
+    lanes from carrying into one another, and the last xor-shift's spill
+    into a lane's high word is never read. A pass covers a power of two
+    of lanes, so it may append more than ``count``, all of them true
+    outputs of the stream.
+    """
+    while count > 0:
+        size = min(1 << (count - 1).bit_length(), _MAX_LANES)
+        ones, ramp, mask, words = _block(size)
+        start = (state + len(lanes) * gamma) & _MASK64
+        z = (start * ones + gamma * ramp) & mask
+        z = ((z ^ (z >> 30)) & mask) * 0xBF58476D1CE4E5B9 & mask
+        z = ((z ^ (z >> 27)) & mask) * 0x94D049BB133111EB & mask
+        z ^= z >> 31
+        lanes += words.unpack(z.to_bytes(16 * size, "little"))
+        count -= size
+
+
+def _draw(
+    lanes: list[int],
+    at: int,
+    state: int,
+    gamma: int,
+    span: int,
+    limit: int,
+    words: int,
+    ahead: int,
+) -> tuple[int, int]:
+    """A value uniform in [0, span) read from ``lanes`` at ``at``, and the index after it.
+
+    ``lanes`` holds the outputs after stream state ``state`` (see
+    :func:`_extend`). A draw packs ``words`` of them into one integer and
+    keeps it only below ``limit``; a rejected one reads the next.
+    ``ahead`` is how many lanes the caller reads after the draw if none
+    is rejected. Lanes are computed on demand: a pass that has to run
+    computes up to ``ahead`` more, at most ``_MAX_LANES``, and when
+    ``ahead`` is positive one lane is left behind the draw, so the
+    caller may read it without a check.
+    """
     while True:
+        short = at + words + (ahead > 0) - len(lanes)
+        if short > 0:
+            _extend(lanes, state, gamma, max(short, min(ahead, _MAX_LANES)))
         acc = 0
-        for _ in range(words):
-            state = (state + gamma) & _MASK64
-            acc = (acc << 64) | _mix64(state)
+        for word in lanes[at : at + words]:
+            acc = (acc << 64) | word
+        at += words
         if acc < limit:
-            return acc % span, state
+            return acc % span, at
 
 
 _UNSEEN = object()
@@ -160,10 +229,14 @@ class _Pick:
     in ``repr`` order of the operations, and ``commands`` their commands,
     one per delay. ``nexts`` fills lazily, per operation, with the pick
     at the states that operation leads to (None when nothing weighted is
-    enabled there).
+    enabled there). ``lane_limit`` is the bound below which one lane is
+    a pick by itself: ``limit`` for a one-word pick, and 0 for a
+    multi-word one, whose every pick goes through ``_draw``.
     """
 
-    __slots__ = ("states", "ops", "bounds", "span", "limit", "words", "commands", "nexts")
+    __slots__ = (
+        "states", "ops", "bounds", "span", "limit", "words", "lane_limit", "commands", "nexts"
+    )
 
     def __init__(self, states, items, commands) -> None:
         self.states = states
@@ -171,6 +244,7 @@ class _Pick:
         self.bounds = list(accumulate(weight for _, weight in items))
         self.span = self.bounds[-1]
         self.limit, self.words = _rejection(self.span)
+        self.lane_limit = self.limit if self.words == 1 else 0
         self.commands = [commands[op] for op in self.ops]
         self.nexts = [_UNSEEN] * len(items)
 
@@ -195,11 +269,17 @@ def gen_enabled_commands(
     be a positive integer (a ``bool`` is none), once, when the generator
     is built.
 
-    One kernel makes every draw on the raw state of the ``Rng``, each by
-    rejection over whole 64-bit outputs, and builds the ``Rng`` it returns
-    only at the end. The pick and the delay of each command, one-word
-    draws both, run the splitmix64 step in place; the length, and a pick
-    whose weights sum to 2**64 or more, go through ``_draw``. The draws,
+    Every draw reads whole 64-bit outputs of the ``Rng``'s stream from
+    one list of lanes, which one kernel, :func:`_extend`, fills by
+    running splitmix64 on many outputs at once in a packed integer; the
+    ``Rng`` returned is built at the end, after the outputs read. The
+    length is drawn first. Each command reads two lanes, one for its pick
+    and one for its delay; when fewer are left, one pass computes those
+    of the commands still to come, up to ``_MAX_LANES``, so a sequence
+    that stops early computes few beyond those it reads. A pick or delay
+    whose lane is below its bound takes that lane; a rejected draw, or a
+    pick whose weights sum to 2**64 or more, goes through ``_draw``,
+    which reads further lanes and computes more on demand. The draws,
     and their order, are those of the composed reference generator in
     ``tests/helpers.py``: a weighted pick walks the enabled operations
     in ``repr`` order. The pick at each tuple of states,
@@ -234,42 +314,42 @@ def gen_enabled_commands(
 
     def go(rng: Rng) -> tuple[CommandSequence, Rng]:
         state, gamma = rng.state, rng.gamma
-        length, state = _draw(state, gamma, max_len, length_limit, length_words)
+        # how many lanes to compute rests on the length, so its first
+        # word is the stream's first output, worked out alone
+        lanes = [_mix64((state + gamma) & _MASK64)]
+        length, at = _draw(lanes, 0, state, gamma, max_len, length_limit, length_words, 0)
         pick = pick_at(model.init)
         out = []
-        for _ in range(length + 1):
+        # ``rest`` lanes are read after this command's two if no draw is
+        # rejected
+        for rest in range(2 * length, -1, -2):
             if pick is None:
                 break
-            # the pick and the delay are one-word draws, each with the
-            # splitmix64 step of _draw and _mix64 written out in place
-            if pick.words == 1:
-                limit = pick.limit
-                while True:
-                    state = (state + gamma) & _MASK64
-                    z = (state ^ (state >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
-                    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
-                    z ^= z >> 31
-                    if z < limit:
-                        break
+            if len(lanes) - at < 2:
+                _extend(lanes, state, gamma, min(rest + 2, _MAX_LANES))
+            z = lanes[at]
+            if z < pick.lane_limit:
+                at += 1
                 value = z % pick.span
             else:
-                value, state = _draw(state, gamma, pick.span, pick.limit, pick.words)
+                value, at = _draw(
+                    lanes, at, state, gamma, pick.span, pick.limit, pick.words, rest + 1
+                )
             index = bisect_right(pick.bounds, value)
-            while True:
-                state = (state + gamma) & _MASK64
-                z = (state ^ (state >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
-                z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
-                z ^= z >> 31
-                if z < delay_limit:
-                    break
-            out.append(pick.commands[index][z % 5])
+            z = lanes[at]
+            if z < delay_limit:
+                at += 1
+                delay = z % 5
+            else:
+                delay, at = _draw(lanes, at, state, gamma, 5, delay_limit, 1, rest)
+            out.append(pick.commands[index][delay])
             nxt = pick.nexts[index]
             if nxt is _UNSEEN:
                 nxt = pick.nexts[index] = pick_at(
                     tuple(successors(model, pick.states, pick.ops[index]))
                 )
             pick = nxt
-        return CommandSequence(tuple(out)), Rng(state, gamma)
+        return CommandSequence(tuple(out)), Rng((state + at * gamma) & _MASK64, gamma)
 
     return Generator(go)
 

@@ -22,6 +22,7 @@ from copy import deepcopy
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, Mapping, Optional
+from weakref import ref
 
 from .conformance import Abstraction, Deferred, RawObservation, SutAdapter
 from .genrand import Command
@@ -190,14 +191,27 @@ def _interning_abstraction(model: StateModel) -> Abstraction:
     kept, so a SUT that answers at random cannot grow the table. Any
     other payload builds a fresh State, which raises on an unsupported
     value.
+
+    A simulator hands the same :class:`RawObservation` out again for an
+    answer it has built before, and an observation never changes once
+    handed out, so the state given for one whose state the model has met
+    is remembered by the observation's identity and its payload is read
+    only once. That memo holds each observation by weak reference, so a
+    later object that reuses the ``id`` of a dropped one never hits, and
+    it keeps none alive; it is emptied when it holds
+    :data:`ANSWER_TABLE_CAP` entries.
     """
     names = model.variables
     pick = itemgetter(*names)
     # itemgetter gives the value itself for one name, a tuple for several
     read = pick if len(names) > 1 else lambda payload: (pick(payload),)
     known: dict[tuple, State] = {}
+    seen: dict[int, tuple[ref, State]] = {}
 
     def abstraction(raw: RawObservation) -> State:
+        entry = seen.get(id(raw))
+        if entry is not None and entry[0]() is raw:
+            return entry[1]
         values = read(raw.payload)
         key = (values, tuple(map(type, values)))
         try:
@@ -207,8 +221,16 @@ def _interning_abstraction(model: StateModel) -> Abstraction:
         if observed is None:
             observed = State(dict(zip(names, values)))
             met = has_met(model, observed)
-            if met is not None:
-                observed = known[key] = met
+            if met is None:
+                return observed
+            observed = known[key] = met
+        try:
+            held = ref(raw)
+        except TypeError:  # an answer that cannot be weakly referenced
+            return observed
+        if len(seen) >= ANSWER_TABLE_CAP:
+            seen.clear()
+        seen[id(raw)] = (held, observed)
         return observed
 
     return abstraction
@@ -396,6 +418,7 @@ class RobotSim(_Simulator):
         _check_fault(fault, _ROBOT_FAULTS)
         self._fault = fault
         self._footprints = {name: w.footprint for name, w in config.waypoints.items()}
+        self._moves = {MOVE_PREFIX + name: name for name in self._footprints}
         # wrongInit parks the arm on an undocumented position instead
         wrong = fault == FAULT_WRONG_INIT
         self._init = WRONG_INIT_POSITION if wrong else config.init
@@ -408,8 +431,7 @@ class RobotSim(_Simulator):
         return self._answer((self._position, 0))
 
     def vocabulary(self) -> tuple[str, ...]:
-        moves = tuple(MOVE_PREFIX + name for name in sorted(self._footprints))
-        return (OP_INITIALISE,) + moves
+        return (OP_INITIALISE,) + tuple(sorted(self._moves))
 
     def _observe(self, key: tuple[str, int]) -> RawObservation:
         position, clock = key
@@ -424,16 +446,16 @@ class RobotSim(_Simulator):
         if op == OP_INITIALISE:
             self._position = self._home
             return self._answer((self._position, at_time))
-        if op.startswith(MOVE_PREFIX):
-            target = op[len(MOVE_PREFIX) :]
-            if target not in self._footprints:
-                return Deferred.failed(UnknownWaypoint(target))
+        target = self._moves.get(op)
+        if target is not None:
             arrival = at_time + self._motion_duration
             if self._fault == FAULT_WRONG_MOVE:
                 self._position = WRONG_MOVE_POSITION
             else:
                 self._position = target
             return self._answer((self._position, arrival))
+        if op.startswith(MOVE_PREFIX):
+            return Deferred.failed(UnknownWaypoint(op[len(MOVE_PREFIX) :]))
         return Deferred.failed(ValueError(f"unsupported operation {op!r}"))
 
 

@@ -1281,6 +1281,51 @@ class TestRunProperty:
             # a reset-level failure needs no command at all
             assert record.shrunk.sequence == CommandSequence()
 
+    @pytest.mark.parametrize("call", ["reset", "apply"])
+    @pytest.mark.parametrize("answer", ["none", "object", "raising-wait"])
+    def test_an_answer_that_is_no_deferred_becomes_a_sut_error(self, answer, call):
+        class RaisingWait(Deferred):
+            def wait(self, timeout=None):
+                raise RuntimeError("wait broke")
+
+        made = {
+            "none": lambda: None,
+            "object": lambda: 7,
+            "raising-wait": lambda: RaisingWait.successful(RawObservation(False)),
+        }[answer]
+        want = {
+            "none": "SUT {} returned None, not a Deferred",
+            "object": "SUT {} returned 7, not a Deferred",
+            "raising-wait": "SUT {} raised RuntimeError('wait broke')",
+        }[answer]
+
+        class OddSut(ToggleSut):
+            def reset(self):
+                answer = super().reset()
+                return made() if call == "reset" else answer
+
+            def apply(self, command, at_time):
+                answer = super().apply(command, at_time)
+                return made() if call == "apply" else answer
+
+        seq = CommandSequence((Command("turnOn", 1), Command("turnOff", 1)))
+        result = check_against(toggle_model(), OddSut(), toggle_abstraction, seq)
+        assert isinstance(result, Fail) and result.kind is FailKind.SUT_ERROR
+        assert result.witness.fail_index == (None if call == "reset" else 0)
+        named = "reset" if call == "reset" else "apply 'turnOn'"
+        assert result.witness.note == want.format(named)
+
+        report = run_property(
+            toggle_model(), OddSut(), toggle_abstraction, self.GEN, num_tests=5
+        )
+        assert report.tests_failed == 5
+        for record in report.failures:
+            assert record.kind is FailKind.SUT_ERROR
+            at = record.shrunk.fail_index
+            assert (at is None) == (call == "reset")
+            named = "reset" if at is None else f"apply {record.shrunk.sequence.commands[at].op!r}"
+            assert record.shrunk.note == want.format(named)
+
     def test_raising_abstraction_ends_the_campaign_with_records(self):
         suite = therac_suite("sequenceBug")
         calls = 0

@@ -23,9 +23,24 @@ from stpt import (
     gen_enabled_commands,
     shrink_sequence,
 )
-from stpt.genrand import InvalidRange
+from stpt import genrand
+from stpt.genrand import _GOLDEN_GAMMA, _MASK64, _MAX_LANES, InvalidRange, _extend, _mix64
 from stpt.statemodel import enabled_actions, step
-from stpt.suts import OP_CURSOR_UP, OP_SELECT_PHOTON, therac_suite
+from stpt.suts import OP_CURSOR_UP, OP_SELECT_PHOTON, robot_suite, therac_suite
+
+
+@st.composite
+def weights_summing_to(draw, low: int, high: int) -> dict[str, int]:
+    """Weights of the names a random model declares, summing to [low, high],
+    and a small one for "epsilon", which none declares."""
+    total = draw(st.integers(min_value=low, max_value=high))
+    cuts = draw(
+        st.lists(st.integers(min_value=1, max_value=total - 1), min_size=3, max_size=3, unique=True)
+    )
+    bounds = [0, *sorted(cuts), total]
+    names = ("alpha", "beta", "gamma", "delta")
+    weights = {name: hi - lo for name, lo, hi in zip(names, bounds, bounds[1:])}
+    return dict(weights, epsilon=draw(st.integers(min_value=1, max_value=20)))
 
 
 def draw_many(gen, rng: Rng, count: int) -> list:
@@ -68,6 +83,24 @@ class TestRng:
         assert set(counts) == set(range(10))
         for value in range(10):
             assert 800 <= counts[value] <= 1200
+
+    # a split child's gamma is not the default one; from the last two
+    # states the stream's state wraps around 2**64 at its first output
+    @pytest.mark.parametrize("gamma", [_GOLDEN_GAMMA, Rng.from_seed(3).split()[1].gamma])
+    @pytest.mark.parametrize(
+        "state", [0, 12345, (1 << 64) - 1, (1 << 64) - 7 * _GOLDEN_GAMMA % (1 << 64)]
+    )
+    def test_lanes_are_successive_outputs(self, state, gamma):
+        def outputs(count):
+            return [_mix64((state + j * gamma) & _MASK64) for j in range(1, count + 1)]
+
+        for count in [*range(1, 131), _MAX_LANES + 1, 3 * _MAX_LANES]:
+            lanes: list[int] = []
+            _extend(lanes, state, gamma, count)
+            assert count <= len(lanes) and lanes == outputs(len(lanes))
+            # a second pass goes on where the first stopped
+            _extend(lanes, state, gamma, count)
+            assert 2 * count <= len(lanes) and lanes == outputs(len(lanes))
 
 
 class TestGenerators:
@@ -267,16 +300,23 @@ class TestGenEnabledCommands:
         # "epsilon" is declared by no random model, so it is never enabled;
         # some models give a name to several actions (nondeterminism) or
         # guard one that is never true
-        weights=st.fixed_dictionaries(
-            {
-                name: st.one_of(
-                    st.integers(min_value=1, max_value=20),
-                    st.integers(min_value=1, max_value=1 << 70),
-                )
-                for name in ("alpha", "beta", "gamma", "delta", "epsilon")
-            }
+        weights=st.one_of(
+            st.fixed_dictionaries(
+                {
+                    name: st.one_of(
+                        st.integers(min_value=1, max_value=20),
+                        st.integers(min_value=1, max_value=1 << 70),
+                    )
+                    for name in ("alpha", "beta", "gamma", "delta", "epsilon")
+                }
+            ),
+            # a pick over every declared name is rejected a quarter to half
+            # of the time, so draws run past the lanes computed first
+            weights_summing_to(1 << 63, 3 << 62),
+            # and a pick over such weights takes two words
+            weights_summing_to((1 << 64) + 1, 1 << 70),
         ),
-        max_len=st.integers(min_value=1, max_value=40),
+        max_len=st.integers(min_value=1, max_value=60),
         seeds=st.lists(
             st.integers(min_value=0, max_value=(1 << 64) - 1), min_size=1, max_size=6
         ),
@@ -291,6 +331,47 @@ class TestGenEnabledCommands:
             # a split child has a gamma other than the default one
             for rng in (Rng.from_seed(seed), Rng.from_seed(seed).split()[1]):
                 assert kernel.run(rng) == reference.run(rng)
+
+    @pytest.mark.parametrize(
+        "cursor", [1, 1 << 63, (1 << 64) + 1], ids=["plain", "rejecting", "two-word"]
+    )
+    def test_long_sequences_span_several_kernel_passes(self, cursor):
+        # every therac operation is always enabled, so a sequence as long
+        # as this needs several passes of _MAX_LANES lanes
+        suite = therac_suite("none")
+        weights = dict(suite.default_weights, **{OP_CURSOR_UP: cursor})
+        max_len = 3 * _MAX_LANES
+        kernel = gen_enabled_commands(suite.model, weights, max_len)
+        reference = reference_enabled_commands(suite.model, weights, max_len)
+        lengths = set()
+        for seed in range(12):
+            for rng in (Rng.from_seed(seed), Rng.from_seed(seed).split()[1]):
+                drawn = kernel.run(rng)
+                assert drawn == reference.run(rng)
+                lengths.add(len(drawn[0]))
+        assert max(lengths) > _MAX_LANES
+
+    def test_a_sequence_that_stops_early_computes_a_bounded_number_of_lanes(
+        self, monkeypatch
+    ):
+        # a robot at Q cannot move to Q, so under this weighting every
+        # sequence stops after one command, whatever length was drawn
+        suite = robot_suite("none")
+        computed = []
+
+        def counted(lanes, state, gamma, count):
+            before = len(lanes)
+            _extend(lanes, state, gamma, count)
+            computed[-1] += len(lanes) - before
+
+        monkeypatch.setattr(genrand, "_extend", counted)
+        gen = gen_enabled_commands(suite.model, {"moveToQ": 1}, max_len=10**9)
+        rng = Rng.from_seed(3)
+        for _ in range(50):
+            computed.append(0)
+            seq, rng = gen.run(rng)
+            assert [c.op for c in seq] == ["moveToQ"]
+        assert max(computed) <= _MAX_LANES + 2
 
     # On the therac model every operation is always enabled, so a sequence
     # is as long as its drawn length.

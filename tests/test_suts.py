@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import gc
 import inspect
 import json
 import random
+import weakref
+from collections import namedtuple
+from collections.abc import Mapping
 from unittest.mock import patch
 
 import pytest
@@ -266,8 +270,37 @@ def interned_table(abstraction) -> dict:
     return inspect.getclosurevars(abstraction).nonlocals["known"]
 
 
+def memo(abstraction) -> dict:
+    """The abstraction's states remembered per observation."""
+    return inspect.getclosurevars(abstraction).nonlocals["seen"]
+
+
 def payload(s: State) -> RawObservation:
     return RawObservation(dict(s.items()))
+
+
+class CountingPayload(Mapping):
+    """A payload that counts the values read from it."""
+
+    def __init__(self, values: dict) -> None:
+        self.values = values
+        self.reads = 0
+
+    def __getitem__(self, name):
+        self.reads += 1
+        return self.values[name]
+
+    def __iter__(self):
+        return iter(self.values)
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+
+PHOTON = {"mode": MODE_PHOTON, "beam": BEAM_PHOTON}
+ELECTRON = {"mode": MODE_ELECTRON, "beam": BEAM_ELECTRON}
+# a state the therac model never reaches
+STALE_BEAM = {"mode": MODE_ELECTRON, "beam": BEAM_PHOTON}
 
 
 class TestInternedAbstraction:
@@ -337,6 +370,74 @@ class TestInternedAbstraction:
         with pytest.raises(error) as built:
             State({"mode": raw.payload["mode"], "beam": raw.payload["beam"]})
         assert str(got.value) == str(built.value)
+
+    @staticmethod
+    def therac():
+        suite = therac_suite()
+        spec_consistency(suite.model)
+        return suite.abstraction
+
+    def test_an_observation_is_read_once(self):
+        abstraction = self.therac()
+        values = CountingPayload(PHOTON)
+        raw = RawObservation(values)
+        first = abstraction(raw)
+        assert first == State(PHOTON) and values.reads == 2
+        assert abstraction(raw) is first
+        assert values.reads == 2
+
+    def test_a_dropped_observation_never_answers_for_another(self):
+        abstraction = self.therac()
+        reused = 0
+        for _ in range(100):
+            raw = RawObservation(dict(PHOTON))
+            assert abstraction(raw) == State(PHOTON)
+            dropped = id(raw)
+            del raw
+            # the interpreter often puts the next one where the last was
+            other = RawObservation(dict(ELECTRON))
+            reused += id(other) == dropped
+            assert abstraction(other) == State(ELECTRON)
+        assert reused
+
+    def test_the_memo_keeps_no_observation_alive(self):
+        abstraction = self.therac()
+        raw = RawObservation(dict(PHOTON))
+        abstraction(raw)
+        held = weakref.ref(raw)
+        del raw
+        gc.collect()
+        assert held() is None
+
+    def test_a_state_the_model_has_not_met_is_not_remembered(self):
+        abstraction = self.therac()
+        values = CountingPayload(STALE_BEAM)
+        raw = RawObservation(values)
+        first = abstraction(raw)
+        again = abstraction(raw)
+        assert first == again == State(STALE_BEAM) and first is not again
+        assert values.reads == 4
+        assert id(raw) not in memo(abstraction)
+
+    def test_an_answer_that_cannot_be_weakly_referenced_is_read_each_time(self):
+        abstraction = self.therac()
+        values = CountingPayload(PHOTON)
+        raw = namedtuple("Answer", "payload occupancy clock")(values, (), 0)
+        assert abstraction(raw) is abstraction(raw) == State(PHOTON)
+        assert values.reads == 4
+
+    def test_the_memo_is_emptied_at_the_cap(self):
+        abstraction = self.therac()
+        kept = [RawObservation(CountingPayload(PHOTON)) for _ in range(5)]
+        sizes = []
+        with patch.object(suts, "ANSWER_TABLE_CAP", 3):
+            for raw in kept:
+                abstraction(raw)
+                sizes.append(len(memo(abstraction)))
+            assert sizes == [1, 2, 3, 1, 2]
+            # the first was emptied out, so it is read again
+            abstraction(kept[0])
+        assert [raw.payload.reads for raw in kept] == [4, 2, 2, 2, 2]
 
     def test_random_answers_do_not_grow_the_table(self):
         suite = robot_suite()
@@ -412,14 +513,14 @@ class TestRobotSim:
         sim.reset()
         status, error = sim.apply(Command("moveToZ", 1), 1).wait(0)
         assert status == "failed"
-        assert isinstance(error, UnknownWaypoint)
+        assert isinstance(error, UnknownWaypoint) and error.args == ("Z",)
 
     def test_unsupported_operation_fails_the_deferred(self):
         sim = RobotSim(RobotConfig())
         sim.reset()
         status, error = sim.apply(Command("dance", 1), 1).wait(0)
         assert status == "failed"
-        assert isinstance(error, ValueError)
+        assert type(error) is ValueError and str(error) == "unsupported operation 'dance'"
 
     def test_vocabulary_lists_initialise_plus_sorted_moves(self):
         assert RobotSim(RobotConfig()).vocabulary() == (
