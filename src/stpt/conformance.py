@@ -254,8 +254,12 @@ def check_against(
     whole subset step. The match tries identity before equality, so an
     abstraction that hands out the model's objects for the states it has
     met (as the suites' does) never calls ``State.__eq__``. The issue
-    time of each command is kept as a running clock.
+    time of each command is kept as a running clock. A NaN ``timeout``
+    raises ValueError before the reset, as in :func:`run_property`,
+    rather than failing the first ``wait`` as if the SUT had.
     """
+    if timeout != timeout:  # only NaN differs from itself
+        raise ValueError("timeout must not be NaN")
     obligations = _obligations
     rows = model._rows
     at_time = 0

@@ -47,7 +47,8 @@ FAULT_WRONG_INIT = "wrongInit"
 FAULT_WRONG_MOVE = "wrongMove"
 FAULT_SEQUENCE_BUG = "sequenceBug"
 
-# the most answers one simulator keeps; a full table is emptied
+# the most answers one table keeps, a suite's or a simulator's, and the
+# most observations the suite abstraction remembers; a full one is emptied
 ANSWER_TABLE_CAP = 1024
 
 
@@ -62,7 +63,11 @@ def _check_fault(fault: str, faults: tuple[str, ...]) -> None:
 
 @dataclass(frozen=True)
 class Suite:
-    """One named test scenario, ready for the property runner and CLI."""
+    """One named test scenario, ready for the property runner and CLI.
+
+    ``make_adapter`` builds a fresh simulator on each call, and every
+    simulator it builds answers through the suite's one answer table.
+    """
 
     name: str
     model: StateModel
@@ -74,21 +79,29 @@ class Suite:
 
 
 class _Simulator:
-    """A simulator that answers through a table of the answers it has built.
+    """A simulator that answers through a table of the answers built before.
 
     An answer is keyed by all it depends on, the clock last: mode, beam and
     clock for the terminal, position and clock for the arm. ``_observe(key)``
     builds it on a miss; a hit gets the resolved
     :class:`~stpt.conformance.Deferred` built before, which never changes,
     so it equals a fresh build. Replays reset the clock to 0 and issue with
-    delays of 1 to 5, so keys come back replay after replay. A table
-    belongs to one simulator and is emptied when it holds
-    :data:`ANSWER_TABLE_CAP` entries. A clock that is not an ``int`` is
-    never looked up, since ``2.0`` would find the entry of ``2``.
+    delays of 1 to 5, so keys come back replay after replay. A simulator
+    built directly has a table of its own. A suite's simulators all
+    answer through the suite's one table, passed as ``_answers``: they read
+    the same deployment, so an answer is a pure function of its key, and a
+    campaign, each adapter that replaces one after a ``Timeout`` and a
+    ``--replay`` find the answers built before. No two suites share one,
+    since a robot answer carries its deployment's footprint. A table is
+    emptied when it holds :data:`ANSWER_TABLE_CAP` entries. A clock that is
+    not an ``int`` is never looked up, since ``2.0`` would find the entry
+    of ``2``.
     """
 
-    def __init__(self) -> None:
-        self._answers: dict[tuple, Deferred[RawObservation]] = {}
+    def __init__(self, *, _answers: Optional[dict] = None) -> None:
+        self._answers: dict[tuple, Deferred[RawObservation]] = (
+            {} if _answers is None else _answers
+        )
         self.reset()
 
     def _answer(self, key: tuple) -> Deferred[RawObservation]:
@@ -134,9 +147,9 @@ class TheracSim(_Simulator):
 
     EDIT_WINDOW_TICKS = 8
 
-    def __init__(self, sequence_bug: bool = False):
+    def __init__(self, sequence_bug: bool = False, *, _answers: Optional[dict] = None):
         self.sequence_bug = sequence_bug
-        super().__init__()
+        super().__init__(_answers=_answers)
 
     def reset(self) -> Deferred[RawObservation]:
         self._mode = MODE_NONE
@@ -192,14 +205,14 @@ def _interning_abstraction(model: StateModel) -> Abstraction:
     other payload builds a fresh State, which raises on an unsupported
     value.
 
-    A simulator hands the same :class:`RawObservation` out again for an
-    answer it has built before, and an observation never changes once
-    handed out, so the state given for one whose state the model has met
-    is remembered by the observation's identity and its payload is read
-    only once. That memo holds each observation by weak reference, so a
-    later object that reuses the ``id`` of a dropped one never hits, and
-    it keeps none alive; it is emptied when it holds
-    :data:`ANSWER_TABLE_CAP` entries.
+    A suite's simulators hand the same :class:`RawObservation` out again
+    for an answer built before, and an observation never changes once
+    handed out, so the state given for any observation, met or not, is
+    remembered by the observation's identity and its payload is read only
+    once; a mismatching answer met again gives the same State. That memo
+    holds each observation by weak reference, so a later object that
+    reuses the ``id`` of a dropped one never hits, and it keeps none
+    alive; it is emptied when it holds :data:`ANSWER_TABLE_CAP` entries.
     """
     names = model.variables
     pick = itemgetter(*names)
@@ -221,9 +234,8 @@ def _interning_abstraction(model: StateModel) -> Abstraction:
         if observed is None:
             observed = State(dict(zip(names, values)))
             met = has_met(model, observed)
-            if met is None:
-                return observed
-            observed = known[key] = met
+            if met is not None:
+                observed = known[key] = met
         try:
             held = ref(raw)
         except TypeError:  # an answer that cannot be weakly referenced
@@ -258,6 +270,7 @@ def therac_suite(fault: str = FAULT_NONE) -> Suite:
     _check_fault(fault, (FAULT_NONE, FAULT_SEQUENCE_BUG))
     bug = fault == FAULT_SEQUENCE_BUG
     model = _therac_model()
+    answers: dict = {}
     return Suite(
         name="therac25",
         model=model,
@@ -270,7 +283,7 @@ def therac_suite(fault: str = FAULT_NONE) -> Suite:
             OP_OTHER: 1,
         },
         intended_noops=frozenset({OP_CURSOR_UP, OP_OTHER}),
-        make_adapter=lambda: TheracSim(sequence_bug=bug),
+        make_adapter=lambda: TheracSim(sequence_bug=bug, _answers=answers),
     )
 
 
@@ -414,7 +427,9 @@ class RobotSim(_Simulator):
     built, so a later change to ``config`` is not seen.
     """
 
-    def __init__(self, config: RobotConfig, fault: str = FAULT_NONE):
+    def __init__(
+        self, config: RobotConfig, fault: str = FAULT_NONE, *, _answers: Optional[dict] = None
+    ):
         _check_fault(fault, _ROBOT_FAULTS)
         self._fault = fault
         self._footprints = {name: w.footprint for name, w in config.waypoints.items()}
@@ -424,7 +439,7 @@ class RobotSim(_Simulator):
         self._init = WRONG_INIT_POSITION if wrong else config.init
         self._home = WRONG_INIT_POSITION if wrong else HOME_WAYPOINT
         self._motion_duration = config.motion_duration
-        super().__init__()
+        super().__init__(_answers=_answers)
 
     def reset(self) -> Deferred[RawObservation]:
         self._position = self._init
@@ -518,6 +533,7 @@ def robot_suite(
     _check_fault(fault, _ROBOT_FAULTS)
     config = RobotConfig() if config is None else deepcopy(config)
     model = _robot_model(config)
+    answers: dict = {}
     return Suite(
         name="robot",
         model=model,
@@ -525,5 +541,5 @@ def robot_suite(
         st_invariants=_workspace_invariants(config),
         default_weights=dict.fromkeys(model.action_names, 1),
         intended_noops=frozenset({OP_INITIALISE}),
-        make_adapter=lambda: RobotSim(config, fault),
+        make_adapter=lambda: RobotSim(config, fault, _answers=answers),
     )

@@ -12,6 +12,7 @@ import json
 import random
 import time
 from dataclasses import dataclass
+from unittest.mock import patch
 
 import pytest
 
@@ -49,6 +50,8 @@ from stpt import (
     run_property,
     therac_suite,
 )
+from stpt import suts
+from stpt.reports import config_echo, report_to_json
 from stpt.suts import OP_CURSOR_UP, OP_SELECT_ELECTRON, OP_SELECT_PHOTON
 
 # frozen ahead of the build from a 100-seed pilot of the therac campaign:
@@ -370,3 +373,47 @@ def test_criterion_7_byte_identical_reports(tmp_path):
         + ", ".join(f"{k}={v}" for k, v in sorted(identical.items())),
     )
     assert ok
+
+
+WARMTH_CAMPAIGNS = {
+    "therac25-sequenceBug": (therac_suite, "sequenceBug"),
+    "robot-wrongMove": (robot_suite, "wrongMove"),
+    "robot-none": (robot_suite, "none"),
+}
+
+
+@pytest.mark.parametrize("cap", [suts.ANSWER_TABLE_CAP, 3], ids=["cap", "tiny-cap"])
+@pytest.mark.parametrize("name", sorted(WARMTH_CAMPAIGNS))
+def test_a_report_does_not_depend_on_how_warm_the_answer_table_is(tmp_path, name, cap):
+    # these campaigns meet at most a few hundred keys, so the real cap is
+    # never reached, and a cap of 3 empties the table every few answers
+    make_suite, fault = WARMTH_CAMPAIGNS[name]
+    seed, num_tests, max_len = 11, 150, 30
+    flags = ["--suite", make_suite().name, "--fault", fault, "--seed", str(seed),
+             "--num-tests", str(num_tests), "--max-len", str(max_len)]
+    reference = tmp_path / "cli.json"
+    cli.main(flags + ["--report", "json", "--out", str(reference)])
+
+    def campaign(suite) -> str:
+        generator = gen_enabled_commands(suite.model, suite.default_weights, max_len)
+        report = run_property(
+            suite.model, None, suite.abstraction, generator,
+            st_invariants=suite.st_invariants, num_tests=num_tests, seed=seed,
+            adapter_factory=suite.make_adapter,
+        )
+        config = config_echo(
+            suite.name, fault, num_tests, max_len, 5000, suite.default_weights, 1
+        )
+        return report_to_json(report, config)
+
+    with patch.object(suts, "ANSWER_TABLE_CAP", cap):
+        suite = make_suite(fault)
+        # cold, then warm on the same suite, then on a fresh one
+        reports = [campaign(suite), campaign(suite), campaign(make_suite(fault))]
+        assert all(report == reference.read_text() for report in reports)
+        replayed = tmp_path / "replay.txt"
+        status = cli.main(["--replay", str(reference), "--out", str(replayed)])
+    failed = json.loads(reference.read_text())["testsFailed"]
+    assert (failed > 0) == (fault != "none") and status == (failed > 0)
+    last = replayed.read_text().splitlines()[-1]
+    assert last == f"reproduced {failed} of {failed} failures"

@@ -386,6 +386,23 @@ class TestCheckAgainst:
         assert result.kind == FailKind.TIMEOUT
         assert result.witness.fail_index is None
 
+    def test_rejects_a_nan_timeout_before_the_reset(self):
+        # a pending Deferred's wait raises on NaN, which must not be
+        # reported as the SUT's error
+        class Pending(ToggleSut):
+            def reset(self):
+                self.resets += 1
+                return Deferred()
+
+            def apply(self, command, at_time):
+                self.applied.append((command.op, at_time))
+                return Deferred()
+
+        sut = Pending()
+        with pytest.raises(ValueError, match="timeout must not be NaN"):
+            self.run_toggle(sut, ["turnOn"], timeout=float("nan"))
+        assert sut.resets == 0 and sut.applied == []
+
 
 class TestSpatialChecking:
     ARM_FACT = OccupancyFact("arm", TimeWindow(0, 100), Box(0, 0, 4, 4))

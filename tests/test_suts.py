@@ -393,9 +393,12 @@ class TestInternedAbstraction:
             raw = RawObservation(dict(PHOTON))
             assert abstraction(raw) == State(PHOTON)
             dropped = id(raw)
+            # the payload is made first, so that the observation is the
+            # next object made after the drop, and the interpreter mostly
+            # puts it where the last one was
+            values = dict(ELECTRON)
             del raw
-            # the interpreter often puts the next one where the last was
-            other = RawObservation(dict(ELECTRON))
+            other = RawObservation(values)
             reused += id(other) == dropped
             assert abstraction(other) == State(ELECTRON)
         assert reused
@@ -409,15 +412,25 @@ class TestInternedAbstraction:
         gc.collect()
         assert held() is None
 
-    def test_a_state_the_model_has_not_met_is_not_remembered(self):
+    def test_a_state_the_model_has_not_met_is_remembered_by_its_observation(self):
         abstraction = self.therac()
         values = CountingPayload(STALE_BEAM)
         raw = RawObservation(values)
         first = abstraction(raw)
-        again = abstraction(raw)
-        assert first == again == State(STALE_BEAM) and first is not again
-        assert values.reads == 4
-        assert id(raw) not in memo(abstraction)
+        fresh = State(STALE_BEAM)
+        assert first == fresh and hash(first) == hash(fresh) and repr(first) == repr(fresh)
+        assert abstraction(raw) is first
+        assert values.reads == 2
+        assert id(raw) in memo(abstraction)
+        # the value-keyed table still keeps met states only
+        assert not interned_table(abstraction)
+        # fresh unmet observations keep the memo within its cap
+        kept = [RawObservation(dict(STALE_BEAM)) for _ in range(10)]
+        with patch.object(suts, "ANSWER_TABLE_CAP", 3):
+            for raw in kept:
+                assert abstraction(raw) == fresh
+                assert len(memo(abstraction)) <= 3
+        assert not interned_table(abstraction)
 
     def test_an_answer_that_cannot_be_weakly_referenced_is_read_each_time(self):
         abstraction = self.therac()
@@ -573,8 +586,28 @@ SIM_PAIRS = {
     ),
 }
 
+# the suite whose adapters answer as each pair's simulator does
+SIM_SUITES = {
+    "therac": lambda: therac_suite(FAULT_NONE),
+    "therac-bug": lambda: therac_suite(FAULT_SEQUENCE_BUG),
+    **{
+        f"robot-{fault}": lambda fault=fault: robot_suite(fault)
+        for fault in (FAULT_NONE, FAULT_WRONG_INIT, FAULT_WRONG_MOVE)
+    },
+    "robot-still": lambda: robot_suite(
+        FAULT_NONE, RobotConfig(init="Q", motion_duration=0)
+    ),
+}
+
 # a sim with an operation that leaves its state as it is
 STAYS = [("therac-bug", OP_OTHER), ("robot-none", OP_INITIALISE)]
+
+
+def moved_q(dx: int) -> RobotConfig:
+    """The default deployment with waypoint Q's footprint shifted by ``dx``."""
+    config = RobotConfig()
+    config.waypoints["Q"] = Waypoint(at=(40, 10), footprint=Box(38 + dx, 8, 42 + dx, 12))
+    return config
 
 
 class TestInternedAnswers:
@@ -593,18 +626,31 @@ class TestInternedAnswers:
                 max_size=8,
             )
         )
+        # the replays also run spread over a suite's adapters: each picks
+        # one made before, or a fresh one past the last, as after a Timeout
+        picks = data.draw(
+            st.lists(st.integers(0, 3), min_size=len(replays), max_size=len(replays))
+        )
         with patch.object(suts, "ANSWER_TABLE_CAP", cap):
             sim, reference = make(), make_reference()
-            for replay in replays:
-                assert outcome(sim.reset) == outcome(reference.reset)
+            suite = SIM_SUITES[pair]()
+            adapters = [suite.make_adapter()]
+            for replay, pick in zip(replays, picks):
+                if pick >= len(adapters):
+                    adapters.append(suite.make_adapter())
+                adapter = adapters[min(pick, len(adapters) - 1)]
+                want = outcome(reference.reset)
+                assert outcome(sim.reset) == want
+                assert outcome(adapter.reset) == want
                 at_time = 0
                 for op, shift in replay:
                     at_time = max(0, at_time + shift)
                     command = Command(op, 1)
-                    assert outcome(lambda: sim.apply(command, at_time)) == outcome(
-                        lambda: reference.apply(command, at_time)
-                    )
+                    want = outcome(lambda: reference.apply(command, at_time))
+                    assert outcome(lambda: sim.apply(command, at_time)) == want
+                    assert outcome(lambda: adapter.apply(command, at_time)) == want
                     assert len(sim._answers) <= cap
+                    assert len(adapter._answers) <= cap
 
     @pytest.mark.parametrize("pair", sorted(SIM_PAIRS))
     def test_a_clock_that_is_no_int_is_never_served_from_the_table(self, pair):
@@ -627,6 +673,41 @@ class TestInternedAnswers:
         assert sim.apply(Command(op, 1), 6) is not first
         # each simulator has a table of its own
         assert make().apply(Command(op, 1), 5) is not first
+
+    @pytest.mark.parametrize("pair, op", STAYS)
+    def test_adapters_of_one_suite_share_their_answers(self, pair, op):
+        suite = SIM_SUITES[pair]()
+        first, second = suite.make_adapter(), suite.make_adapter()
+        assert first._answers is second._answers
+        assert first.reset() is second.reset()
+        answer = first.apply(Command(op, 1), 5)
+        assert second.apply(Command(op, 1), 5) is answer
+        # a table belongs to its suite: no other suite, nor a simulator
+        # built directly, finds its answers
+        other = SIM_SUITES[pair]().make_adapter()
+        assert other._answers is not first._answers
+        assert other.apply(Command(op, 1), 5) is not answer
+        assert SIM_PAIRS[pair][0]().apply(Command(op, 1), 5) is not answer
+
+    @pytest.mark.parametrize("fault", [FAULT_NONE, FAULT_WRONG_INIT])
+    def test_no_two_suites_share_an_answer(self, fault):
+        # one waypoint, two footprints: the same (position, clock) key
+        # must give each suite the footprint of its own deployment
+        suites = [robot_suite(fault, moved_q(dx)) for dx in (0, 10)]
+        references = [ReferenceRobotSim(moved_q(dx), fault) for dx in (0, 10)]
+        for _ in range(2):
+            for suite, reference in zip(suites, references):
+                sim = suite.make_adapter()
+                assert outcome(sim.reset) == outcome(reference.reset)
+                for at_time, op in enumerate(("moveToQ", OP_INITIALISE, "moveToQ"), start=1):
+                    command = Command(op, 1)
+                    assert outcome(lambda: sim.apply(command, at_time)) == outcome(
+                        lambda: reference.apply(command, at_time)
+                    )
+        # the arm parks on Q at clock 4 in both, with footprints apart
+        got = [suite.make_adapter().apply(Command("moveToQ", 1), 1) for suite in suites]
+        footprints = [answer.wait(0)[1].occupancy[0].box for answer in got]
+        assert footprints == [Box(38, 8, 42, 12), Box(48, 8, 52, 12)]
 
     @pytest.mark.parametrize("pair, op", STAYS)
     def test_table_never_exceeds_the_cap(self, pair, op):
