@@ -81,12 +81,7 @@ class TimeWindow:
 
     def __post_init__(self) -> None:
         start, end = self.start, self.end
-        # the type test lets plain ints skip the is_int calls: a robot
-        # observation builds a window per command, and the two calls add
-        # about 0.3 us to each, some 3% of a robot-clean test
-        if (type(start) is not int or type(end) is not int) and not (
-            is_int(start) and is_int(end)
-        ):
+        if not (is_int(start) and is_int(end)):
             raise TypeError(f"time window bounds must be integers, got {(start, end)}")
         if start > end:
             object.__setattr__(self, "start", end)

@@ -289,13 +289,9 @@ def successors(
     """
     if op_name not in model._names:
         return None
-    rows = model._rows
     found: list[State] = []
     for s in states:
-        row = rows.get(s)
-        if row is None:
-            row = _row(model, s)
-        for nxt in row.get(op_name, ()):
+        for nxt in _row(model, s).get(op_name, ()):
             if nxt not in found:
                 found.append(nxt)
     return found
@@ -323,19 +319,19 @@ def correct_behaviours(
 
     Breadth-first from every init state, expanding every enabled action.
     Output is ordered lexicographically by action-name sequence. Raises
-    :class:`StateCapExceeded` when the distinct states seen, or the
-    behaviours built, pass the cap: a model with few states can still have
-    more behaviours than memory holds.
+    :class:`StateCapExceeded` when the behaviours built pass the cap.
+    Every state met ends a behaviour built, so the cap bounds the states
+    through the behaviours; a model with few states can still have more
+    behaviours than memory holds.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
     if state_cap < 1:
         raise ValueError("state_cap must be positive")
-    visited: set[State] = set()
-    for s in model.init:
-        _visit(visited, s, state_cap)
     frontier = [Behaviour((s,), ()) for s in model.init]
     out = list(frontier)
+    if len(out) > state_cap:
+        raise StateCapExceeded(state_cap, len(out), "behaviours")
     names = sorted(set(model.action_names))
     for _ in range(depth):
         grown = []
@@ -343,7 +339,6 @@ def correct_behaviours(
             last = behaviour.states[-1]
             for name in names:
                 for nxt in successors(model, (last,), name):
-                    _visit(visited, nxt, state_cap)
                     grown.append(
                         Behaviour(
                             behaviour.states + (nxt,),

@@ -20,7 +20,6 @@ import json
 from bisect import bisect_right, insort
 from copy import deepcopy
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import Callable, Mapping, Optional
 from weakref import ref
 
@@ -199,11 +198,10 @@ def _interning_abstraction(model: StateModel) -> Abstraction:
     A payload whose state the model has met gives the model's canonical
     object for it (see :func:`~stpt.statemodel.has_met`), the same one
     every time, so the match in ``check_against`` and every row lookup
-    hit on identity. The table is keyed by each value with its class, so
-    ``True``, ``1`` and ``1.0`` never share an entry. Only met states are
-    kept, so a SUT that answers at random cannot grow the table. Any
-    other payload builds a fresh State, which raises on an unsupported
-    value.
+    hit on identity. The model's table is the one interning table, and
+    ``has_met`` fills nothing, so a SUT that answers at random cannot grow
+    it. Any other payload gives the fresh State built from it, which
+    raises on an unsupported value.
 
     A suite's simulators hand the same :class:`RawObservation` out again
     for an answer built before, and an observation never changes once
@@ -215,27 +213,18 @@ def _interning_abstraction(model: StateModel) -> Abstraction:
     alive; it is emptied when it holds :data:`ANSWER_TABLE_CAP` entries.
     """
     names = model.variables
-    pick = itemgetter(*names)
-    # itemgetter gives the value itself for one name, a tuple for several
-    read = pick if len(names) > 1 else lambda payload: (pick(payload),)
-    known: dict[tuple, State] = {}
     seen: dict[int, tuple[ref, State]] = {}
 
     def abstraction(raw: RawObservation) -> State:
         entry = seen.get(id(raw))
         if entry is not None and entry[0]() is raw:
             return entry[1]
-        values = read(raw.payload)
-        key = (values, tuple(map(type, values)))
-        try:
-            observed = known.get(key)
-        except TypeError:  # unhashable, so unsupported: State says so below
-            observed = None
-        if observed is None:
-            observed = State(dict(zip(names, values)))
-            met = has_met(model, observed)
-            if met is not None:
-                observed = known[key] = met
+        payload = raw.payload
+        observed = State({name: payload[name] for name in names})
+        met = has_met(model, observed)
+        # not ``or``: a State with no variables is falsy
+        if met is not None:
+            observed = met
         try:
             held = ref(raw)
         except TypeError:  # an answer that cannot be weakly referenced

@@ -537,6 +537,15 @@ class TestCorrectBehaviours:
         assert err.value.cap == 100
         assert "behaviours" in str(err.value)
 
+    @pytest.mark.parametrize("depth", [0, 3])
+    def test_more_init_states_than_the_cap_raise(self, depth):
+        # no action is declared, so only the init behaviours are built
+        model = StateModel(["x"], [State({"x": x}) for x in range(4)])
+        assert len(correct_behaviours(model, depth, state_cap=4)) == 4
+        with pytest.raises(StateCapExceeded) as err:
+            correct_behaviours(model, depth, state_cap=3)
+        assert err.value.cap == 3
+
     def test_empty_init_yields_nothing(self):
         model = StateModel(["x"], [])
         assert correct_behaviours(model, 3) == ()

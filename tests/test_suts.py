@@ -265,11 +265,6 @@ class TestTheracSuite:
         )
 
 
-def interned_table(abstraction) -> dict:
-    """The table of states the abstraction hands out again."""
-    return inspect.getclosurevars(abstraction).nonlocals["known"]
-
-
 def memo(abstraction) -> dict:
     """The abstraction's states remembered per observation."""
     return inspect.getclosurevars(abstraction).nonlocals["seen"]
@@ -320,6 +315,7 @@ class TestInternedAbstraction:
         # the scan fills the model's row of every reachable state
         spec_consistency(suite.model)
         reachable = {s for b in correct_behaviours(suite.model, 2) for s in b.states}
+        met = len(suite.model._met)
         for s in sorted(reachable | {off_model}, key=lambda s: s.sort_key):
             got = suite.abstraction(payload(s))
             fresh = State(dict(s.items()))
@@ -331,7 +327,9 @@ class TestInternedAbstraction:
             assert (again is got) == (s in reachable)
             # and the one handed out is the model's own object
             assert (got is has_met(suite.model, s)) == (s in reachable)
-        assert len(interned_table(suite.abstraction)) == len(reachable)
+        # the abstraction taught the model no state
+        assert has_met(suite.model, off_model) is None
+        assert len(suite.model._met) == met
 
     def test_values_of_different_classes_stay_apart(self):
         values = (True, 1, "1")
@@ -345,9 +343,9 @@ class TestInternedAbstraction:
         got = [abstraction(RawObservation({"v": v})) for v in values]
         for v, s in zip(values, got):
             assert s == State({"v": v})
+            assert s is has_met(model, State({"v": v}))
             assert abstraction(RawObservation({"v": v})) is s
         assert got[0] != got[1] != got[2] != got[0]
-        assert len(interned_table(abstraction)) == 3
         with pytest.raises(TypeError, match="unsupported value 1.0"):
             abstraction(RawObservation({"v": 1.0}))
 
@@ -412,8 +410,22 @@ class TestInternedAbstraction:
         gc.collect()
         assert held() is None
 
+    def test_a_model_with_no_variables_gives_its_own_init(self):
+        # its one state is empty, so falsy: only ``is None`` tells it apart
+        model = StateModel(
+            (), [State({})], [ActionSpec("stay", lambda s: True, lambda s: s)]
+        )
+        abstraction = _interning_abstraction(model)
+        (init,) = model.init
+        raw = RawObservation({})
+        assert abstraction(raw) is init
+        assert abstraction(raw) is init
+        assert abstraction(RawObservation({})) is init
+
     def test_a_state_the_model_has_not_met_is_remembered_by_its_observation(self):
-        abstraction = self.therac()
+        suite = therac_suite()
+        spec_consistency(suite.model)
+        abstraction = suite.abstraction
         values = CountingPayload(STALE_BEAM)
         raw = RawObservation(values)
         first = abstraction(raw)
@@ -422,15 +434,15 @@ class TestInternedAbstraction:
         assert abstraction(raw) is first
         assert values.reads == 2
         assert id(raw) in memo(abstraction)
-        # the value-keyed table still keeps met states only
-        assert not interned_table(abstraction)
+        # the model has still not met it
+        assert has_met(suite.model, fresh) is None
         # fresh unmet observations keep the memo within its cap
         kept = [RawObservation(dict(STALE_BEAM)) for _ in range(10)]
         with patch.object(suts, "ANSWER_TABLE_CAP", 3):
             for raw in kept:
                 assert abstraction(raw) == fresh
                 assert len(memo(abstraction)) <= 3
-        assert not interned_table(abstraction)
+        assert has_met(suite.model, fresh) is None
 
     def test_an_answer_that_cannot_be_weakly_referenced_is_read_each_time(self):
         abstraction = self.therac()
@@ -459,6 +471,7 @@ class TestInternedAbstraction:
             {s for b in correct_behaviours(suite.model, 2) for s in b.states},
             key=lambda s: s.sort_key,
         )
+        met = len(suite.model._met)
         rnd = random.Random(5)
         for n in range(10_000):
             position = f"P{n}-{rnd.randrange(10**6)}"
@@ -466,7 +479,8 @@ class TestInternedAbstraction:
                 {"position": position}
             )
             suite.abstraction(payload(rnd.choice(reachable)))
-        assert len(interned_table(suite.abstraction)) <= len(reachable)
+        assert len(suite.model._met) == met
+        assert len(memo(suite.abstraction)) <= suts.ANSWER_TABLE_CAP
 
 
 class TestRobotSim:
