@@ -28,6 +28,7 @@ from .spatial import (
     Predicate,
     always_true,
     compile_invariant,
+    is_int,
 )
 from .statemodel import State, StateModel, _row
 
@@ -51,12 +52,13 @@ class Deferred(Generic[A]):
     the timeout passes. :meth:`successful` and :meth:`failed` build one
     that is resolved from the start: an outcome is never unset, so it
     needs no lock, and each builds it in one frame. A replay can make one
-    per step, so the three fields are slots. A resolved one never
-    changes, so an adapter may hand the same one out for several calls,
-    as the suites' simulators do for an answer they have built before.
+    per step, so the four fields are slots; ``_abstracted`` is the memo
+    of :func:`check_against`. A resolved one never changes, so an adapter
+    may hand the same one out for several calls, as the suites'
+    simulators do for an answer they have built before.
     """
 
-    __slots__ = ("_lock", "_pending", "_outcome")
+    __slots__ = ("_lock", "_pending", "_outcome", "_abstracted")
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -64,18 +66,19 @@ class Deferred(Generic[A]):
         self._pending = threading.Lock()
         self._pending.acquire()
         self._outcome: Optional[tuple[str, Any]] = None
+        self._abstracted: Optional[tuple[Abstraction, State]] = None
 
     @classmethod
     def successful(cls, value: A) -> Deferred[A]:
         d: Deferred[A] = cls.__new__(cls)
-        d._lock = d._pending = None
+        d._lock = d._pending = d._abstracted = None
         d._outcome = ("ok", value)
         return d
 
     @classmethod
     def failed(cls, error: BaseException) -> Deferred[A]:
         d: Deferred[A] = cls.__new__(cls)
-        d._lock = d._pending = None
+        d._lock = d._pending = d._abstracted = None
         d._outcome = ("failed", error)
         return d
 
@@ -115,9 +118,8 @@ class Deferred(Generic[A]):
 class RawObservation:
     """What the SUT reports after a step: payload, occupancy claims, clock.
 
-    An observation, payload included, never changes once handed out, as a
-    resolved :class:`Deferred` never does: an abstraction may remember
-    what it made of one by the object's identity, as the suites' does.
+    The harness remembers what it made of one on its :class:`Deferred`, so
+    an adapter may rewrite an observation and hand it out in a fresh one.
     """
 
     payload: Any
@@ -253,10 +255,16 @@ def check_against(
     (see :class:`~stpt.statemodel.StateModel`): its memoised row is the
     whole subset step. The match tries identity before equality, so an
     abstraction that hands out the model's objects for the states it has
-    met (as the suites' does) never calls ``State.__eq__``. The issue
-    time of each command is kept as a running clock. A NaN ``timeout``
-    raises ValueError before the reset, as in :func:`run_property`,
-    rather than failing the first ``wait`` as if the SUT had.
+    met (as the suites' does) never calls ``State.__eq__``. An answer of
+    type :class:`Deferred` (no subclass) keeps ``(abstraction, state)`` in
+    its ``_abstracted`` slot, unless the abstraction raised, so a step that
+    gets it back with the same abstraction skips the call. The key is the
+    Deferred, which never changes once resolved and lives as long as its
+    memo, not the observation, which an adapter may rewrite for a fresh
+    Deferred. The issue time of each command is kept as a running clock.
+    A NaN ``timeout`` raises ValueError before the reset, as in
+    :func:`run_property`, rather than failing the first ``wait`` as if
+    the SUT had.
     """
     if timeout != timeout:  # only NaN differs from itself
         raise ValueError("timeout must not be NaN")
@@ -302,11 +310,18 @@ def check_against(
             note = f"SUT {_call(command)} raised {settled[1]!r}"
             return _fail(FailKind.SUT_ERROR, seq, at, expected, note=note)
         raw = settled[1]
-        try:
-            observed = abstraction(raw)
-        except Exception as err:
-            note = f"abstraction raised {err!r} on the observation of {_call(command)}"
-            return _fail(FailKind.ABSTRACTION_ERROR, seq, at, expected, note=note)
+        exact = type(answer) is Deferred
+        known = answer._abstracted if exact else None
+        if known is not None and known[0] is abstraction:
+            observed = known[1]
+        else:
+            try:
+                observed = abstraction(raw)
+            except Exception as err:
+                note = f"abstraction raised {err!r} on the observation of {_call(command)}"
+                return _fail(FailKind.ABSTRACTION_ERROR, seq, at, expected, note=note)
+            if exact:
+                answer._abstracted = (abstraction, observed)
         for state in expected:
             if state is observed or state == observed:
                 break
@@ -425,6 +440,9 @@ def run_property(
     replay's failure; only the verdict on a deletion that leaves a prefix
     is taken from an earlier replay instead of a new one.
     """
+    for name, value in (("num_tests", num_tests), ("seed", seed), ("workers", workers)):
+        if not is_int(value):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if num_tests < 1:
         raise ValueError("num_tests must be >= 1")
     if workers < 1:

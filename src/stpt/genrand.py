@@ -265,9 +265,9 @@ def gen_enabled_commands(
     one of those states, so such sequences never trip the harness's
     disabled-operation check. Generation stops early when no weighted
     operation is enabled, so sequences may be shorter than the drawn
-    length (or empty). ``weights`` is read, and every weight checked to
-    be a positive integer (a ``bool`` is none), once, when the generator
-    is built.
+    length (or empty). ``weights`` is read, and ``max_len`` and every
+    weight checked to be a positive integer (a ``bool`` is none), once,
+    when the generator is built.
 
     Every draw reads whole 64-bit outputs of the ``Rng``'s stream from
     one list of lanes, which one kernel, :func:`_extend`, fills by
@@ -286,8 +286,8 @@ def gen_enabled_commands(
     and where each operation leads from it, is memoised for every run of
     this generator, and each ``(op, delay)`` command is built once.
     """
-    if max_len < 1:
-        raise InvalidRange("max_len must be >= 1")
+    if not is_int(max_len) or max_len < 1:
+        raise InvalidRange(f"max_len must be an integer >= 1, got {max_len!r}")
     if not weights:
         raise InvalidRange("weights must be nonempty")
     ranked = sorted(weights.items(), key=lambda kv: repr(kv[0]))

@@ -21,7 +21,6 @@ from bisect import bisect_right, insort
 from copy import deepcopy
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional
-from weakref import ref
 
 from .conformance import Abstraction, Deferred, RawObservation, SutAdapter
 from .genrand import Command
@@ -46,8 +45,8 @@ FAULT_WRONG_INIT = "wrongInit"
 FAULT_WRONG_MOVE = "wrongMove"
 FAULT_SEQUENCE_BUG = "sequenceBug"
 
-# the most answers one table keeps, a suite's or a simulator's, and the
-# most observations the suite abstraction remembers; a full one is emptied
+# the most answers one table keeps, a suite's or a simulator's; a full
+# one is emptied
 ANSWER_TABLE_CAP = 1024
 
 
@@ -201,38 +200,18 @@ def _interning_abstraction(model: StateModel) -> Abstraction:
     hit on identity. The model's table is the one interning table, and
     ``has_met`` fills nothing, so a SUT that answers at random cannot grow
     it. Any other payload gives the fresh State built from it, which
-    raises on an unsupported value.
-
-    A suite's simulators hand the same :class:`RawObservation` out again
-    for an answer built before, and an observation never changes once
-    handed out, so the state given for any observation, met or not, is
-    remembered by the observation's identity and its payload is read only
-    once; a mismatching answer met again gives the same State. That memo
-    holds each observation by weak reference, so a later object that
-    reuses the ``id`` of a dropped one never hits, and it keeps none
-    alive; it is emptied when it holds :data:`ANSWER_TABLE_CAP` entries.
+    raises on an unsupported value. It keeps no state: ``check_against``
+    remembers what it made of each answer on the answer's Deferred, so an
+    answer a suite's simulators hand out again is read only once.
     """
     names = model.variables
-    seen: dict[int, tuple[ref, State]] = {}
 
     def abstraction(raw: RawObservation) -> State:
-        entry = seen.get(id(raw))
-        if entry is not None and entry[0]() is raw:
-            return entry[1]
         payload = raw.payload
         observed = State({name: payload[name] for name in names})
         met = has_met(model, observed)
         # not ``or``: a State with no variables is falsy
-        if met is not None:
-            observed = met
-        try:
-            held = ref(raw)
-        except TypeError:  # an answer that cannot be weakly referenced
-            return observed
-        if len(seen) >= ANSWER_TABLE_CAP:
-            seen.clear()
-        seen[id(raw)] = (held, observed)
-        return observed
+        return observed if met is None else met
 
     return abstraction
 

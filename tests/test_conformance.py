@@ -52,8 +52,9 @@ from stpt import (
 )
 from stpt import conformance
 from stpt.statemodel import step, successors
-from stpt.suts import OP_CURSOR_UP, OP_OTHER, OP_SELECT_ELECTRON, OP_SELECT_PHOTON
-from stpt.suts import RobotSim, _interning_abstraction
+from stpt.suts import BEAM_ELECTRON, MODE_ELECTRON, OP_CURSOR_UP, OP_OTHER
+from stpt.suts import OP_SELECT_ELECTRON, OP_SELECT_PHOTON
+from stpt.suts import RobotSim, TheracSim, _interning_abstraction
 
 
 def unguarded_commands(vocab, max_len, rng) -> CommandSequence:
@@ -1017,6 +1018,26 @@ class TestRunProperty:
         with pytest.raises(ValueError):
             run_property(toggle_model(), None, toggle_abstraction, self.GEN)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("num_tests", 2.5),
+            ("num_tests", True),
+            ("seed", 1.0),
+            ("seed", True),
+            ("workers", 2.5),
+            ("workers", True),
+        ],
+    )
+    def test_rejects_an_argument_that_is_no_integer_before_any_work(self, name, value):
+        sut = ToggleSut()
+        with pytest.raises(ValueError) as refused:
+            run_property(
+                toggle_model(), sut, toggle_abstraction, self.GEN, **{name: value}
+            )
+        assert str(refused.value) == f"{name} must be an integer, got {value!r}"
+        assert sut.resets == 0
+
     def test_rejects_a_nan_timeout_before_the_first_test(self):
         # a settled Deferred never waits, so this adapter would otherwise
         # run the campaign as if no timeout were set
@@ -1525,6 +1546,139 @@ class TestRunProperty:
                 suite.st_invariants,
             ) == Pass()
         assert compiled == list(suite.st_invariants) * 2
+
+
+class HandingSut(ToggleSut):
+    """A toggle that answers each value with the Deferred ``answers`` holds for it."""
+
+    def __init__(self, answers: dict) -> None:
+        super().__init__()
+        self.answers = answers
+
+    def reset(self) -> Deferred[RawObservation]:
+        super().reset()
+        return self.answers[self.value]
+
+    def apply(self, command: Command, at_time: int) -> Deferred[RawObservation]:
+        super().apply(command, at_time)
+        return self.answers[self.value]
+
+
+def settled_toggles(cls=Deferred) -> dict:
+    """A resolved answer of class ``cls`` for each toggle value."""
+    return {value: cls.successful(RawObservation(value)) for value in (False, True)}
+
+
+def counting(calls: list, abstraction=toggle_abstraction):
+    """``abstraction``, appending each observation it is called on to ``calls``."""
+
+    def counted(raw: RawObservation) -> State:
+        calls.append(raw)
+        return abstraction(raw)
+
+    return counted
+
+
+class ReusingTherac:
+    """A terminal adapter that keeps one observation for all its answers.
+
+    It passes each call on to a :class:`TheracSim`, rewrites the payload of
+    its one observation to the simulator's, and answers with that
+    observation in a fresh Deferred.
+    """
+
+    def __init__(self) -> None:
+        self.sim = TheracSim()
+        self.raw = RawObservation({})
+
+    def vocabulary(self) -> tuple[str, ...]:
+        return self.sim.vocabulary()
+
+    def _rewrite(self, answer: Deferred[RawObservation]) -> Deferred[RawObservation]:
+        self.raw.payload.clear()
+        self.raw.payload.update(answer.wait(0)[1].payload)
+        return Deferred.successful(self.raw)
+
+    def reset(self) -> Deferred[RawObservation]:
+        return self._rewrite(self.sim.reset())
+
+    def apply(self, command: Command, at_time: int) -> Deferred[RawObservation]:
+        return self._rewrite(self.sim.apply(command, at_time))
+
+
+class TestAnswerMemo:
+    """``check_against`` remembers an abstraction's state on the answer's Deferred."""
+
+    SEQ = CommandSequence(tuple(Command(op, 1) for op in ("turnOn", "turnOff", "turnOn")))
+
+    def test_an_answer_handed_out_again_is_abstracted_once(self):
+        model, calls = toggle_model(), []
+        abstraction = counting(calls)
+        sut = HandingSut(settled_toggles())
+        for _ in range(2):
+            assert check_against(model, sut, abstraction, self.SEQ) == Pass()
+        assert [raw.payload for raw in calls] == [False, True]
+        # a fresh Deferred with an equal payload is read afresh
+        sut.answers = settled_toggles()
+        assert check_against(model, sut, abstraction, self.SEQ) == Pass()
+        assert [raw.payload for raw in calls] == [False, True, False, True]
+
+    def test_each_abstraction_gets_its_own_state(self):
+        model, right_calls, wrong_calls = toggle_model(), [], []
+        right = counting(right_calls)
+        wrong = counting(wrong_calls, lambda raw: State({"on": not raw.payload}))
+        sut = HandingSut(settled_toggles())
+        empty = CommandSequence(())
+        assert check_against(model, sut, right, empty) == Pass()
+        result = check_against(model, sut, wrong, empty)
+        assert result.kind is FailKind.INIT_MISMATCH
+        assert result.witness.observed_state == State({"on": True})
+        assert (len(right_calls), len(wrong_calls)) == (1, 1)
+        # the answer holds one state, the last abstraction's, so the
+        # first abstraction reads it again and gets its own state back
+        assert check_against(model, sut, right, empty) == Pass()
+        assert (len(right_calls), len(wrong_calls)) == (2, 1)
+
+    def test_an_abstraction_that_raised_is_not_remembered(self):
+        model, calls = toggle_model(), []
+
+        def missing(raw: RawObservation) -> State:
+            raise KeyError("on")
+
+        abstraction = counting(calls, missing)
+        sut = HandingSut(settled_toggles())
+        for _ in range(2):
+            result = check_against(model, sut, abstraction, self.SEQ)
+            assert result.kind is FailKind.ABSTRACTION_ERROR
+            assert result.witness.fail_index is None
+        assert len(calls) == 2
+
+    def test_a_subclass_of_deferred_is_abstracted_at_every_step(self):
+        class Settled(Deferred):
+            """Resolved from the start, without any slot of Deferred's but the outcome."""
+
+            def __init__(self, value) -> None:
+                self._outcome = ("ok", value)
+
+            @classmethod
+            def successful(cls, value):
+                return cls(value)
+
+        model, calls = toggle_model(), []
+        abstraction = counting(calls)
+        sut = HandingSut(settled_toggles(Settled))
+        for _ in range(2):
+            assert check_against(model, sut, abstraction, self.SEQ) == Pass()
+        assert [raw.payload for raw in calls] == [False, True, False, True] * 2
+
+    def test_a_reused_observation_is_read_afresh_in_a_fresh_deferred(self):
+        suite = therac_suite()
+        seq = CommandSequence(
+            (Command(OP_SELECT_PHOTON, 1), Command(OP_SELECT_ELECTRON, 1))
+        )
+        adapter = ReusingTherac()
+        assert check_against(suite.model, adapter, suite.abstraction, seq) == Pass()
+        assert adapter.raw.payload == {"mode": MODE_ELECTRON, "beam": BEAM_ELECTRON}
 
 
 class TestResetOccupancy:

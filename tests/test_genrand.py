@@ -408,6 +408,12 @@ class TestGenEnabledCommands:
         with pytest.raises(InvalidRange):
             self.therac_gen(max_len=0)
 
+    @pytest.mark.parametrize("max_len", [2.5, "3", True], ids=["float", "str", "bool"])
+    def test_max_len_that_is_no_integer_is_rejected(self, max_len):
+        with pytest.raises(InvalidRange) as refused:
+            self.therac_gen(max_len=max_len)
+        assert str(refused.value) == f"max_len must be an integer >= 1, got {max_len!r}"
+
     def test_length_spread_is_uniform_ish(self):
         gen = self.therac_gen(max_len=4)
         lengths = Counter(

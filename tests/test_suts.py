@@ -1,11 +1,9 @@
 from __future__ import annotations
 
 import gc
-import inspect
 import json
 import random
 import weakref
-from collections import namedtuple
 from collections.abc import Mapping
 from unittest.mock import patch
 
@@ -20,6 +18,7 @@ from stpt import (
     Box,
     Command,
     CommandSequence,
+    Deferred,
     Fail,
     FailKind,
     FalseAtom,
@@ -265,11 +264,6 @@ class TestTheracSuite:
         )
 
 
-def memo(abstraction) -> dict:
-    """The abstraction's states remembered per observation."""
-    return inspect.getclosurevars(abstraction).nonlocals["seen"]
-
-
 def payload(s: State) -> RawObservation:
     return RawObservation(dict(s.items()))
 
@@ -292,8 +286,35 @@ class CountingPayload(Mapping):
         return len(self.values)
 
 
+class FixedAnswers:
+    """An adapter that answers the reset with ``reset`` and every command
+    with ``apply``; where one is None, each call gets a fresh Deferred
+    around a fresh observation of ``INIT`` or ``PHOTON``."""
+
+    def __init__(self, reset=None, apply=None) -> None:
+        self._reset = reset
+        self._apply = apply
+        self.handed: list[Deferred] = []
+
+    def vocabulary(self) -> tuple[str, ...]:
+        return (OP_SELECT_PHOTON,)
+
+    def _hand(self, answer, values: dict) -> Deferred:
+        if answer is None:
+            answer = Deferred.successful(RawObservation(dict(values)))
+        self.handed.append(answer)
+        return answer
+
+    def reset(self) -> Deferred:
+        return self._hand(self._reset, INIT)
+
+    def apply(self, command: Command, at_time: int) -> Deferred:
+        return self._hand(self._apply, PHOTON)
+
+
+PHOTON_ONCE = CommandSequence((Command(OP_SELECT_PHOTON, 1),))
+INIT = {"mode": MODE_NONE, "beam": BEAM_OFF}
 PHOTON = {"mode": MODE_PHOTON, "beam": BEAM_PHOTON}
-ELECTRON = {"mode": MODE_ELECTRON, "beam": BEAM_ELECTRON}
 # a state the therac model never reaches
 STALE_BEAM = {"mode": MODE_ELECTRON, "beam": BEAM_PHOTON}
 
@@ -373,42 +394,29 @@ class TestInternedAbstraction:
     def therac():
         suite = therac_suite()
         spec_consistency(suite.model)
-        return suite.abstraction
+        return suite
 
     def test_an_observation_is_read_once(self):
-        abstraction = self.therac()
-        values = CountingPayload(PHOTON)
-        raw = RawObservation(values)
-        first = abstraction(raw)
-        assert first == State(PHOTON) and values.reads == 2
-        assert abstraction(raw) is first
-        assert values.reads == 2
+        suite = self.therac()
+        answers = [
+            Deferred.successful(RawObservation(CountingPayload(values)))
+            for values in (INIT, PHOTON)
+        ]
+        adapter = FixedAnswers(*answers)
+        for _ in range(3):
+            assert check_against(suite.model, adapter, suite.abstraction, PHOTON_ONCE) == Pass()
+        assert [answer.wait(0)[1].payload.reads for answer in answers] == [2, 2]
 
-    def test_a_dropped_observation_never_answers_for_another(self):
-        abstraction = self.therac()
-        reused = 0
-        for _ in range(100):
-            raw = RawObservation(dict(PHOTON))
-            assert abstraction(raw) == State(PHOTON)
-            dropped = id(raw)
-            # the payload is made first, so that the observation is the
-            # next object made after the drop, and the interpreter mostly
-            # puts it where the last one was
-            values = dict(ELECTRON)
-            del raw
-            other = RawObservation(values)
-            reused += id(other) == dropped
-            assert abstraction(other) == State(ELECTRON)
-        assert reused
-
-    def test_the_memo_keeps_no_observation_alive(self):
-        abstraction = self.therac()
-        raw = RawObservation(dict(PHOTON))
-        abstraction(raw)
-        held = weakref.ref(raw)
-        del raw
+    def test_check_against_keeps_no_answer_alive(self):
+        suite = self.therac()
+        adapter = FixedAnswers()
+        assert check_against(suite.model, adapter, suite.abstraction, PHOTON_ONCE) == Pass()
+        # a Deferred takes no weak reference, but it holds its observation
+        held = [weakref.ref(answer.wait(0)[1]) for answer in adapter.handed]
+        assert len(held) == 2
+        adapter.handed.clear()
         gc.collect()
-        assert held() is None
+        assert [ref() for ref in held] == [None, None]
 
     def test_a_model_with_no_variables_gives_its_own_init(self):
         # its one state is empty, so falsy: only ``is None`` tells it apart
@@ -422,47 +430,30 @@ class TestInternedAbstraction:
         assert abstraction(raw) is init
         assert abstraction(RawObservation({})) is init
 
-    def test_a_state_the_model_has_not_met_is_remembered_by_its_observation(self):
-        suite = therac_suite()
-        spec_consistency(suite.model)
-        abstraction = suite.abstraction
+    def test_a_state_the_model_has_not_met_is_remembered_on_its_answer(self):
+        suite = self.therac()
+        met = len(suite.model._met)
         values = CountingPayload(STALE_BEAM)
         raw = RawObservation(values)
-        first = abstraction(raw)
+        adapter = FixedAnswers(apply=Deferred.successful(raw))
+        first, again = (
+            check_against(suite.model, adapter, suite.abstraction, PHOTON_ONCE)
+            for _ in range(2)
+        )
+        assert first.kind is again.kind is FailKind.SUT_MISMATCH
+        observed = first.witness.observed_state
         fresh = State(STALE_BEAM)
-        assert first == fresh and hash(first) == hash(fresh) and repr(first) == repr(fresh)
-        assert abstraction(raw) is first
+        assert observed == fresh and hash(observed) == hash(fresh)
+        assert repr(observed) == repr(fresh)
+        assert again.witness.observed_state is observed
         assert values.reads == 2
-        assert id(raw) in memo(abstraction)
+        # a direct call reads the payload again and builds the state anew
+        direct = suite.abstraction(raw)
+        assert direct == fresh and direct is not observed
+        assert values.reads == 4
         # the model has still not met it
         assert has_met(suite.model, fresh) is None
-        # fresh unmet observations keep the memo within its cap
-        kept = [RawObservation(dict(STALE_BEAM)) for _ in range(10)]
-        with patch.object(suts, "ANSWER_TABLE_CAP", 3):
-            for raw in kept:
-                assert abstraction(raw) == fresh
-                assert len(memo(abstraction)) <= 3
-        assert has_met(suite.model, fresh) is None
-
-    def test_an_answer_that_cannot_be_weakly_referenced_is_read_each_time(self):
-        abstraction = self.therac()
-        values = CountingPayload(PHOTON)
-        raw = namedtuple("Answer", "payload occupancy clock")(values, (), 0)
-        assert abstraction(raw) is abstraction(raw) == State(PHOTON)
-        assert values.reads == 4
-
-    def test_the_memo_is_emptied_at_the_cap(self):
-        abstraction = self.therac()
-        kept = [RawObservation(CountingPayload(PHOTON)) for _ in range(5)]
-        sizes = []
-        with patch.object(suts, "ANSWER_TABLE_CAP", 3):
-            for raw in kept:
-                abstraction(raw)
-                sizes.append(len(memo(abstraction)))
-            assert sizes == [1, 2, 3, 1, 2]
-            # the first was emptied out, so it is read again
-            abstraction(kept[0])
-        assert [raw.payload.reads for raw in kept] == [4, 2, 2, 2, 2]
+        assert len(suite.model._met) == met
 
     def test_random_answers_do_not_grow_the_table(self):
         suite = robot_suite()
@@ -480,7 +471,6 @@ class TestInternedAbstraction:
             )
             suite.abstraction(payload(rnd.choice(reachable)))
         assert len(suite.model._met) == met
-        assert len(memo(suite.abstraction)) <= suts.ANSWER_TABLE_CAP
 
 
 class TestRobotSim:
