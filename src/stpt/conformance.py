@@ -12,7 +12,6 @@ the blame likely lies.
 
 from __future__ import annotations
 
-import math
 import threading
 import time
 from dataclasses import dataclass, replace
@@ -222,6 +221,14 @@ def _call(command: Optional[Command]) -> str:
     return "reset" if command is None else f"apply {command.op!r}"
 
 
+def _check_timeout(timeout: object) -> None:
+    """Raise ValueError unless ``timeout`` is an int or float, not a bool, and not NaN."""
+    if not isinstance(timeout, (int, float)) or isinstance(timeout, bool):
+        raise ValueError(f"timeout must be an int or float of seconds, got {timeout!r}")
+    if timeout != timeout:  # only NaN differs from itself
+        raise ValueError("timeout must not be NaN")
+
+
 def check_against(
     model: StateModel,
     adapter: SutAdapter,
@@ -251,23 +258,23 @@ def check_against(
     ``st_invariants``, for a caller that replays many sequences.
 
     The model's expected states are distinct, so the match leaves at most
-    one consistent state, which is always the model's canonical object
-    (see :class:`~stpt.statemodel.StateModel`): its memoised row is the
-    whole subset step. The match tries identity before equality, so an
-    abstraction that hands out the model's objects for the states it has
-    met (as the suites' does) never calls ``State.__eq__``. An answer of
-    type :class:`Deferred` (no subclass) keeps ``(abstraction, state)`` in
-    its ``_abstracted`` slot, unless the abstraction raised, so a step that
-    gets it back with the same abstraction skips the call. The key is the
-    Deferred, which never changes once resolved and lives as long as its
-    memo, not the observation, which an adapter may rewrite for a fresh
-    Deferred. The issue time of each command is kept as a running clock.
-    A NaN ``timeout`` raises ValueError before the reset, as in
-    :func:`run_property`, rather than failing the first ``wait`` as if
-    the SUT had.
+    one consistent state: its memoised row is the whole subset step. The
+    match tries identity before equality, and equal states are one object
+    (see :class:`~stpt.statemodel.State`), so whatever the abstraction, a
+    match hits on identity unless two threads built the state at once. An
+    answer of type :class:`Deferred` (no subclass) keeps ``(abstraction,
+    state)`` in its ``_abstracted`` slot, unless the abstraction raised, so
+    a step that gets it back with the same abstraction skips the call. The
+    key is the Deferred, which never changes once resolved and lives as
+    long as its memo, not the observation, which an adapter may rewrite
+    for a fresh Deferred. The issue time of each command is kept as a
+    running clock.
+    A ``timeout`` is seconds: ``inf`` waits without limit and zero or less
+    polls. One that is not an ``int`` or ``float``, is a ``bool`` or is
+    NaN raises ValueError before the reset, as in :func:`run_property`,
+    rather than failing the first ``wait`` as if the SUT had.
     """
-    if timeout != timeout:  # only NaN differs from itself
-        raise ValueError("timeout must not be NaN")
+    _check_timeout(timeout)
     obligations = _obligations
     rows = model._rows
     at_time = 0
@@ -447,8 +454,7 @@ def run_property(
         raise ValueError("num_tests must be >= 1")
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    if math.isnan(timeout):
-        raise ValueError("timeout must not be NaN")
+    _check_timeout(timeout)
     if adapter is None and adapter_factory is None:
         raise ValueError("need an adapter or an adapter_factory")
     if workers > 1 and adapter_factory is None:

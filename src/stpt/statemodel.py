@@ -9,8 +9,11 @@ up to a depth; a consistency scan flags suspicious specifications.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+
+from .spatial import is_int
 
 Value = Union[bool, int, str]
 
@@ -31,25 +34,39 @@ def _check_value(name: str, value: Value) -> None:
         raise TypeError(f"variable {name!r} bound to unsupported value {value!r}")
 
 
+# Each live State by its tagged bindings. Weak, so it keeps no state alive:
+# a SUT that answers at random leaves nothing behind.
+_live: weakref.WeakValueDictionary[tuple, State] = weakref.WeakValueDictionary()
+
+
 class State:
-    """Immutable binding of variable names to values.
+    """Immutable binding of variable names to values, one object per value.
 
     Equality is structural and variant-exact: an int binding never equals a
     bool binding even when Python would compare the raw values equal.
+    Building a state returns the live equal one, if any, wherever it is
+    built, so lookups and matches hit on identity. Identity is only a
+    shortcut: two threads may both build an equal state at once.
     """
 
     # (name, value class name, value) per variable, sorted by name. bool is
     # an int subclass, so equality and ordering go through the class name
     # to keep True distinct from 1. The hash is taken once, since the
     # transition memo hashes a state on every lookup.
-    __slots__ = ("_tagged", "_hash")
+    __slots__ = ("_tagged", "_hash", "__weakref__")
 
-    def __init__(self, bindings: Mapping[str, Value]):
+    def __new__(cls, bindings: Mapping[str, Value]) -> State:
         tagged = tuple(sorted((k, type(v).__name__, v) for k, v in bindings.items()))
+        # before the lookup, which would raise its own TypeError
         for name, _, value in tagged:
             _check_value(name, value)
-        object.__setattr__(self, "_tagged", tagged)
-        object.__setattr__(self, "_hash", hash(tagged))
+        state = _live.get(tagged)
+        if state is None:
+            state = object.__new__(cls)
+            state._tagged = tagged
+            state._hash = hash(tagged)
+            state = _live.setdefault(tagged, state)
+        return state
 
     def __getitem__(self, name: str) -> Value:
         for key, _, value in self._tagged:
@@ -100,7 +117,8 @@ class State:
         return self._hash
 
     def __reduce__(self):
-        # rebuilt, not copied: a string's hash differs between processes
+        # rebuilt, not copied: a string's hash differs between processes,
+        # and the rebuilt state is the live equal one
         return State, (dict(self.items()),)
 
     def __repr__(self) -> str:
@@ -142,16 +160,9 @@ class StateModel:
     Guards and effects are pure, so each instance memoises its transition
     relation, one row per state: the first time a state's row is asked
     for, it runs every guard, and the effect of every enabled action, once.
-
-    The model also hands out one canonical :class:`State` object per value
-    it has met: each init state, each row key and each successor stored in
-    a row is that object, interned as the row is filled, and
-    :func:`has_met` returns it. A caller that passes the model's own
-    object back gets dictionary hits on identity, without a call to
-    ``State.__eq__``; identity is only a shortcut, and equality still
-    decides. Neither table is a field, so equality and ``repr`` ignore
-    them, nor is ``action_names``, the distinct action names in
-    declaration order, built once with the model.
+    The memo is not a field, so equality and ``repr`` ignore it, nor is
+    ``action_names``, the distinct action names in declaration order, built
+    once with the model.
     """
 
     variables: tuple[str, ...]
@@ -179,10 +190,8 @@ class StateModel:
         names = tuple(dict.fromkeys(a.name for a in self.actions))
         object.__setattr__(self, "action_names", names)
         object.__setattr__(self, "_names", frozenset(names))
-        # Each state met to its canonical object, see has_met.
-        object.__setattr__(self, "_met", {s: s for s in self.init})
-        # Canonical state -> {op: canonical successors}, see _row. Filled
-        # from any thread: a racing fill stores an equal row twice.
+        # State -> {op: successors}, see _row. Filled from any thread: a
+        # racing fill stores an equal row twice.
         object.__setattr__(self, "_rows", {})
 
     def check_state(self, s: State) -> None:
@@ -246,15 +255,12 @@ def _row(model: StateModel, s: State) -> dict[str, tuple[State, ...]]:
     """The operations enabled at ``s``, each with its distinct successors.
 
     First true guard first, successors in declaration order. Filled, and
-    ``s`` checked, on the first call for a state equal to ``s``. The row is
-    keyed by the canonical object of ``s`` and holds the canonical object
-    of each successor: both are interned as the row is filled.
+    ``s`` checked, on the first call for a state equal to ``s``, which is
+    ``s`` itself unless two threads built it at once (see :class:`State`).
     """
     row = model._rows.get(s)
     if row is None:
         model.check_state(s)
-        met = model._met
-        s = met.setdefault(s, s)
         fill: dict[str, list[State]] = {}
         for action in model.actions:
             if action.guard(s):
@@ -263,20 +269,8 @@ def _row(model: StateModel, s: State) -> dict[str, tuple[State, ...]]:
                 nexts = fill.setdefault(action.name, [])
                 if result not in nexts:
                     nexts.append(result)
-        row = model._rows[s] = {
-            op: tuple(met.setdefault(nxt, nxt) for nxt in nexts)
-            for op, nexts in fill.items()
-        }
+        row = model._rows[s] = {op: tuple(nexts) for op, nexts in fill.items()}
     return row
-
-
-def has_met(model: StateModel, s: State) -> Optional[State]:
-    """The model's canonical object for ``s``, or None if it has met no equal state.
-
-    The model has met its init states, every state whose row it filled,
-    and every successor in those rows. Fills nothing.
-    """
-    return model._met.get(s)
 
 
 def successors(
@@ -312,6 +306,12 @@ def _visit(visited: set[State], s: State, state_cap: int) -> bool:
     return True
 
 
+def _check_int(name: str, value: object, least: int) -> None:
+    """Raise ValueError unless ``value`` is an int, not a bool, of at least ``least``."""
+    if not is_int(value) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 def correct_behaviours(
     model: StateModel, depth: int, state_cap: int = DEFAULT_STATE_CAP
 ) -> tuple[Behaviour, ...]:
@@ -324,10 +324,8 @@ def correct_behaviours(
     through the behaviours; a model with few states can still have more
     behaviours than memory holds.
     """
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-    if state_cap < 1:
-        raise ValueError("state_cap must be positive")
+    _check_int("depth", depth, 0)
+    _check_int("state_cap", state_cap, 1)
     frontier = [Behaviour((s,), ()) for s in model.init]
     out = list(frontier)
     if len(out) > state_cap:
@@ -377,6 +375,7 @@ def spec_consistency(
     are deliberate observers can be excluded from the no-op check through
     ``suppress_noop``.
     """
+    _check_int("state_cap", state_cap, 1)
     suppress = set(suppress_noop)
     warnings: list[SpecWarning] = []
     if not model.init:

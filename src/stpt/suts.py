@@ -38,7 +38,7 @@ from .spatial import (
     TrueAtom,
     is_int,
 )
-from .statemodel import ActionSpec, State, StateModel, has_met
+from .statemodel import ActionSpec, State, StateModel
 
 FAULT_NONE = "none"
 FAULT_WRONG_INIT = "wrongInit"
@@ -191,29 +191,18 @@ class TheracSim(_Simulator):
         return self._answer((self._mode, self._beam, at_time))
 
 
-def _interning_abstraction(model: StateModel) -> Abstraction:
-    """The suite abstraction: each model variable read from the payload.
+def _payload_abstraction(model: StateModel) -> Abstraction:
+    """The suite abstraction: the State of each model variable read from the payload.
 
-    A payload whose state the model has met gives the model's canonical
-    object for it (see :func:`~stpt.statemodel.has_met`), the same one
-    every time, so the match in ``check_against`` and every row lookup
-    hit on identity. The model's table is the one interning table, and
-    ``has_met`` fills nothing, so a SUT that answers at random cannot grow
-    it. Any other payload gives the fresh State built from it, which
-    raises on an unsupported value. It keeps no state: ``check_against``
+    Equal states are one object, so the State it builds for a state the
+    model has met is the model's own, and the match in ``check_against``
+    and every row lookup hit on identity. A payload with an unsupported
+    value raises as ``State`` does. It keeps no state: ``check_against``
     remembers what it made of each answer on the answer's Deferred, so an
     answer a suite's simulators hand out again is read only once.
     """
     names = model.variables
-
-    def abstraction(raw: RawObservation) -> State:
-        payload = raw.payload
-        observed = State({name: payload[name] for name in names})
-        met = has_met(model, observed)
-        # not ``or``: a State with no variables is falsy
-        return observed if met is None else met
-
-    return abstraction
+    return lambda raw: State({name: raw.payload[name] for name in names})
 
 
 def _therac_model() -> StateModel:
@@ -242,7 +231,7 @@ def therac_suite(fault: str = FAULT_NONE) -> Suite:
     return Suite(
         name="therac25",
         model=model,
-        abstraction=_interning_abstraction(model),
+        abstraction=_payload_abstraction(model),
         st_invariants=(),
         default_weights={
             OP_SELECT_PHOTON: 3,
@@ -505,7 +494,7 @@ def robot_suite(
     return Suite(
         name="robot",
         model=model,
-        abstraction=_interning_abstraction(model),
+        abstraction=_payload_abstraction(model),
         st_invariants=_workspace_invariants(config),
         default_weights=dict.fromkeys(model.action_names, 1),
         intended_noops=frozenset({OP_INITIALISE}),

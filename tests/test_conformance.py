@@ -54,7 +54,7 @@ from stpt import conformance
 from stpt.statemodel import step, successors
 from stpt.suts import BEAM_ELECTRON, MODE_ELECTRON, OP_CURSOR_UP, OP_OTHER
 from stpt.suts import OP_SELECT_ELECTRON, OP_SELECT_PHOTON
-from stpt.suts import RobotSim, TheracSim, _interning_abstraction
+from stpt.suts import RobotSim, TheracSim, _payload_abstraction
 
 
 def unguarded_commands(vocab, max_len, rng) -> CommandSequence:
@@ -403,6 +403,37 @@ class TestCheckAgainst:
         with pytest.raises(ValueError, match="timeout must not be NaN"):
             self.run_toggle(sut, ["turnOn"], timeout=float("nan"))
         assert sut.resets == 0 and sut.applied == []
+
+    @pytest.mark.parametrize("timeout", ["1", None, True], ids=["str", "none", "bool"])
+    def test_rejects_a_timeout_that_is_no_number_before_the_reset(self, timeout):
+        # the reset answers late, so a timeout that reached its wait would
+        # be blamed on the SUT ("1"), wait without limit (None), or be
+        # taken as one second (True)
+        class LateReset(ToggleSut):
+            def reset(self):
+                _, raw = super().reset().wait(0)
+                d: Deferred[RawObservation] = Deferred()
+                threading.Timer(0.01, d.complete, args=(raw,)).start()
+                return d
+
+        sut = LateReset()
+        with pytest.raises(ValueError) as refused:
+            self.run_toggle(sut, ["turnOn"], timeout=timeout)
+        assert str(refused.value) == (
+            f"timeout must be an int or float of seconds, got {timeout!r}"
+        )
+        assert sut.resets == 0 and sut.applied == []
+
+    @pytest.mark.parametrize("timeout", [0, -1, 0.0, -0.5])
+    def test_a_timeout_of_zero_or_less_polls(self, timeout):
+        class HangingReset(ToggleSut):
+            def reset(self):
+                return Deferred()
+
+        result = self.run_toggle(HangingReset(), [], timeout=timeout)
+        assert isinstance(result, Fail) and result.kind == FailKind.TIMEOUT
+        # a resolved answer is read whatever the timeout
+        assert self.run_toggle(ToggleSut(), ["turnOn"], timeout=timeout) == Pass()
 
 
 class TestSpatialChecking:
@@ -902,7 +933,7 @@ class TestReplayOracle:
     @example(seed=4, script=[0, 15], commands=[(0, 1)], fresh=True)
     def test_agrees_with_the_oracle(self, seed, script, commands, fresh):
         model = random_model(seed)
-        abstraction = (lambda raw: raw.payload) if fresh else _interning_abstraction(model)
+        abstraction = (lambda raw: raw.payload) if fresh else _payload_abstraction(model)
         names = model.action_names
         seq = CommandSequence(tuple(
             Command(names[pick % len(names)] if pick < 9 else "omega", delay)
@@ -1047,6 +1078,24 @@ class TestRunProperty:
                 toggle_model(), sut, toggle_abstraction, self.GEN, timeout=float("nan")
             )
         assert sut.resets == 0
+
+    @pytest.mark.parametrize("timeout", ["1", None, True], ids=["str", "none", "bool"])
+    def test_rejects_a_timeout_that_is_no_number_before_the_first_test(self, timeout):
+        sut = ToggleSut()
+        with pytest.raises(ValueError) as refused:
+            run_property(toggle_model(), sut, toggle_abstraction, self.GEN, timeout=timeout)
+        assert str(refused.value) == (
+            f"timeout must be an int or float of seconds, got {timeout!r}"
+        )
+        assert sut.resets == 0
+
+    @pytest.mark.parametrize("timeout", [1, 0, -1, float("inf")])
+    def test_an_int_zero_negative_or_infinite_timeout_runs(self, timeout):
+        report = run_property(
+            toggle_model(), ToggleSut(), toggle_abstraction, self.GEN,
+            num_tests=3, timeout=timeout,
+        )
+        assert report.tests_run == 3 and report.tests_failed == 0
 
     def test_passing_sut_reports_clean(self):
         report = run_property(

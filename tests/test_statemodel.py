@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import copy
+import gc
+import pickle
 import sys
 import threading
 
@@ -25,7 +28,7 @@ from stpt import (
     step,
     successors,
 )
-from stpt.statemodel import has_met
+from stpt.statemodel import _live
 from stpt.suts import robot_suite, therac_suite
 
 
@@ -81,6 +84,9 @@ class TestState:
     def test_rejects_nonvalue_payloads(self):
         with pytest.raises(TypeError):
             State({"x": 1.5})
+        # checked before the interning lookup, which cannot hash a list
+        with pytest.raises(TypeError, match=r"unsupported value \[1\]"):
+            State({"x": [1]})
 
     def test_derived_views_are_sorted_and_variant_exact(self):
         s = State({"c": "x", "b": True, "a": 1})
@@ -361,15 +367,11 @@ class TestTransitionMemo:
         assert not any(t.is_alive() for t in threads)
         assert got == [expected] * workers
         assert table(shared, pool) == expected
-        # and every thread interned the same object for each state
-        met = shared._met
-        for key, row in shared._rows.items():
-            assert met[key] is key
-            assert all(met[nxt] is nxt for nexts in row.values() for nxt in nexts)
 
 
 class TestCanonicalStates:
-    """The model hands out one object per state value it has met."""
+    """Equal states are one object, so the model's row keys and successors
+    are the objects that building their bindings returns."""
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=100)
@@ -377,30 +379,26 @@ class TestCanonicalStates:
         model = random_model(seed)
         # the scan fills the row of every reachable state
         spec_consistency(model)
-        keys = {s: s for s in model._rows}
         for s in model.init:
-            assert keys[s] is s
-        for row in model._rows.values():
+            assert State(dict(s.items())) is s
+        for key, row in model._rows.items():
+            assert State(dict(key.items())) is key
             for nexts in row.values():
                 for nxt in nexts:
-                    assert keys[nxt] is nxt
-        for s in keys:
-            assert has_met(model, State(dict(s.items()))) is s
-        assert has_met(model, State(dict.fromkeys(model.variables, -1))) is None
+                    assert State(dict(nxt.items())) is nxt
 
     def test_a_successor_is_met_once_its_row_is_filled(self):
         model = counter_model()
         zero, one = State({"n": 0}), State({"n": 1})
-        assert has_met(model, zero) is model.init[0]
-        assert has_met(model, one) is None
+        assert zero is model.init[0]
         # step is the reference and fills nothing
-        assert step(model, model.init[0], "inc") == [one]
-        assert has_met(model, one) is None
+        assert step(model, zero, "inc") == [one]
+        assert one not in model._rows
         (got,) = successors(model, [zero], "inc")
-        assert has_met(model, one) is got and got is not one
-        assert successors(model, [one], "inc")[0] is has_met(model, State({"n": 2}))
-        # a row asked for with an equal object is keyed by the met one
-        assert [s for s in model._rows if s == one][0] is got
+        assert got is one
+        assert successors(model, [one], "inc")[0] is State({"n": 2})
+        # a row asked for with an equal state is keyed by the one object
+        assert [s for s in model._rows if s == one][0] is one
 
     def test_values_of_different_classes_stay_apart(self):
         values = (True, 1, "1")
@@ -411,18 +409,99 @@ class TestCanonicalStates:
         )
         spec_consistency(model)
         assert len(model._rows) == 3
+        keys = {id(s) for s in model._rows}
         for v in values:
-            met = has_met(model, State({"v": v}))
-            assert type(met["v"]) is type(v) and met["v"] == v
-            assert successors(model, [met], "stay")[0] is met
+            built = State({"v": v})
+            assert type(built["v"]) is type(v) and built["v"] == v
+            assert id(built) in keys
+            assert successors(model, [built], "stay")[0] is built
 
     def test_equality_and_repr_ignore_the_tables(self):
         cold = counter_model()
         warm = StateModel(cold.variables, cold.init, cold.actions)
         correct_behaviours(warm, 3)
-        assert warm._rows and len(warm._met) > len(cold._met)
+        assert warm._rows and not cold._rows
         assert warm == cold and hash(warm) == hash(cold)
         assert repr(warm) == repr(cold)
+
+
+VALUES = st.one_of(st.booleans(), st.integers(), st.text(max_size=3))
+
+
+class TestInternedState:
+    @given(st.dictionaries(st.text(max_size=3), VALUES, max_size=4))
+    @settings(max_examples=200)
+    def test_equal_bindings_give_one_object(self, bindings):
+        s = State(bindings)
+        assert State(dict(bindings)) is s
+        assert State(dict(reversed(list(bindings.items())))) is s
+        assert State(dict(s.items())) is s
+        # True, 1 and "1" compare or print alike, and stay three objects
+        for name in list(bindings) or ["x"]:
+            variants = [State({**bindings, name: v}) for v in (True, 1, "1")]
+            assert len({id(v) for v in variants}) == 3
+            assert [type(v[name]) for v in variants] == [bool, int, str]
+            assert variants[0] != variants[1] != variants[2] != variants[0]
+
+    def test_pickle_and_deepcopy_give_the_interned_object(self):
+        s = State({"a": 1, "b": True, "c": "x"})
+        assert pickle.loads(pickle.dumps(s)) is s
+        assert copy.deepcopy(s) is s
+        assert copy.copy(s) is s
+        # a state unpickled after its original died is still one object
+        data = pickle.dumps(State({"unpickled": 7}))
+        gc.collect()
+        first = pickle.loads(data)
+        assert pickle.loads(data) is first and first == State({"unpickled": 7})
+
+    def test_the_table_keeps_no_state_alive(self):
+        gc.collect()
+        before = len(_live)
+        kept = [State({"fresh": f"s{n}"}) for n in range(10_000)]
+        assert len(_live) == before + 10_000
+        del kept
+        for n in range(10_000):
+            State({"fresh": f"t{n}"})
+        gc.collect()
+        assert len(_live) == before
+
+    def test_threads_building_equal_states_agree(self):
+        # 200 states no other test builds, so the threads race to build each
+        numbers = range(10_000, 10_200)
+        shared = counter_model(limit=10**6)
+        workers = 4
+        start = threading.Barrier(workers)
+        got = [None] * workers
+
+        def build(index):
+            order = list(numbers[index * 50 :]) + list(numbers[: index * 50])
+            start.wait()
+            got[index] = {
+                n: (s, enabled_actions(shared, s), successors(shared, [s], "inc"))
+                for n in order
+                for s in (State({"n": n}),)
+            }
+
+        threads = [
+            threading.Thread(target=build, args=(i,), daemon=True) for i in range(workers)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert all(g is not None and g == got[0] for g in got)
+        assert [s["n"] for s, _, _ in got[0].values()] == list(numbers)
+        # the rows one thread fills
+        reference = counter_model(limit=10**6)
+        for n in numbers:
+            successors(reference, [State({"n": n})], "inc")
+        assert shared._rows == reference._rows
 
 
 class TestEnabledActions:
@@ -515,6 +594,21 @@ class TestCorrectBehaviours:
     def test_negative_depth_rejected(self):
         with pytest.raises(ValueError):
             correct_behaviours(counter_model(), -1)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"depth": True}, "depth must be an integer >= 0, got True"),
+            ({"depth": 2.5}, "depth must be an integer >= 0, got 2.5"),
+            ({"depth": 1, "state_cap": True}, "state_cap must be an integer >= 1, got True"),
+            ({"depth": 1, "state_cap": 2.5}, "state_cap must be an integer >= 1, got 2.5"),
+            ({"depth": 1, "state_cap": 0}, "state_cap must be an integer >= 1, got 0"),
+        ],
+    )
+    def test_rejects_an_argument_that_is_no_integer_in_range(self, kwargs, message):
+        with pytest.raises(ValueError) as refused:
+            correct_behaviours(counter_model(), **kwargs)
+        assert str(refused.value) == message
 
     def test_state_cap_exceeded(self):
         model = StateModel(
@@ -620,6 +714,21 @@ class TestSpecConsistency:
         )
         with pytest.raises(StateCapExceeded):
             spec_consistency(model, state_cap=3)
+
+    @pytest.mark.parametrize(
+        "state_cap, message",
+        [
+            (True, "state_cap must be an integer >= 1, got True"),
+            (2.5, "state_cap must be an integer >= 1, got 2.5"),
+            (0, "state_cap must be an integer >= 1, got 0"),
+        ],
+    )
+    def test_rejects_a_state_cap_that_is_no_positive_integer(self, state_cap, message):
+        model = counter_model()
+        with pytest.raises(ValueError) as refused:
+            spec_consistency(model, state_cap=state_cap)
+        assert str(refused.value) == message
+        assert not model._rows
 
     @given(st.integers(0, 10_000), st.sets(st.sampled_from(OPS)))
     @settings(max_examples=100)

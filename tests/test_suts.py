@@ -51,7 +51,7 @@ from stpt import (
 )
 from stpt import suts
 from stpt.spatial import always_false, always_true
-from stpt.statemodel import has_met
+from stpt.statemodel import _live
 from stpt.suts import (
     ANSWER_TABLE_CAP,
     ARM_OWNER,
@@ -73,7 +73,7 @@ from stpt.suts import (
     OP_SELECT_ELECTRON,
     OP_SELECT_PHOTON,
     UnknownWaypoint,
-    _interning_abstraction,
+    _payload_abstraction,
 )
 
 THERAC_VOCAB = (OP_SELECT_PHOTON, OP_SELECT_ELECTRON, OP_CURSOR_UP, OP_OTHER)
@@ -336,21 +336,19 @@ class TestInternedAbstraction:
         # the scan fills the model's row of every reachable state
         spec_consistency(suite.model)
         reachable = {s for b in correct_behaviours(suite.model, 2) for s in b.states}
-        met = len(suite.model._met)
+        rows = len(suite.model._rows)
         for s in sorted(reachable | {off_model}, key=lambda s: s.sort_key):
             got = suite.abstraction(payload(s))
             fresh = State(dict(s.items()))
             assert got == fresh and hash(got) == hash(fresh)
             assert repr(got) == repr(fresh)
-            again = suite.abstraction(payload(s))
-            assert again == fresh
-            # a state the model has met is handed out again, others built anew
-            assert (again is got) == (s in reachable)
-            # and the one handed out is the model's own object
-            assert (got is has_met(suite.model, s)) == (s in reachable)
+            # a met or unmet state is handed out again as the same object,
+            # and a met one is the model's own
+            assert suite.abstraction(payload(s)) is got
+            assert got is s
         # the abstraction taught the model no state
-        assert has_met(suite.model, off_model) is None
-        assert len(suite.model._met) == met
+        assert off_model not in suite.model._rows
+        assert len(suite.model._rows) == rows
 
     def test_values_of_different_classes_stay_apart(self):
         values = (True, 1, "1")
@@ -360,12 +358,12 @@ class TestInternedAbstraction:
             [ActionSpec("stay", lambda s: True, lambda s: s)],
         )
         spec_consistency(model)
-        abstraction = _interning_abstraction(model)
+        abstraction = _payload_abstraction(model)
         got = [abstraction(RawObservation({"v": v})) for v in values]
         for v, s in zip(values, got):
-            assert s == State({"v": v})
-            assert s is has_met(model, State({"v": v}))
+            assert s == State({"v": v}) and type(s["v"]) is type(v)
             assert abstraction(RawObservation({"v": v})) is s
+        assert {id(s) for s in got} == {id(s) for s in model.init}
         assert got[0] != got[1] != got[2] != got[0]
         with pytest.raises(TypeError, match="unsupported value 1.0"):
             abstraction(RawObservation({"v": 1.0}))
@@ -423,7 +421,7 @@ class TestInternedAbstraction:
         model = StateModel(
             (), [State({})], [ActionSpec("stay", lambda s: True, lambda s: s)]
         )
-        abstraction = _interning_abstraction(model)
+        abstraction = _payload_abstraction(model)
         (init,) = model.init
         raw = RawObservation({})
         assert abstraction(raw) is init
@@ -432,7 +430,7 @@ class TestInternedAbstraction:
 
     def test_a_state_the_model_has_not_met_is_remembered_on_its_answer(self):
         suite = self.therac()
-        met = len(suite.model._met)
+        rows = len(suite.model._rows)
         values = CountingPayload(STALE_BEAM)
         raw = RawObservation(values)
         adapter = FixedAnswers(apply=Deferred.successful(raw))
@@ -447,13 +445,12 @@ class TestInternedAbstraction:
         assert repr(observed) == repr(fresh)
         assert again.witness.observed_state is observed
         assert values.reads == 2
-        # a direct call reads the payload again and builds the state anew
-        direct = suite.abstraction(raw)
-        assert direct == fresh and direct is not observed
+        # a direct call reads the payload again, and gets the one object
+        assert suite.abstraction(raw) is observed
         assert values.reads == 4
         # the model has still not met it
-        assert has_met(suite.model, fresh) is None
-        assert len(suite.model._met) == met
+        assert fresh not in suite.model._rows
+        assert len(suite.model._rows) == rows
 
     def test_random_answers_do_not_grow_the_table(self):
         suite = robot_suite()
@@ -462,15 +459,19 @@ class TestInternedAbstraction:
             {s for b in correct_behaviours(suite.model, 2) for s in b.states},
             key=lambda s: s.sort_key,
         )
-        met = len(suite.model._met)
+        rows = len(suite.model._rows)
+        gc.collect()
+        live = len(_live)
         rnd = random.Random(5)
         for n in range(10_000):
             position = f"P{n}-{rnd.randrange(10**6)}"
             assert suite.abstraction(RawObservation({"position": position})) == State(
                 {"position": position}
             )
-            suite.abstraction(payload(rnd.choice(reachable)))
-        assert len(suite.model._met) == met
+            assert suite.abstraction(payload(rnd.choice(reachable))) in reachable
+        assert len(suite.model._rows) == rows
+        gc.collect()
+        assert len(_live) == live
 
 
 class TestRobotSim:
