@@ -51,15 +51,12 @@ _MODES = {
     "--suite trace-check": ("--suite --invariants --trace --out", "--invariants --trace"),
     "--dump-behaviours": ("--dump-behaviours --suite --depth --out --robot-config", "--suite"),
     "a campaign": ("--suite --fault --seed --num-tests --max-len --weights --timeout-ms --report "
-                   "--out --workers --robot-config", "--suite"),
+                   "--out --robot-config", "--suite"),
 }
 # The integer flags, each with its least value (None for any). A given value
 # stays text until the mode table has accepted its flag, so a flag the mode
 # does not read is named as such whatever its value.
-_INTEGERS = {
-    "--seed": None, "--num-tests": 1, "--max-len": 1, "--depth": 0, "--timeout-ms": 1,
-    "--workers": 1,
-}
+_INTEGERS = {"--seed": None, "--num-tests": 1, "--max-len": 1, "--depth": 0, "--timeout-ms": 1}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -107,7 +104,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="enumerate model behaviours up to --depth instead of testing",
     )
-    parser.add_argument("--workers", default=1)
     parser.add_argument(
         "--robot-config", default=None, help="JSON deployment file for the robot suite"
     )
@@ -231,17 +227,10 @@ def _run_campaign(
         num_tests=args.num_tests,
         seed=seed,
         timeout=timeout,
-        workers=args.workers,
         adapter_factory=suite.make_adapter,
     )
     config = config_echo(
-        suite.name,
-        args.fault,
-        args.num_tests,
-        args.max_len,
-        args.timeout_ms,
-        weights,
-        args.workers,
+        suite.name, args.fault, args.num_tests, args.max_len, args.timeout_ms, weights
     )
     if deployment is not None:
         # recorded only when given, so a default report keeps its bytes

@@ -131,8 +131,6 @@ class SutAdapter(Protocol):
 
     def apply(self, command: Command, at_time: int) -> Deferred[RawObservation]: ...
 
-    def vocabulary(self) -> tuple[str, ...]: ...
-
 
 Abstraction = Callable[[RawObservation], State]
 
@@ -424,9 +422,8 @@ def run_property(
 
     Each test draws from its own split of the root Rng, so results depend
     only on the seed. One adapter, from ``adapter_factory`` if given, runs
-    every test in order on the calling thread. ``workers`` is validated but
-    starts no thread; above 1 it needs an ``adapter_factory``, one adapter
-    per worker process for a process-sharded run. A replay that times out
+    every test in order on the calling thread. ``workers`` is ignored; it
+    stays only because bench/run.py still passes it. A replay that times out
     leaves its SUT with work in flight, so that adapter is dropped and the
     next replay, of a test or of a shrink candidate, asks the factory for
     one; a late completion then cannot reach a fresh one. A lone
@@ -447,18 +444,14 @@ def run_property(
     replay's failure; only the verdict on a deletion that leaves a prefix
     is taken from an earlier replay instead of a new one.
     """
-    for name, value in (("num_tests", num_tests), ("seed", seed), ("workers", workers)):
+    for name, value in (("num_tests", num_tests), ("seed", seed)):
         if not is_int(value):
             raise ValueError(f"{name} must be an integer, got {value!r}")
     if num_tests < 1:
         raise ValueError("num_tests must be >= 1")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
     _check_timeout(timeout)
     if adapter is None and adapter_factory is None:
         raise ValueError("need an adapter or an adapter_factory")
-    if workers > 1 and adapter_factory is None:
-        raise ValueError("workers > 1 needs an adapter_factory")
 
     started = time.monotonic()
     root = Rng.from_seed(seed)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate
 from struct import Struct
-from typing import Callable, Generic, Mapping, Optional, TypeVar
+from typing import Callable, Generic, Iterable, Mapping, Optional, TypeVar
 
 from .spatial import is_int
 from .statemodel import State, StateModel, enabled_actions, successors
@@ -103,7 +103,12 @@ class Command:
 
 @dataclass(frozen=True)
 class CommandSequence:
+    """Commands in issue order, stored as a tuple whatever iterable is given."""
+
     commands: tuple[Command, ...] = ()
+
+    def __init__(self, commands: Iterable[Command] = ()):
+        object.__setattr__(self, "commands", tuple(commands))
 
     def __len__(self) -> int:
         return len(self.commands)
@@ -349,7 +354,7 @@ def gen_enabled_commands(
                     tuple(successors(model, pick.states, pick.ops[index]))
                 )
             pick = nxt
-        return CommandSequence(tuple(out)), Rng((state + at * gamma) & _MASK64, gamma)
+        return CommandSequence(out), Rng((state + at * gamma) & _MASK64, gamma)
 
     return Generator(go)
 
@@ -421,7 +426,7 @@ def shrink_sequence(
         return changed
 
     if any(c.delay > 1 for c in current.commands):
-        accept(CommandSequence(tuple(Command(c.op, 1) for c in current.commands)))
+        accept(CommandSequence(Command(c.op, 1) for c in current.commands))
     size = len(current) // 2
     while size >= 2:
         delete_chunks(size)

@@ -27,7 +27,7 @@ def command_to_json(command: Command) -> dict:
 
 def commands_from_json(items: Any) -> CommandSequence:
     """The commands :func:`command_to_json` wrote; TypeError or ValueError otherwise."""
-    return CommandSequence(tuple(Command(item["op"], item["delay"]) for item in items))
+    return CommandSequence(Command(item["op"], item["delay"]) for item in items)
 
 
 def config_echo(
@@ -37,8 +37,14 @@ def config_echo(
     max_len: int,
     timeout_ms: int,
     weights: Mapping[str, int],
-    workers: int,
+    workers: int = 1,
 ) -> dict:
+    """The report's ``config`` object.
+
+    A campaign runs on one thread, so the CLI leaves ``workers`` at 1; the
+    key stays until the next schema version, and the argument only
+    because bench/run.py still passes it.
+    """
     return {
         "suite": suite,
         "fault": fault,

@@ -157,6 +157,7 @@ class TheracSim(_Simulator):
         return self._answer((self._mode, self._beam, 0))
 
     def vocabulary(self) -> tuple[str, ...]:
+        # kept only because bench/tracing.py still copies it
         return (OP_SELECT_PHOTON, OP_SELECT_ELECTRON, OP_CURSOR_UP, OP_OTHER)
 
     def _observe(self, key: tuple[str, str, int]) -> RawObservation:
@@ -403,6 +404,7 @@ class RobotSim(_Simulator):
         return self._answer((self._position, 0))
 
     def vocabulary(self) -> tuple[str, ...]:
+        # kept only because bench/tracing.py still copies it
         return (OP_INITIALISE,) + tuple(sorted(self._moves))
 
     def _observe(self, key: tuple[str, int]) -> RawObservation:

@@ -11,8 +11,9 @@ import pytest
 
 import stpt
 from helpers import oracle_behaviours
-from stpt import cli, therac_suite
+from stpt import Deferred, StateModel, cli, run_property, therac_suite
 from stpt.genrand import InvalidRange, gen_enabled_commands
+from stpt.reports import report_to_text
 from stpt.suts import (
     OP_CURSOR_UP,
     OP_SELECT_ELECTRON,
@@ -184,29 +185,6 @@ class TestJsonReport:
         assert cli.main(args + ["--out", str(second)]) == 1
         assert first.read_bytes() == second.read_bytes()
 
-    # wrongMove: nearly every robot test fails and shrinks, against invariants
-    @pytest.mark.parametrize(
-        "suite, fault", [("therac25", "sequenceBug"), ("robot", "wrongMove")]
-    )
-    def test_worker_count_does_not_change_the_bytes(self, tmp_path, suite, fault):
-        args = [
-            "--suite", suite,
-            "--fault", fault,
-            "--seed", "4",
-            "--num-tests", "30",
-            "--report", "json",
-        ]
-        serial = tmp_path / "serial.json"
-        parallel = tmp_path / "parallel.json"
-        cli.main(args + ["--workers", "1", "--out", str(serial)])
-        cli.main(args + ["--workers", "4", "--out", str(parallel)])
-        a = json.loads(serial.read_text())
-        b = json.loads(parallel.read_text())
-        # only the echoed flag may differ; results must not
-        assert a["config"].pop("workers") == 1
-        assert b["config"].pop("workers") == 4
-        assert a == b
-
     # Reports the CLI wrote at an earlier commit: a campaign must keep
     # every byte and its exit code whatever makes its replays cheaper.
     @pytest.mark.parametrize(
@@ -300,6 +278,29 @@ class TestTextReport:
         assert code == 0
         assert "failed: 0" in out
 
+    # an empty init expects no state, and a reset that fails observes none
+    @pytest.mark.parametrize(
+        "empty_init, row",
+        [
+            (True, '(reset)   (none)           beam="Off" mode="NoMode"  InitMismatch'),
+            (False, '(reset)   beam="Off" mode="NoMode"  (none)  SutError'),
+        ],
+        ids=["no-expected-state", "no-observed-state"],
+    )
+    def test_a_missing_state_reads_none(self, empty_init, row):
+        suite = therac_suite()
+        model, adapter = suite.model, suite.make_adapter()
+        if empty_init:
+            model = StateModel(model.variables, (), model.actions)
+        else:
+            adapter.reset = lambda: Deferred.failed(RuntimeError("down"))
+        report = run_property(
+            model, adapter, suite.abstraction,
+            gen_enabled_commands(suite.model, suite.default_weights, 3), num_tests=1,
+        )
+        text = report_to_text(report, {"suite": "therac25", "fault": "none"})
+        assert text.splitlines()[4] == row
+
 
 class TestReplay:
     def test_reproduces_recorded_failures(self, tmp_path, capsys):
@@ -328,6 +329,14 @@ class TestReplay:
         out = capsys.readouterr().out
         assert code == 0
         assert "reproduced 0 of 0 failures" in out
+
+    def test_report_of_no_model_suite_is_refused(self, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(
+            {"schemaVersion": 1, "config": {"suite": "trace-check"}, "failures": []}
+        ))
+        assert cli.main(["--replay", str(path)]) == 2
+        assert capsys.readouterr() == ("", "error: report names unknown suite 'trace-check'\n")
 
     def test_fixed_sut_no_longer_reproduces(self, tmp_path, capsys):
         path = tmp_path / "report.json"
@@ -588,6 +597,24 @@ class TestTraceCheck:
             "invalid start byte\n"
         )
 
+    @pytest.mark.parametrize("flag", ["--invariants", "--trace"])
+    def test_missing_input_file_exits_two(self, tmp_path, capsys, flag):
+        argv = self.write_inputs(tmp_path, [PAPER_FORMULA], [self.OCCUPIED])
+        missing = str(tmp_path / "absent")
+        argv[argv.index(flag) + 1] = missing
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == (
+            "", f"error: [Errno 2] No such file or directory: {missing!r}\n"
+        )
+
+    def test_trace_that_is_no_array_exits_two(self, tmp_path, capsys):
+        argv = self.write_inputs(tmp_path, [PAPER_FORMULA], self.OCCUPIED)
+        trace = tmp_path / "trace.json"
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == (
+            "", f"error: {trace}: trace must be a JSON array of observations\n"
+        )
+
     def test_deeply_nested_formula_exits_two(self, tmp_path, capsys):
         deep = "NOT(" * 1200 + "TRUE" + ")" * 1200
         argv = self.write_inputs(tmp_path, ["# deep", deep], [self.OCCUPIED])
@@ -701,6 +728,10 @@ class TestDumpBehaviours:
         assert code == 0
         assert out.startswith("# behaviours: 5\n")
         assert "moveToY" not in out
+
+    def test_past_the_behaviour_cap_exits_one(self, capsys):
+        assert cli.main(["--dump-behaviours", "--suite", "therac25", "--depth", "9"]) == 1
+        assert capsys.readouterr() == ("", "error: visited 100001 behaviours, cap is 100000\n")
 
     def test_output_file(self, tmp_path, capsys):
         target = tmp_path / "behaviours.txt"
@@ -900,9 +931,10 @@ class TestRobotConfigFlag:
             ({"workspace": {"x": 1}}, "workspace must be an integer [x1, y1, x2, y2]: {'x': 1}"),
             ({"workspace": [0, 0, 100]}, "workspace must be an integer [x1, y1, x2, y2]: [0, 0, 100]"),
             ({"init": ["Y"]}, "init position ['Y'] is not a waypoint"),
+            ([], "robot config must be a JSON object"),
         ],
         ids=["missing-footprint", "bool-footprint", "object-workspace", "three-workspace",
-             "list-init"],
+             "list-init", "array-document"],
     )
     def test_malformed_file_names_the_key(self, tmp_path, capsys, doc, message):
         path = self.write_config(tmp_path, doc)
@@ -970,7 +1002,6 @@ class TestFlagTable:
         "--invariants": ["inv.txt"],
         "--trace": ["trace.json"],
         "--dump-behaviours": [],
-        "--workers": ["1"],
     }
     # --replay and --dump-behaviours choose a mode, so a campaign never meets
     # them, and trace-check refuses --robot-config under its own message
@@ -978,16 +1009,16 @@ class TestFlagTable:
         "campaign": ["--depth", "--invariants", "--trace"],
         "dump": [
             "--seed", "--num-tests", "--max-len", "--fault", "--weights",
-            "--timeout-ms", "--report", "--invariants", "--trace", "--workers",
+            "--timeout-ms", "--report", "--invariants", "--trace",
         ],
         "trace-check": [
             "--seed", "--num-tests", "--max-len", "--depth", "--fault", "--weights",
-            "--timeout-ms", "--report", "--dump-behaviours", "--workers",
+            "--timeout-ms", "--report", "--dump-behaviours",
         ],
         "replay": [
             "--suite", "--seed", "--num-tests", "--max-len", "--depth", "--fault",
             "--weights", "--timeout-ms", "--report", "--invariants", "--trace",
-            "--dump-behaviours", "--workers",
+            "--dump-behaviours",
         ],
     }
 
@@ -1025,6 +1056,28 @@ class TestFlagTable:
         assert captured.out == ""
         assert flag in captured.err
 
+    def test_readme_table_matches_the_modes(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+        rows = [line for line in section.splitlines() if line.startswith("| ")][1:]
+        assert len(rows) == len(cli._MODES)
+        for row, (mode, (reads, needs)) in zip(rows, cli._MODES.items()):
+            flags = re.findall(r"(\*\*)?`(--[a-z-]+)`", row.split("|")[2])
+            assert [flag for _, flag in flags] == reads.split(), mode
+            # a flag in the mode's own name is needed too, and shown bold
+            bold = [flag for flag in reads.split() if flag in needs.split() + mode.split()]
+            assert [flag for stars, flag in flags if stars] == bold, mode
+
+    def test_workers_is_no_flag(self, tmp_path, capsys):
+        # a campaign runs on one thread, so no flag sets a worker count
+        out = tmp_path / "out.json"
+        argv = ["--suite", "robot", "--workers", "2", "--out", str(out)]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --workers 2" in captured.err
+        assert not out.exists()
+
     def test_every_stray_flag_is_named(self, inputs, capsys):
         argv = self.mode_argv("dump", inputs) + ["--fault", "none", "--seed", "3"]
         assert cli.main(argv) == 2
@@ -1041,14 +1094,13 @@ class TestFlagTable:
             (["--suite", "robot", "--dump-behaviours", "--depth", "-1"], "--depth", "must be >= 0"),
             (["--suite", "robot", "--num-tests", "0"], "--num-tests", "must be >= 1"),
             (["--suite", "robot", "--max-len", "0"], "--max-len", "must be >= 1"),
-            (["--suite", "robot", "--workers", "0"], "--workers", "must be >= 1"),
             (["--suite", "robot", "--timeout-ms", "-5"], "--timeout-ms", "must be >= 1"),
             pytest.param(
                 ["--suite", "robot", "--timeout-ms", "1" + "0" * 400], "--timeout-ms",
                 "must be an integer >= 1 whose seconds fit in a float, got 1" + "0" * 400,
                 id="timeout-seconds-past-a-float",
             ),
-            (["--suite", "robot", "--workers", "two"], "--workers", "invalid integer value"),
+            (["--suite", "robot", "--max-len", "two"], "--max-len", "invalid integer value"),
         ],
     )
     def test_out_of_range_is_refused_where_the_flag_is_declared(
@@ -1072,11 +1124,9 @@ class TestFlagTable:
         "mode, flag, value",
         [
             ("trace-check", "--num-tests", "-1"),
-            ("trace-check", "--workers", "0"),
             ("dump", "--max-len", "0"),
             ("campaign", "--depth", "-1"),
             ("replay", "--timeout-ms", "-5"),
-            ("trace-check", "--workers", "two"),
             ("dump", "--seed", "x"),
         ],
     )

@@ -108,9 +108,6 @@ class ToggleSut:
         self.applied: list[tuple[str, int]] = []
         self.resets = 0
 
-    def vocabulary(self) -> tuple[str, ...]:
-        return ("turnOn", "turnOff")
-
     def reset(self) -> Deferred[RawObservation]:
         self.resets += 1
         self.value = self.init_value
@@ -564,9 +561,6 @@ class ScriptedSut:
     def __init__(self, script):
         self.script = list(script)
 
-    def vocabulary(self) -> tuple[str, ...]:
-        return ("fork", "back", "never")
-
     def _answer(self, call: str, clock: int) -> Deferred[RawObservation]:
         how, payload = self.script.pop(0)
         if how == "raise":
@@ -711,9 +705,6 @@ class TestSerialization:
                 self.overlap = False
                 self.lock = threading.Lock()
 
-            def vocabulary(self):
-                return ("inc",)
-
             def reset(self):
                 with self.lock:
                     self.count = 0
@@ -810,9 +801,6 @@ class TestNondeterministicModels:
             self.spin_lands_on = spin_lands_on
             self.value = 0
 
-        def vocabulary(self):
-            return ("spin", "fromOne", "fromTwo")
-
         def reset(self):
             self.value = 0
             return Deferred.successful(RawObservation(0))
@@ -908,9 +896,6 @@ class BranchingSut:
         # a replay stops at the first report off the model, so the state is the model's
         return self._report(step(self.model, self.state, command.op) or [self.state])
 
-    def vocabulary(self):
-        return self.model.action_names
-
 
 class TestReplayOracle:
     """``check_against`` against the brute-force replay of ``helpers.oracle_check``.
@@ -993,9 +978,6 @@ class TestPassImpliesConformance:
             def __init__(self):
                 self.state = model.init[0] if model.init else None
 
-            def vocabulary(self):
-                return model.action_names
-
             def reset(self):
                 self.state = model.init[0]
                 return Deferred.successful(RawObservation(self.state))
@@ -1029,24 +1011,6 @@ class TestRunProperty:
                 toggle_model(), ToggleSut(), toggle_abstraction, self.GEN, num_tests=0
             )
         with pytest.raises(ValueError):
-            run_property(
-                toggle_model(),
-                ToggleSut(),
-                toggle_abstraction,
-                self.GEN,
-                num_tests=1,
-                workers=0,
-            )
-        with pytest.raises(ValueError):
-            run_property(
-                toggle_model(),
-                ToggleSut(),
-                toggle_abstraction,
-                self.GEN,
-                num_tests=1,
-                workers=2,
-            )
-        with pytest.raises(ValueError):
             run_property(toggle_model(), None, toggle_abstraction, self.GEN)
 
     @pytest.mark.parametrize(
@@ -1056,8 +1020,6 @@ class TestRunProperty:
             ("num_tests", True),
             ("seed", 1.0),
             ("seed", True),
-            ("workers", 2.5),
-            ("workers", True),
         ],
     )
     def test_rejects_an_argument_that_is_no_integer_before_any_work(self, name, value):
@@ -1640,9 +1602,6 @@ class ReusingTherac:
         self.sim = TheracSim()
         self.raw = RawObservation({})
 
-    def vocabulary(self) -> tuple[str, ...]:
-        return self.sim.vocabulary()
-
     def _rewrite(self, answer: Deferred[RawObservation]) -> Deferred[RawObservation]:
         self.raw.payload.clear()
         self.raw.payload.update(answer.wait(0)[1].payload)
@@ -1788,9 +1747,6 @@ class MalformedRobot:
         self.mangle = mangle
         self.at_reset = at_reset
 
-    def vocabulary(self) -> tuple[str, ...]:
-        return self.inner.vocabulary()
-
     def _report(self, deferred, mangled: bool) -> Deferred[RawObservation]:
         raw = deferred.wait(0)[1]
         return Deferred.successful(self.mangle(raw) if mangled else raw)
@@ -1900,9 +1856,6 @@ class HostileSut:
         if fault == "late":
             self.late.append(pending)
         return pending
-
-    def vocabulary(self) -> tuple[str, ...]:
-        return self.inner.vocabulary()
 
     def reset(self) -> Deferred[RawObservation]:
         self._complete_late()

@@ -24,6 +24,7 @@ from stpt import (
     shrink_sequence,
 )
 from stpt import genrand
+from stpt.conformance import Witness
 from stpt.genrand import _GOLDEN_GAMMA, _MASK64, _MAX_LANES, InvalidRange, _extend, _mix64
 from stpt.statemodel import enabled_actions, step
 from stpt.suts import OP_CURSOR_UP, OP_SELECT_PHOTON, robot_suite, therac_suite
@@ -198,6 +199,17 @@ class TestCommands:
     def test_empty_sequence_is_legal(self):
         seq = CommandSequence()
         assert len(seq) == 0 and seq.timestamps == ()
+
+    def test_commands_are_kept_as_a_tuple_whatever_iterable_is_given(self):
+        commands = [Command("CursorUp", 1), Command("OtherKindOfOperation", 3)]
+        given = [CommandSequence(commands), CommandSequence(tuple(commands)),
+                 CommandSequence(c for c in commands)]
+        for seq in given:
+            assert seq.commands == tuple(commands)
+            assert seq == given[0] and hash(seq) == hash(given[0])
+        witnesses = [Witness(seq, 1) for seq in given]
+        for witness in witnesses:
+            assert witness == witnesses[0] and hash(witness) == hash(witnesses[0])
 
 
 class TestGenEnabledCommands:

@@ -544,6 +544,20 @@ class TestCorrectBehaviours:
             Behaviour((State({"position": "Y"}),)),
         )
 
+    @pytest.mark.parametrize(
+        "states, actions, message",
+        [
+            ((), (), "a behaviour has at least one state"),
+            ((State({"x": 0}),), ("a",), "need exactly one action name per transition"),
+            ((State({"x": 0}), State({"x": 1})), (), "need exactly one action name per transition"),
+        ],
+        ids=["no-state", "an-action-too-many", "an-action-too-few"],
+    )
+    def test_a_malformed_behaviour_is_refused(self, states, actions, message):
+        with pytest.raises(ValueError) as refused:
+            Behaviour(states, actions)
+        assert str(refused.value) == message
+
     def test_two_init_two_actions_depth_three_counts_thirty(self):
         # 2 roots, binary branching: 2 * (1 + 2 + 4 + 8) paths including prefixes
         model = StateModel(

@@ -296,9 +296,6 @@ class FixedAnswers:
         self._apply = apply
         self.handed: list[Deferred] = []
 
-    def vocabulary(self) -> tuple[str, ...]:
-        return (OP_SELECT_PHOTON,)
-
     def _hand(self, answer, values: dict) -> Deferred:
         if answer is None:
             answer = Deferred.successful(RawObservation(dict(values)))
