@@ -5,18 +5,19 @@ The wire syntax mirrors the constructor names, e.g.::
     IMPLIES(AND(TimeInterval(300,605),Owner("AreaOfInterest")),
             OccupyBox(1051,3056,1505,3603))
 
-``parse_invariant`` normalizes its result, so for every term ``x``,
-``parse_invariant(format_invariant(x)) == normalize(x)``. Both read the
-grammar from ``spatial._CONSTRUCTS``, one row per construct, so nothing
-here names a construct.
+``parse_invariant`` builds the normal form as it parses, so for every
+term ``x``, ``parse_invariant(format_invariant(x)) == normalize(x)``.
+Both read the grammar from ``spatial._CONSTRUCTS``, one row per
+construct, so nothing here names a construct.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from string import ascii_letters, digits
 
-from .spatial import _CONSTRUCTS, Invariant, _construct, normalize
+from .spatial import _CONSTRUCTS, Invariant, _construct
 
 
 class FormulaParseError(ValueError):
@@ -27,19 +28,21 @@ class FormulaParseError(ValueError):
         self.position = position
 
 
-# Every token is one group; a character that starts none is ``bad``, and
-# the end of the text, after any whitespace, is ``eof``.
-_TOKEN_RE = re.compile(
-    r"""\s*(?:
-        (?P<int>-?[0-9]+)
-      | (?P<name>[A-Za-z][A-Za-z0-9]*)
-      | (?P<string>"(?:[^"\\]|\\.)*")
-      | (?P<punct>[(),])
-      | (?P<eof>\Z)
-      | (?P<bad>.)
-    )""",
-    re.VERBOSE | re.DOTALL,
+# A token is an integer, a name, a string literal, a punctuation mark or,
+# failing all of these, any one character but whitespace, which is bad. So
+# a token is bad exactly when it is one character outside
+# ``_ONE_CHARACTER``, a lone ``-`` or ``"`` included.
+_TOKENS = re.compile(
+    r'-?[0-9]+|[A-Za-z][A-Za-z0-9]*|"(?:[^"\\]|\\.)*"|[(),]|\S', re.DOTALL
 )
+_ONE_CHARACTER = frozenset(ascii_letters + digits + "(),")
+# The kind of a token, by its first character; punctuation and the empty
+# token that ends the list have none.
+_KIND = {
+    **dict.fromkeys("-" + digits, "int"),
+    **dict.fromkeys(ascii_letters, "name"),
+    '"': "string",
+}
 
 
 # The deepest nesting of parentheses a formula may have. Compiling a
@@ -48,96 +51,121 @@ _TOKEN_RE = re.compile(
 _MAX_DEPTH = 490
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    """The tokens of ``text``, refused past ``_MAX_DEPTH`` nested parentheses.
+class _Refused(Exception):
+    """A parse error at a token index; the text position is found only if it is raised."""
 
-    The depth is counted here, before any recursion, so a formula nested
-    too deeply is a parse error and never a ``RecursionError``.
+
+def _scan(text: str) -> list[int]:
+    """The start of each token of ``text``, and then the end of the text.
+
+    Raises :class:`FormulaParseError` at the first bad character or the
+    first parenthesis nested past ``_MAX_DEPTH``, whichever comes first:
+    either refuses the text before any parse error does.
     """
-    tokens = []
+    starts = []
     depth = 0
-    for match in _TOKEN_RE.finditer(text):
-        kind = match.lastgroup
-        value = match[kind]
-        pos = match.start(kind)
-        if kind == "bad":
-            raise FormulaParseError(f"unexpected character {value!r}", pos)
-        tokens.append((kind, value, pos))
-        if kind == "eof":
-            break
-        if value == "(":
+    for match in _TOKENS.finditer(text):
+        token, start = match[0], match.start()
+        if len(token) == 1 and token not in _ONE_CHARACTER:
+            raise FormulaParseError(f"unexpected character {token!r}", start)
+        if token == "(":
             depth += 1
             if depth > _MAX_DEPTH:
-                raise FormulaParseError("nested too deeply", pos)
-        elif value == ")":
+                raise FormulaParseError("nested too deeply", start)
+        elif token == ")":
             depth -= 1
-    return tokens
+        starts.append(start)
+    starts.append(len(text))
+    return starts
 
 
-_BY_NAME = {row.name: row for row in _CONSTRUCTS.values()}
+def _expected(what: str, token: str) -> str:
+    return f"expected {what}, found {token or 'eof'!r}"
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.index = 0
+def _term(tokens: list[str], at: int) -> tuple[Invariant, int]:
+    """The term whose name is token ``at``, in normal form, and the index after it.
 
-    def take(self, kind: str, value: str | None = None) -> tuple[str, str, int]:
-        tok_kind, tok_value, pos = self.tokens[self.index]
-        if tok_kind != kind or (value is not None and tok_value != value):
-            expected = value if value is not None else kind
-            raise FormulaParseError(
-                f"expected {expected}, found {tok_value or tok_kind!r}", pos
-            )
-        self.index += 1
-        return tok_kind, tok_value, pos
+    Each row builds its term from arguments already in normal form, so
+    the term is in normal form too, with no second walk.
+    """
+    name = tokens[at]
+    entry = _BY_NAME.get(name)
+    if entry is None:
+        if _KIND.get(name[:1]) == "name":
+            raise _Refused(at, f"unknown construct {name!r}")
+        raise _Refused(at, _expected("name", name))
+    row, read = entry
+    at += 1
+    if row.arity == 0:
+        return row.build(), at
+    if tokens[at] != "(":
+        raise _Refused(at, _expected("(", tokens[at]))
+    at += 1
+    args = []
+    if tokens[at] != ")":
+        arg, at = read(tokens, at)
+        args.append(arg)
+        while tokens[at] == ",":
+            arg, at = read(tokens, at + 1)
+            args.append(arg)
+    if tokens[at] != ")":
+        raise _Refused(at, _expected(")", tokens[at]))
+    if row.arity is None:
+        if not args:
+            raise _Refused(at, "expected at least 1 argument(s), found 0")
+    elif len(args) != row.arity:
+        raise _Refused(at, f"expected {row.arity} argument(s), found {len(args)}")
+    return row.build(*args), at + 1
 
-    def parse_int(self) -> int:
-        _, value, pos = self.take("int")
-        try:
-            return int(value)
-        except ValueError:  # past the interpreter's limit on integer digits
-            raise FormulaParseError("integer literal too long", pos) from None
 
-    def parse_string(self) -> str:
-        _, value, pos = self.take("string")
-        try:
-            return json.loads(value)
-        except json.JSONDecodeError:
-            raise FormulaParseError("bad string literal", pos) from None
+def _int(tokens: list[str], at: int) -> tuple[int, int]:
+    token = tokens[at]
+    if _KIND.get(token[:1]) != "int":
+        raise _Refused(at, _expected("int", token))
+    try:
+        return int(token), at + 1
+    except ValueError:  # past the interpreter's limit on integer digits
+        raise _Refused(at, "integer literal too long") from None
 
-    def parse_term(self) -> Invariant:
-        _, name, pos = self.take("name")
-        row = _BY_NAME.get(name)
-        if row is None:
-            raise FormulaParseError(f"unknown construct {name!r}", pos)
-        if row.arity == 0:
-            return row.build()
-        parse_one = getattr(self, f"parse_{row.kind}")
-        self.take("punct", "(")
-        args = []
-        # only punctuation tokens have the value "," or ")"
-        if self.tokens[self.index][1] != ")":
-            args.append(parse_one())
-            while self.tokens[self.index][1] == ",":
-                self.index += 1
-                args.append(parse_one())
-        _, _, pos = self.take("punct", ")")
-        if row.arity is None and not args:
-            raise FormulaParseError("expected at least 1 argument(s), found 0", pos)
-        if row.arity is not None and len(args) != row.arity:
-            raise FormulaParseError(f"expected {row.arity} argument(s), found {len(args)}", pos)
-        return row.build(*args)
+
+def _string(tokens: list[str], at: int) -> tuple[str, int]:
+    token = tokens[at]
+    if _KIND.get(token[:1]) != "string":
+        raise _Refused(at, _expected("string", token))
+    try:
+        return json.loads(token), at + 1
+    except json.JSONDecodeError:
+        raise _Refused(at, "bad string literal") from None
+
+
+_READ = {"term": _term, "int": _int, "string": _string}
+_BY_NAME = {row.name: (row, _READ[row.kind]) for row in _CONSTRUCTS.values()}
 
 
 def parse_invariant(text: str) -> Invariant:
-    """Parse a formula from its textual form and normalize it."""
-    parser = _Parser(text)
-    term = parser.parse_term()
-    kind, value, pos = parser.tokens[parser.index]
-    if kind != "eof":
-        raise FormulaParseError(f"trailing input {value!r}", pos)
-    return normalize(term)
+    """Parse a formula from its textual form, in normal form.
+
+    The tokens come from one regular-expression pass. A bad character or
+    a parenthesis nested past ``_MAX_DEPTH`` is refused before anything
+    the parser refuses, so a formula nested too deeply is a parse error and
+    never a ``RecursionError``. A token such as a lone ``-`` or ``"`` is
+    never accepted, so a text the parser accepts has no bad character,
+    and the text is scanned for one only when the parser refuses it.
+    """
+    tokens = _TOKENS.findall(text)
+    if tokens.count("(") > _MAX_DEPTH:
+        # only then may the nesting be too deep
+        _scan(text)
+    tokens.append("")  # the end of the text
+    try:
+        term, at = _term(tokens, 0)
+        if tokens[at]:
+            raise _Refused(at, f"trailing input {tokens[at]!r}")
+    except _Refused as refused:
+        at, message = refused.args
+        raise FormulaParseError(message, _scan(text)[at]) from None
+    return term
 
 
 # How an argument of each kind but "term" is printed

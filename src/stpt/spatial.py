@@ -47,7 +47,11 @@ class Box:
 
     def __post_init__(self) -> None:
         x1, y1, x2, y2 = self.x1, self.y1, self.x2, self.y2
-        if not all(map(is_int, (x1, y1, x2, y2))):
+        # the chained type test lets four plain ints skip the is_int calls,
+        # as in Observation: a trace builds a box per occupied rectangle
+        if not (type(x1) is type(y1) is type(x2) is type(y2) is int) and not all(
+            map(is_int, (x1, y1, x2, y2))
+        ):
             raise TypeError(f"box corners must be integers, got {self.as_tuple()}")
         if x1 > x2:
             object.__setattr__(self, "x1", x2)
@@ -173,6 +177,10 @@ class TimeInterval(Invariant):
 
     window: TimeWindow
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.window, TimeWindow):
+            raise TypeError(f"time interval must hold a TimeWindow, got {self.window!r}")
+
 
 @dataclass(frozen=True)
 class Owner(Invariant):
@@ -180,12 +188,20 @@ class Owner(Invariant):
 
     name: str
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.name, str):
+            raise TypeError(f"owner name must be a string, got {self.name!r}")
+
 
 @dataclass(frozen=True)
 class OccupyBox(Invariant):
     """True when the box is covered by the observation's occupied space."""
 
     box: Box
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.box, Box):
+            raise TypeError(f"occupied box must be a Box, got {self.box!r}")
 
 
 @dataclass(frozen=True)
@@ -271,19 +287,29 @@ def normalize(inv: Invariant) -> Invariant:
 
     Semantics-preserving and idempotent. No other simplification is applied,
     so the term structure stays recognizable. A subclass of ``And`` (say)
-    normalizes to an ``And``.
+    normalizes to an ``And``. The terms are rebuilt bottom-up by their
+    rows, whose ``And`` and ``Or`` flatten through :func:`_junction`.
     """
     row = _construct(inv)
     if row.kind != "term" or row.arity == 0:
         return inv
-    terms: list[Invariant] = []
-    for term in map(normalize, row.args(inv)):
-        # AND and OR are associative: a term of the same construct is spliced in
-        if row.arity is None and _CONSTRUCTS.get(type(term)) is row:
-            terms.extend(row.args(term))
+    return row.build(*map(normalize, row.args(inv)))
+
+
+def _junction(cls: type[Junction], terms: Iterable[Invariant]) -> Junction:
+    """``cls`` over ``terms``, with each term that is exactly a ``cls`` spliced in.
+
+    AND and OR are associative, so splicing keeps the meaning, and over
+    terms in normal form it gives the normal form. It is how the rows of
+    ``_CONSTRUCTS`` build both, so ``normalize`` and the parser share it.
+    """
+    flat: list[Invariant] = []
+    for term in terms:
+        if type(term) is cls:
+            flat += term.terms
         else:
-            terms.append(term)
-    return row.build(*terms)
+            flat.append(term)
+    return cls(flat)
 
 
 # ---------------------------------------------------------------------------
@@ -603,8 +629,8 @@ class _Construct(NamedTuple):
     """A construct's text ``name``, the one ``kind`` of its arguments
     (``"term"``, ``"int"`` or ``"string"``), their ``arity`` (``0`` for a
     bare name, ``None`` for one or more), how to ``build`` the term from
-    them and read its ``args`` back, and how to ``compile`` it (see
-    :func:`_compile`)."""
+    them (in normal form, if they are: see :func:`_junction`) and read its
+    ``args`` back, and how to ``compile`` it (see :func:`_compile`)."""
 
     name: str
     kind: str
@@ -625,10 +651,12 @@ _CONSTRUCTS: dict[type, _Construct] = {
         lambda inv: (False, _NOWHERE, _EVERYWHERE),
     ),
     And: _Construct(
-        "AND", "term", None, lambda *terms: And(terms), attrgetter("terms"), _compile_junction
+        "AND", "term", None, lambda *terms: _junction(And, terms), attrgetter("terms"),
+        _compile_junction,
     ),
     Or: _Construct(
-        "OR", "term", None, lambda *terms: Or(terms), attrgetter("terms"), _compile_junction
+        "OR", "term", None, lambda *terms: _junction(Or, terms), attrgetter("terms"),
+        _compile_junction,
     ),
     Not: _Construct("NOT", "term", 1, Not, lambda inv: (inv.term,), _compile_not),
     Implies: _Construct(

@@ -8,7 +8,9 @@ not share its shortcuts.
 
 from __future__ import annotations
 
+import json
 import random
+import re
 from typing import Callable, Optional
 
 from hypothesis import strategies as st
@@ -44,7 +46,9 @@ from stpt import (
     TimeWindow,
     TrueAtom,
 )
+from stpt.formula_text import _MAX_DEPTH, FormulaParseError
 from stpt.genrand import InvalidRange, _mix64, _MASK64
+from stpt.spatial import _CONSTRUCTS, Invariant, normalize
 from stpt.statemodel import enabled_actions, step, successors
 from stpt.suts import (
     BEAM_ELECTRON,
@@ -320,6 +324,120 @@ def oracle_first_violation(inv, trace) -> int | None:
         if not oracle_evaluate(inv, obs):
             return index
     return None
+
+
+# ---------------------------------------------------------------------------
+# Formula text oracle: the first tokenizer and parser, kept as they were
+
+
+# Every token is one group; a character that starts none is ``bad``, and
+# the end of the text, after any whitespace, is ``eof``.
+_TOKEN_RE = re.compile(
+    r"""\s*(?:
+        (?P<int>-?[0-9]+)
+      | (?P<name>[A-Za-z][A-Za-z0-9]*)
+      | (?P<string>"(?:[^"\\]|\\.)*")
+      | (?P<punct>[(),])
+      | (?P<eof>\Z)
+      | (?P<bad>.)
+    )""",
+    re.VERBOSE | re.DOTALL,
+)
+
+
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """The tokens of ``text``, refused past ``_MAX_DEPTH`` nested parentheses."""
+    tokens = []
+    depth = 0
+    for match in _TOKEN_RE.finditer(text):
+        kind = match.lastgroup
+        value = match[kind]
+        pos = match.start(kind)
+        if kind == "bad":
+            raise FormulaParseError(f"unexpected character {value!r}", pos)
+        tokens.append((kind, value, pos))
+        if kind == "eof":
+            break
+        if value == "(":
+            depth += 1
+            if depth > _MAX_DEPTH:
+                raise FormulaParseError("nested too deeply", pos)
+        elif value == ")":
+            depth -= 1
+    return tokens
+
+
+_BY_NAME = {row.name: row for row in _CONSTRUCTS.values()}
+
+
+class _Parser:
+    """Recursive descent over the whole token list, one method per kind."""
+
+    def __init__(self, text: str):
+        self.tokens = _tokenize(text)
+        self.index = 0
+
+    def take(self, kind: str, value: str | None = None) -> tuple[str, str, int]:
+        tok_kind, tok_value, pos = self.tokens[self.index]
+        if tok_kind != kind or (value is not None and tok_value != value):
+            expected = value if value is not None else kind
+            raise FormulaParseError(
+                f"expected {expected}, found {tok_value or tok_kind!r}", pos
+            )
+        self.index += 1
+        return tok_kind, tok_value, pos
+
+    def parse_int(self) -> int:
+        _, value, pos = self.take("int")
+        try:
+            return int(value)
+        except ValueError:  # past the interpreter's limit on integer digits
+            raise FormulaParseError("integer literal too long", pos) from None
+
+    def parse_string(self) -> str:
+        _, value, pos = self.take("string")
+        try:
+            return json.loads(value)
+        except json.JSONDecodeError:
+            raise FormulaParseError("bad string literal", pos) from None
+
+    def parse_term(self) -> Invariant:
+        _, name, pos = self.take("name")
+        row = _BY_NAME.get(name)
+        if row is None:
+            raise FormulaParseError(f"unknown construct {name!r}", pos)
+        if row.arity == 0:
+            return row.build()
+        parse_one = getattr(self, f"parse_{row.kind}")
+        self.take("punct", "(")
+        args = []
+        # only punctuation tokens have the value "," or ")"
+        if self.tokens[self.index][1] != ")":
+            args.append(parse_one())
+            while self.tokens[self.index][1] == ",":
+                self.index += 1
+                args.append(parse_one())
+        _, _, pos = self.take("punct", ")")
+        if row.arity is None and not args:
+            raise FormulaParseError("expected at least 1 argument(s), found 0", pos)
+        if row.arity is not None and len(args) != row.arity:
+            raise FormulaParseError(f"expected {row.arity} argument(s), found {len(args)}", pos)
+        return row.build(*args)
+
+
+def oracle_parse(text: str) -> Invariant:
+    """``text`` tokenized whole, then parsed to a tree, then normalized.
+
+    Every token is classified, with its position, before the parser
+    starts, so a bad character or a nesting too deep anywhere is refused
+    before any parse error, as ``parse_invariant`` must refuse it.
+    """
+    parser = _Parser(text)
+    term = parser.parse_term()
+    kind, value, pos = parser.tokens[parser.index]
+    if kind != "eof":
+        raise FormulaParseError(f"trailing input {value!r}", pos)
+    return normalize(term)
 
 
 # ---------------------------------------------------------------------------

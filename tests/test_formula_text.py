@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import invariants
+from helpers import invariants, oracle_parse
 from stpt import (
     And,
     Box,
@@ -241,3 +241,59 @@ def test_token_soup_parses_or_is_refused(text):
     except FormulaParseError:
         return
     assert parse_invariant(format_invariant(term)) == term
+
+
+@st.composite
+def formula_texts(draw) -> str:
+    """A formula's text as printed, or with a soup token put in, or cut short."""
+    text = format_invariant(draw(invariants))
+    at = draw(st.integers(min_value=0, max_value=len(text)))
+    edit = draw(st.sampled_from(["none", "insert", "cut"]))
+    if edit == "insert":
+        return text[:at] + draw(_SOUP_TOKENS) + text[at:]
+    return text[:at] if edit == "cut" else text
+
+
+def outcome(parse, text: str):
+    """The term ``parse`` gives for ``text``, or its error's message and position."""
+    try:
+        return parse(text)
+    except FormulaParseError as err:
+        return str(err), err.position
+
+
+def assert_agrees_with_the_oracle(text: str) -> None:
+    got = outcome(parse_invariant, text)
+    assert got == outcome(oracle_parse, text)
+    if isinstance(got, Invariant):
+        assert normalize(got) == got
+
+
+@given(st.one_of(token_soups, formula_texts()))
+@settings(max_examples=1000)
+def test_parse_agrees_with_the_oracle(text):
+    assert_agrees_with_the_oracle(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "NOT(" * 491 + "TRUE" + ")" * 491,
+        # the first refusal of the tokens wins, whichever kind it is
+        "$" + "NOT(" * 491,
+        "NOT(" * 491 + "$",
+        "NOT(" * 3 + "1" + "NOT(" * 488 + "$",
+        # more than the limit of parentheses, none nested too deeply
+        "AND(" + ",".join(["NOT(TRUE)"] * 491) + ")",
+        "AND(" + ",".join(["NOT(TRUE)"] * 491) + ") $",
+        "AND(" + ",".join(["NOT(TRUE)"] * 491) + ",1)",
+        "NOT(" * 490 + "TRUE" + ")" * 489,
+        # a lone minus or quote is a bad character wherever it is met
+        "OccupyPoint(-,1)",
+        'Owner(")',
+        "OccupyPoint(1,2) -",
+        "IMPLIES(TRUE,\u0663)",
+    ],
+)
+def test_parse_agrees_with_the_oracle_at_the_edges(text):
+    assert_agrees_with_the_oracle(text)

@@ -287,6 +287,22 @@ class TestBoxGeometry:
         with pytest.raises(TypeError, match="point coordinates must be integers"):
             OccupyPoint(*point)
 
+    # each would print as text that does not parse back, or not print at all
+    @pytest.mark.parametrize("name", [5, None, b"arm", ("arm",)])
+    def test_owner_name_must_be_a_string(self, name):
+        with pytest.raises(TypeError, match="owner name must be a string, got "):
+            Owner(name)
+
+    @pytest.mark.parametrize("window", [(1, 2), None, Box(1, 2, 3, 4)])
+    def test_time_interval_must_hold_a_time_window(self, window):
+        with pytest.raises(TypeError, match="time interval must hold a TimeWindow, got "):
+            TimeInterval(window)
+
+    @pytest.mark.parametrize("box", [(1, 2, 3, 4), None, TimeWindow(1, 2)])
+    def test_occupy_box_must_hold_a_box(self, box):
+        with pytest.raises(TypeError, match="occupied box must be a Box, got "):
+            OccupyBox(box)
+
     @pytest.mark.parametrize("time", [0.5, True, "3", None, 2.0])
     def test_observation_time_must_be_an_integer(self, time):
         with pytest.raises(TypeError, match=f"time must be an integer, got {time!r}"):
