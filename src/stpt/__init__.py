@@ -22,8 +22,7 @@ _HOME = {
             NotAFailure Pass RawObservation RunReport Witness check_against classify
             run_property"""),
         ("formula_text", "FormulaParseError format_invariant parse_invariant"),
-        ("genrand", """Command CommandSequence Generator InvalidRange Rng gen_enabled_commands
-            shrink_sequence"""),
+        ("genrand", "Command Generator InvalidRange Rng gen_enabled_commands shrink_sequence"),
         ("spatial", """And Box CollisionWitness FalseAtom Implies Invariant NonMonotonicTrace
             Not Observation OccupancyFact OccupyBox OccupyPoint Or Owner TimeInterval
             TimeWindow TraceVerdict TrueAtom box_covered box_intersection check_trace

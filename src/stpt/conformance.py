@@ -19,7 +19,7 @@ from enum import Enum
 from itertools import chain
 from typing import Any, Callable, Generic, Iterable, Optional, Protocol, TypeVar, Union
 
-from .genrand import Command, CommandSequence, Generator, Rng, shrink_sequence
+from .genrand import Command, Generator, Rng, shrink_sequence
 from .spatial import (
     Invariant,
     Observation,
@@ -150,7 +150,7 @@ class FailKind(str, Enum):
 class Witness:
     """Everything needed to understand (and replay) one failure."""
 
-    sequence: CommandSequence
+    sequence: tuple[Command, ...]
     fail_index: Optional[int]  # None when the initial state already diverges
     expected_states: tuple[State, ...] = ()
     observed_state: Optional[State] = None
@@ -199,7 +199,7 @@ def _compile_obligations(
 
 def _fail(
     kind: FailKind,
-    seq: CommandSequence,
+    seq: tuple[Command, ...],
     fail_index: Optional[int],
     expected: Iterable[State],
     observed: Optional[State] = None,
@@ -231,7 +231,7 @@ def check_against(
     model: StateModel,
     adapter: SutAdapter,
     abstraction: Abstraction,
-    seq: CommandSequence,
+    seq: Iterable[Command],
     st_invariants: tuple[Invariant, ...] = (),
     timeout: float = 5.0,
     *,
@@ -239,6 +239,8 @@ def check_against(
 ) -> CheckResult:
     """Replay ``seq`` against model and SUT; first divergence wins.
 
+    ``seq`` is any iterable of commands, read once into a tuple, which
+    every witness of the replay holds.
     The replay is one loop: the reset is its first step and each command
     one more. A command step asks the model first, so an operation it
     rejects (unknown, or disabled in the consistent state) never reaches
@@ -273,12 +275,13 @@ def check_against(
     rather than failing the first ``wait`` as if the SUT had.
     """
     _check_timeout(timeout)
+    seq = tuple(seq)
     obligations = _obligations
     rows = model._rows
     at_time = 0
     # the reset is step (None, None): no fail_index and no command; its
     # match sets ``state`` before any command step reads it
-    for at, command in chain(((None, None),), enumerate(seq.commands)):
+    for at, command in chain(((None, None),), enumerate(seq)):
         if command is None:
             expected = model.init
         else:
@@ -410,7 +413,7 @@ def run_property(
     model: StateModel,
     adapter: Optional[SutAdapter],
     abstraction: Abstraction,
-    cmd_gen: Generator[CommandSequence],
+    cmd_gen: Generator[Iterable[Command]],
     st_invariants: tuple[Invariant, ...] = (),
     num_tests: int = 100,
     seed: int = 0,
@@ -421,15 +424,16 @@ def run_property(
     """Run ``num_tests`` random sequences; shrink and record every failure.
 
     Each test draws from its own split of the root Rng, so results depend
-    only on the seed. One adapter, from ``adapter_factory`` if given, runs
-    every test in order on the calling thread. ``workers`` is ignored; it
-    stays only because bench/run.py still passes it. A replay that times out
-    leaves its SUT with work in flight, so that adapter is dropped and the
-    next replay, of a test or of a shrink candidate, asks the factory for
-    one; a late completion then cannot reach a fresh one. A lone
-    ``adapter`` is its own factory, so it is handed back, and its
-    ``reset`` alone must keep such work out of the next replay. The
-    invariants are compiled once, and every replay judges the compiled ones.
+    only on the seed. ``cmd_gen`` may draw any iterable of commands; each is
+    read once into a tuple. One adapter, from ``adapter_factory`` if given,
+    runs every test in order on the calling thread. ``workers`` is ignored;
+    it stays only because bench/run.py still passes it. A replay that times
+    out leaves its SUT with work in flight, so that adapter is dropped and
+    the next replay, of a test or of a shrink candidate, asks the factory
+    for one; a late completion then cannot reach a fresh one. A lone
+    ``adapter`` is its own factory, so it is handed back, and its ``reset``
+    alone must keep such work out of the next replay. The invariants are
+    compiled once, and every replay judges the compiled ones.
 
     A failing sequence is cut after its failing command (to nothing for a
     reset-level failure), since the replay never ran the commands behind
@@ -459,7 +463,7 @@ def run_property(
     factory = adapter_factory or (lambda: adapter)
     sut = None
 
-    def replay(seq: CommandSequence) -> CheckResult:
+    def replay(seq: tuple[Command, ...]) -> CheckResult:
         nonlocal sut
         if sut is None:
             sut = factory()
@@ -472,16 +476,16 @@ def run_property(
         return result
 
     def run_one(test_index: int, rng: Rng) -> Optional[FailureRecord]:
-        seq, _ = cmd_gen.run(rng)
+        seq = tuple(cmd_gen.run(rng)[0])
         result = replay(seq)
         if isinstance(result, Pass):
             return None
         kind = result.kind
         shrunk = result
         at = result.witness.fail_index
-        failing = CommandSequence(seq.commands[: 0 if at is None else at + 1])
+        failing = seq[: 0 if at is None else at + 1]
 
-        def still_fails(candidate: CommandSequence) -> Optional[int]:
+        def still_fails(candidate: tuple[Command, ...]) -> Optional[int]:
             nonlocal shrunk
             rerun = replay(candidate)
             if not isinstance(rerun, Fail) or rerun.kind != kind:

@@ -6,8 +6,10 @@ whatever ran before it. A generator is a pure function from an Rng to a
 (value, next-Rng) pair. A campaign draws timed command sequences that walk
 the model's enabled operations, and shrinks the failing ones.
 
+A command sequence is a plain tuple of :class:`Command` in issue order.
+
 Determinism contract: for a fixed seed and fixed draw order, every value
-produced here is identical across runs, platforms, and worker counts.
+produced here is identical across runs and platforms.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate
 from struct import Struct
-from typing import Callable, Generic, Iterable, Mapping, Optional, TypeVar
+from typing import Callable, Generic, Mapping, Optional, TypeVar
 
 from .spatial import is_int
 from .statemodel import State, StateModel, enabled_actions, successors
@@ -99,40 +101,6 @@ class Command:
             )
         if delay < 1:
             raise ValueError("delay must be >= 1")
-
-
-@dataclass(frozen=True)
-class CommandSequence:
-    """Commands in issue order, stored as a tuple whatever iterable is given."""
-
-    commands: tuple[Command, ...] = ()
-
-    def __init__(self, commands: Iterable[Command] = ()):
-        object.__setattr__(self, "commands", tuple(commands))
-
-    def __len__(self) -> int:
-        return len(self.commands)
-
-    def __iter__(self):
-        return iter(self.commands)
-
-    @property
-    def timestamps(self) -> tuple[int, ...]:
-        """Absolute issue time of each command (prefix sums of delays)."""
-        out = []
-        clock = 0
-        for command in self.commands:
-            clock += command.delay
-            out.append(clock)
-        return tuple(out)
-
-    def with_delay(self, index: int, delay: int) -> CommandSequence:
-        if not 0 <= index < len(self.commands):
-            raise IndexError(index)
-        replaced = Command(self.commands[index].op, delay)
-        return CommandSequence(
-            self.commands[:index] + (replaced,) + self.commands[index + 1 :]
-        )
 
 
 def _rejection(span: int) -> tuple[int, int]:
@@ -258,7 +226,7 @@ def gen_enabled_commands(
     model: StateModel,
     weights: Mapping[str, int],
     max_len: int,
-) -> Generator[CommandSequence]:
+) -> Generator[tuple[Command, ...]]:
     """Model-aware sequence generator: only currently enabled ops are drawn.
 
     Draws a length uniform in [1, max_len], then an (operation, delay)
@@ -317,7 +285,7 @@ def gen_enabled_commands(
         pick = picks[states] = _Pick(states, items, commands) if items else None
         return pick
 
-    def go(rng: Rng) -> tuple[CommandSequence, Rng]:
+    def go(rng: Rng) -> tuple[tuple[Command, ...], Rng]:
         state, gamma = rng.state, rng.gamma
         # how many lanes to compute rests on the length, so its first
         # word is the stream's first output, worked out alone
@@ -354,7 +322,7 @@ def gen_enabled_commands(
                     tuple(successors(model, pick.states, pick.ops[index]))
                 )
             pick = nxt
-        return CommandSequence(out), Rng((state + at * gamma) & _MASK64, gamma)
+        return tuple(out), Rng((state + at * gamma) & _MASK64, gamma)
 
     return Generator(go)
 
@@ -364,9 +332,9 @@ def gen_enabled_commands(
 
 
 def shrink_sequence(
-    seq: CommandSequence,
-    fails: Callable[[CommandSequence], Optional[int]],
-) -> CommandSequence:
+    seq: tuple[Command, ...],
+    fails: Callable[[tuple[Command, ...]], Optional[int]],
+) -> tuple[Command, ...]:
     """Minimize ``seq`` while ``fails`` still reports a failure.
 
     ``fails`` returns None for a passing candidate, and otherwise how many
@@ -396,12 +364,12 @@ def shrink_sequence(
     """
     current = seq
 
-    def accept(candidate: CommandSequence) -> bool:
+    def accept(candidate: tuple[Command, ...]) -> bool:
         nonlocal current
         kept = fails(candidate)
         if kept is None:
             return False
-        current = CommandSequence(candidate.commands[:kept])
+        current = candidate[:kept]
         return True
 
     def delete_chunks(size: int) -> bool:
@@ -415,18 +383,17 @@ def shrink_sequence(
         changed = False
         start = 0
         while start + size <= len(current):
-            commands = current.commands
-            rest = commands[start + size :]
-            if rest != commands[start : len(commands) - size] and accept(
-                CommandSequence(commands[:start] + rest)
+            rest = current[start + size :]
+            if rest != current[start : len(current) - size] and accept(
+                current[:start] + rest
             ):
                 changed = True
             else:
                 start += size
         return changed
 
-    if any(c.delay > 1 for c in current.commands):
-        accept(CommandSequence(Command(c.op, 1) for c in current.commands))
+    if any(c.delay > 1 for c in current):
+        accept(tuple(Command(c.op, 1) for c in current))
     size = len(current) // 2
     while size >= 2:
         delete_chunks(size)
@@ -437,8 +404,11 @@ def shrink_sequence(
         # sequence, so the bound is read again after every candidate
         index = 0
         while index < len(current):
-            halved = current.commands[index].delay // 2
-            if halved and accept(current.with_delay(index, halved)):
+            command = current[index]
+            halved = command.delay // 2
+            if halved and accept(
+                current[:index] + (Command(command.op, halved),) + current[index + 1 :]
+            ):
                 changed = True
             else:
                 index += 1

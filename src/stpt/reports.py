@@ -9,10 +9,11 @@ identical file, which makes reports diffable and replayable.
 from __future__ import annotations
 
 import json
+from itertools import accumulate
 from typing import Any, Mapping
 
 from .conformance import FailureRecord, RunReport, Witness
-from .genrand import Command, CommandSequence
+from .genrand import Command
 from .spatial import is_int
 from .statemodel import format_state
 
@@ -25,9 +26,9 @@ def command_to_json(command: Command) -> dict:
     return {"op": command.op, "delay": command.delay}
 
 
-def commands_from_json(items: Any) -> CommandSequence:
+def commands_from_json(items: Any) -> tuple[Command, ...]:
     """The commands :func:`command_to_json` wrote; TypeError or ValueError otherwise."""
-    return CommandSequence(Command(item["op"], item["delay"]) for item in items)
+    return tuple(Command(item["op"], item["delay"]) for item in items)
 
 
 def config_echo(
@@ -83,16 +84,16 @@ def report_to_json(report: RunReport, config: Mapping[str, Any]) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def format_sequence(seq: CommandSequence) -> str:
+def format_sequence(seq: tuple[Command, ...]) -> str:
     """Commands with their absolute issue times, e.g. ``CursorUp@4``."""
-    parts = [f"{c.op}@{t}" for c, t in zip(seq, seq.timestamps)]
+    parts = [f"{c.op}@{t}" for c, t in zip(seq, accumulate(c.delay for c in seq))]
     return " ".join(parts) if parts else "(empty)"
 
 
 def _api_code(witness: Witness) -> str:
     if witness.fail_index is None:
         return RESET_POSITION
-    return witness.sequence.commands[witness.fail_index].op
+    return witness.sequence[witness.fail_index].op
 
 
 def _expected_column(witness: Witness) -> str:

@@ -397,12 +397,28 @@ def spec_consistency(
 # Deterministic export
 
 
+_CONTROL_ESCAPES = {"\n": "\\n", "\t": "\\t", "\r": "\\r"}
+
+
+def _escape(char: str) -> str:
+    """The escape of one character that ``str.isprintable`` rejects."""
+    code = ord(char)
+    return _CONTROL_ESCAPES.get(char) or (
+        f"\\u{code:04x}" if code <= 0xFFFF else f"\\U{code:08x}"
+    )
+
+
 def _format_value(value: Value) -> str:
+    """A value as one line: a string is quoted, and every character that
+    ``str.isprintable`` rejects escaped as in a Python string literal."""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, int):
         return str(value)
-    return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    text = value.replace("\\", "\\\\").replace('"', '\\"')
+    if not text.isprintable():
+        text = "".join(c if c.isprintable() else _escape(c) for c in text)
+    return '"' + text + '"'
 
 
 def format_state(s: State) -> str:

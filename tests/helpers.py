@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import random
 import re
+from itertools import accumulate
 from typing import Callable, Optional
 
 from hypothesis import strategies as st
@@ -18,7 +19,6 @@ from hypothesis import strategies as st
 from stpt import (
     ActionSpec,
     Command,
-    CommandSequence,
     Generator,
     Rng,
     And,
@@ -186,13 +186,13 @@ def oracle_spec_consistency(model: StateModel, suppress_noop=()) -> list:
 # Replay oracle
 
 
-def oracle_check(model: StateModel, adapter, abstraction, seq: CommandSequence):
+def oracle_check(model: StateModel, adapter, abstraction, seq: tuple[Command, ...]):
     """What ``check_against`` answers with no invariants, by brute force.
 
     None for a pass, else ``(kind, fail_index, expected_states,
     observed_state)``. Tracks the whole set of consistent model states
     through the unmemoised ``step``, compares states with ``==`` only,
-    and takes issue times from ``seq.timestamps``. The adapter must
+    and takes issue times as running sums of the delays. The adapter must
     settle every call at once and without error.
     """
 
@@ -205,7 +205,7 @@ def oracle_check(model: StateModel, adapter, abstraction, seq: CommandSequence):
     consistent = [s for s in model.init if s == observed]
     if not consistent:
         return FailKind.INIT_MISMATCH, None, model.init, observed
-    for index, (command, at_time) in enumerate(zip(seq.commands, seq.timestamps)):
+    for index, (command, at_time) in enumerate(zip(seq, accumulate(c.delay for c in seq))):
         outcomes = [step(model, s, command.op) for s in consistent]
         if all(outcome is None for outcome in outcomes):
             return FailKind.UNKNOWN_OPERATION, index, tuple(consistent), None
@@ -596,7 +596,7 @@ def weighted(choices) -> Generator:
 _DELAYS = gen_int_in_range(1, 5)
 
 
-def reference_enabled_commands(model, weights, max_len) -> Generator[CommandSequence]:
+def reference_enabled_commands(model, weights, max_len) -> Generator[tuple[Command, ...]]:
     """``gen_enabled_commands`` composed from the generators above.
 
     A length from ``gen_int_in_range``, then per command a ``weighted``
@@ -615,7 +615,7 @@ def reference_enabled_commands(model, weights, max_len) -> Generator[CommandSequ
     # this generator.
     picks = {}
 
-    def go(rng: Rng) -> tuple[CommandSequence, Rng]:
+    def go(rng: Rng) -> tuple[tuple[Command, ...], Rng]:
         length, rng = length_gen.run(rng)
         current = model.init
         commands = []
@@ -633,7 +633,7 @@ def reference_enabled_commands(model, weights, max_len) -> Generator[CommandSequ
             delay, rng = _DELAYS.run(rng)
             commands.append(Command(op, delay))
             current = successors(model, current, op)
-        return CommandSequence(tuple(commands)), rng
+        return tuple(commands), rng
 
     return Generator(go)
 
@@ -642,11 +642,18 @@ def reference_enabled_commands(model, weights, max_len) -> Generator[CommandSequ
 # Greedy shrinking reference
 
 
-def without(seq: CommandSequence, index: int) -> CommandSequence:
+def without(seq: tuple[Command, ...], index: int) -> tuple[Command, ...]:
     """``seq`` less its command at ``index``; IndexError out of range."""
     if not 0 <= index < len(seq):
         raise IndexError(index)
-    return CommandSequence(seq.commands[:index] + seq.commands[index + 1 :])
+    return seq[:index] + seq[index + 1 :]
+
+
+def with_delay(seq: tuple[Command, ...], index: int, delay: int) -> tuple[Command, ...]:
+    """``seq`` with the command at ``index`` issued ``delay`` ticks after the one before."""
+    if not 0 <= index < len(seq):
+        raise IndexError(index)
+    return seq[:index] + (Command(seq[index].op, delay),) + seq[index + 1 :]
 
 
 def greedy_shrink_reference(seq, fails):
@@ -670,9 +677,9 @@ def greedy_shrink_reference(seq, fails):
             else:
                 index += 1
         for index in range(len(current)):
-            delay = current.commands[index].delay
+            delay = current[index].delay
             while delay > 1:
-                candidate = current.with_delay(index, delay // 2)
+                candidate = with_delay(current, index, delay // 2)
                 if not fails(candidate):
                     break
                 current = candidate
@@ -687,9 +694,9 @@ def greedy_shrink_reference(seq, fails):
 
 
 def reference_shrink(
-    seq: CommandSequence,
-    fails: Callable[[CommandSequence], Optional[int]],
-) -> CommandSequence:
+    seq: tuple[Command, ...],
+    fails: Callable[[tuple[Command, ...]], Optional[int]],
+) -> tuple[Command, ...]:
     """``shrink_sequence`` as it was before it skipped prefix deletions.
 
     Kept verbatim as the reference: it offers every chunk deletion, those
@@ -710,12 +717,12 @@ def reference_shrink(
     """
     current = seq
 
-    def accept(candidate: CommandSequence) -> bool:
+    def accept(candidate: tuple[Command, ...]) -> bool:
         nonlocal current
         kept = fails(candidate)
         if kept is None:
             return False
-        current = CommandSequence(candidate.commands[:kept])
+        current = candidate[:kept]
         return True
 
     def delete_chunks(size: int) -> bool:
@@ -723,8 +730,7 @@ def reference_shrink(
         changed = False
         start = 0
         while start + size <= len(current):
-            commands = current.commands
-            if accept(CommandSequence(commands[:start] + commands[start + size :])):
+            if accept(current[:start] + current[start + size :]):
                 changed = True
             else:
                 start += size
@@ -740,8 +746,8 @@ def reference_shrink(
         # sequence, so the bound is read again after every candidate
         index = 0
         while index < len(current):
-            halved = current.commands[index].delay // 2
-            if halved and accept(current.with_delay(index, halved)):
+            halved = current[index].delay // 2
+            if halved and accept(with_delay(current, index, halved)):
                 changed = True
             else:
                 index += 1

@@ -12,16 +12,16 @@ import json
 import random
 import time
 from dataclasses import dataclass
+from itertools import accumulate
 from unittest.mock import patch
 
 import pytest
 
-from helpers import oracle_behaviours, oracle_collisions, random_model, without
+from helpers import oracle_behaviours, oracle_collisions, random_model, with_delay, without
 from stpt import (
     And,
     Box,
     Command,
-    CommandSequence,
     Fail,
     FailKind,
     FalseAtom,
@@ -73,7 +73,7 @@ def test_criterion_1_table_reproduction():
 
     def run_row(fault, init, op):
         suite = robot_suite(fault, config=RobotConfig(init=init))
-        seq = CommandSequence((Command(op, 1),))
+        seq = (Command(op, 1),)
         return check_against(
             suite.model,
             suite.make_adapter(),
@@ -114,14 +114,12 @@ def test_criterion_2_deterministic_trigger():
     suite = therac_suite("sequenceBug")
 
     def run(t3: int):
-        seq = CommandSequence(
-            (
-                Command(OP_SELECT_PHOTON, 1),
-                Command(OP_CURSOR_UP, 3),
-                Command(OP_SELECT_ELECTRON, t3 - 4),
-            )
+        seq = (
+            Command(OP_SELECT_PHOTON, 1),
+            Command(OP_CURSOR_UP, 3),
+            Command(OP_SELECT_ELECTRON, t3 - 4),
         )
-        assert seq.timestamps == (1, 4, t3)
+        assert list(accumulate(c.delay for c in seq)) == [1, 4, t3]
         return check_against(
             suite.model, suite.make_adapter(), suite.abstraction, seq
         )
@@ -195,7 +193,7 @@ def test_criterion_4_shrinking_minimality(therac_campaign):
     suite = therac_suite("sequenceBug")
     adapter = suite.make_adapter()
 
-    def same_kind_fail(seq: CommandSequence) -> bool:
+    def same_kind_fail(seq: tuple[Command, ...]) -> bool:
         result = check_against(suite.model, adapter, suite.abstraction, seq)
         return isinstance(result, Fail) and result.kind == FailKind.SUT_MISMATCH
 
@@ -203,7 +201,7 @@ def test_criterion_4_shrinking_minimality(therac_campaign):
     bad = []
     for record in therac_campaign.failures:
         seq = record.shrunk.sequence
-        stamps = seq.timestamps
+        stamps = list(accumulate(c.delay for c in seq))
         if len(seq) != 3:
             bad.append(("length", seq))
             continue
@@ -217,8 +215,8 @@ def test_criterion_4_shrinking_minimality(therac_campaign):
             if same_kind_fail(without(seq, i)):
                 bad.append(("deletable", seq))
                 break
-            delay = seq.commands[i].delay
-            if delay > 1 and same_kind_fail(seq.with_delay(i, delay // 2)):
+            delay = seq[i].delay
+            if delay > 1 and same_kind_fail(with_delay(seq, i, delay // 2)):
                 bad.append(("halvable", seq))
                 break
         else:

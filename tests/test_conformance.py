@@ -15,6 +15,7 @@ from helpers import (
     oracle_check,
     random_model,
     weighted,
+    with_delay,
     without,
 )
 from stpt import (
@@ -23,10 +24,10 @@ from stpt import (
     And,
     Box,
     Command,
-    CommandSequence,
     Deferred,
     Fail,
     FailKind,
+    Generator,
     Implies,
     NotAFailure,
     Observation,
@@ -57,7 +58,7 @@ from stpt.suts import OP_SELECT_ELECTRON, OP_SELECT_PHOTON
 from stpt.suts import RobotSim, TheracSim, _payload_abstraction
 
 
-def unguarded_commands(vocab, max_len, rng) -> CommandSequence:
+def unguarded_commands(vocab, max_len, rng) -> tuple[Command, ...]:
     """A weighted random sequence drawn blind to the model's guards."""
     length, rng = gen_int_in_range(1, max_len).run(rng)
     ops, delays = weighted(vocab), gen_int_in_range(1, 5)
@@ -66,7 +67,7 @@ def unguarded_commands(vocab, max_len, rng) -> CommandSequence:
         op, rng = ops.run(rng)
         delay, rng = delays.run(rng)
         commands.append(Command(op, delay))
-    return CommandSequence(tuple(commands))
+    return tuple(commands)
 
 
 def toggle_model() -> StateModel:
@@ -258,7 +259,7 @@ class TestDeferred:
 
 class TestCheckAgainst:
     def run_toggle(self, sut, ops, **kwargs):
-        seq = CommandSequence(tuple(Command(op, 1) for op in ops))
+        seq = tuple(Command(op, 1) for op in ops)
         return check_against(
             toggle_model(), sut, toggle_abstraction, seq, **kwargs
         )
@@ -324,7 +325,7 @@ class TestCheckAgainst:
         assert result.witness.fail_index is None
 
     def test_raising_abstraction_is_an_abstraction_error(self):
-        seq = CommandSequence((Command("turnOn", 1), Command("turnOff", 2)))
+        seq = (Command("turnOn", 1), Command("turnOff", 2))
         for fail_at, fail_index, expected in [
             (1, None, (State({"on": False}),)),
             (3, 1, (State({"on": False}),)),
@@ -441,7 +442,7 @@ class TestSpatialChecking:
     )
 
     def check(self, sut, ops, invariants):
-        seq = CommandSequence(tuple(Command(op, 1) for op in ops))
+        seq = tuple(Command(op, 1) for op in ops)
         return check_against(
             toggle_model(), sut, toggle_abstraction, seq, st_invariants=invariants
         )
@@ -468,7 +469,7 @@ class TestSpatialChecking:
             assert result == Fail(
                 FailKind.SPATIAL_VIOLATION,
                 Witness(
-                    sequence=CommandSequence(tuple(Command(op, 1) for op in ops)),
+                    sequence=tuple(Command(op, 1) for op in ops),
                     fail_index=None,
                     expected_states=(State({"on": False}),),
                     observed_state=State({"on": False}),
@@ -584,10 +585,10 @@ WANT_BIG = Implies(
     And((TimeInterval(TimeWindow(0, 100)), Owner("arm"))), OccupyBox(Box(0, 0, 9, 9))
 )
 ARM_AT = {t: Observation(t, "arm", (Box(0, 0, 4, 4),)) for t in (0, 2)}
-FORK = CommandSequence((Command("fork", 1),))
-FORK_BACK = CommandSequence((Command("fork", 1), Command("back", 1)))
-FORK_NOPE = CommandSequence((Command("fork", 1), Command("nope", 1)))
-FORK_NEVER = CommandSequence((Command("fork", 1), Command("never", 1)))
+FORK = (Command("fork", 1),)
+FORK_BACK = (Command("fork", 1), Command("back", 1))
+FORK_NOPE = (Command("fork", 1), Command("nope", 1))
+FORK_NEVER = (Command("fork", 1), Command("never", 1))
 K = FailKind
 
 # (sequence, script, the whole failure check_against must return)
@@ -728,7 +729,7 @@ class TestSerialization:
                 return d
 
         sut = AsyncCounter()
-        seq = CommandSequence(tuple(Command("inc", 1) for _ in range(20)))
+        seq = tuple(Command("inc", 1) for _ in range(20))
         result = check_against(
             model, sut, lambda raw: State({"n": raw.payload}), seq
         )
@@ -770,7 +771,7 @@ class TestClassify:
 
     def test_accepts_full_fail_values(self):
         sut = ToggleSut()
-        seq = CommandSequence((Command("turnOff", 1),))
+        seq = (Command("turnOff", 1),)
         result = check_against(toggle_model(), sut, toggle_abstraction, seq)
         assert classify(result) == "suspect: specification"
 
@@ -819,7 +820,7 @@ class TestNondeterministicModels:
         return State({"x": raw.payload})
 
     def test_either_branch_is_accepted(self):
-        seq = CommandSequence((Command("spin", 1),))
+        seq = (Command("spin", 1),)
         for landing in (1, 2):
             result = check_against(
                 self.spin_model(), self.SpinSut(landing), self.abstraction, seq
@@ -828,14 +829,14 @@ class TestNondeterministicModels:
 
     def test_observation_narrows_the_consistent_set(self):
         # spin landed on 2, so fromOne is disabled in every surviving state
-        seq = CommandSequence((Command("spin", 1), Command("fromOne", 1)))
+        seq = (Command("spin", 1), Command("fromOne", 1))
         result = check_against(
             self.spin_model(), self.SpinSut(2), self.abstraction, seq
         )
         assert isinstance(result, Fail)
         assert result.kind == FailKind.DISABLED_ACTION
         assert result.witness.fail_index == 1
-        seq = CommandSequence((Command("spin", 1), Command("fromTwo", 1)))
+        seq = (Command("spin", 1), Command("fromTwo", 1))
         assert (
             check_against(self.spin_model(), self.SpinSut(2), self.abstraction, seq)
             == Pass()
@@ -847,7 +848,7 @@ class TestNondeterministicModels:
                 super().apply(command, at_time)
                 return Deferred.successful(RawObservation(9))
 
-        seq = CommandSequence((Command("spin", 1),))
+        seq = (Command("spin", 1),)
         result = check_against(
             self.spin_model(), Liar(1), self.abstraction, seq
         )
@@ -920,10 +921,10 @@ class TestReplayOracle:
         model = random_model(seed)
         abstraction = (lambda raw: raw.payload) if fresh else _payload_abstraction(model)
         names = model.action_names
-        seq = CommandSequence(tuple(
+        seq = tuple(
             Command(names[pick % len(names)] if pick < 9 else "omega", delay)
             for pick, delay in commands
-        ))
+        )
         reference = BranchingSut(model, script, fresh)
         want = oracle_check(model, reference, abstraction, seq)
         # the oracle fills no row, so the first replay meets a cold model
@@ -1116,9 +1117,9 @@ class TestRunProperty:
             shrunk = record.shrunk.sequence
             for i in range(len(shrunk)):
                 assert not same_kind(without(shrunk, i))
-                delay = shrunk.commands[i].delay
+                delay = shrunk[i].delay
                 if delay > 1:
-                    assert not same_kind(shrunk.with_delay(i, delay // 2))
+                    assert not same_kind(with_delay(shrunk, i, delay // 2))
 
     def test_deterministic_for_fixed_seed(self):
         a = self.lying_report(seed=5)
@@ -1210,7 +1211,7 @@ class TestRunProperty:
         assert original.fail_index == 1 < len(original.sequence) - 1
         # no shrink candidate fails, so the witness is the original failure
         # cut after its failing command
-        cut = CommandSequence(original.sequence.commands[:2])
+        cut = original.sequence[:2]
         assert record.shrunk == replace(original, sequence=cut)
 
     @staticmethod
@@ -1307,7 +1308,7 @@ class TestRunProperty:
         assert [r.kind for r in report.failures] == [FailKind.SUT_ERROR]
         (record,) = report.failures
         assert record.original.fail_index is not None
-        op = record.original.sequence.commands[record.original.fail_index].op
+        op = record.original.sequence[record.original.fail_index].op
         assert record.original.note == (
             f"SUT apply {op!r} raised RuntimeError('apply broke')"
         )
@@ -1328,7 +1329,7 @@ class TestRunProperty:
             assert record.original.fail_index is None
             assert record.original.note == "SUT reset raised RuntimeError('reset broke')"
             # a reset-level failure needs no command at all
-            assert record.shrunk.sequence == CommandSequence()
+            assert record.shrunk.sequence == ()
 
     @pytest.mark.parametrize("call", ["reset", "apply"])
     @pytest.mark.parametrize("answer", ["none", "object", "raising-wait"])
@@ -1357,7 +1358,7 @@ class TestRunProperty:
                 answer = super().apply(command, at_time)
                 return made() if call == "apply" else answer
 
-        seq = CommandSequence((Command("turnOn", 1), Command("turnOff", 1)))
+        seq = (Command("turnOn", 1), Command("turnOff", 1))
         result = check_against(toggle_model(), OddSut(), toggle_abstraction, seq)
         assert isinstance(result, Fail) and result.kind is FailKind.SUT_ERROR
         assert result.witness.fail_index == (None if call == "reset" else 0)
@@ -1372,7 +1373,7 @@ class TestRunProperty:
             assert record.kind is FailKind.SUT_ERROR
             at = record.shrunk.fail_index
             assert (at is None) == (call == "reset")
-            named = "reset" if at is None else f"apply {record.shrunk.sequence.commands[at].op!r}"
+            named = "reset" if at is None else f"apply {record.shrunk.sequence[at].op!r}"
             assert record.shrunk.note == want.format(named)
 
     def test_raising_abstraction_ends_the_campaign_with_records(self):
@@ -1547,7 +1548,7 @@ class TestRunProperty:
         assert compiled == list(suite.st_invariants)
         # a one-off replay still compiles its own, once per call
         compiled.clear()
-        seq = CommandSequence((Command("initialisePosition", 1),))
+        seq = (Command("initialisePosition", 1),)
         for _ in range(2):
             assert check_against(
                 suite.model,
@@ -1557,6 +1558,57 @@ class TestRunProperty:
                 suite.st_invariants,
             ) == Pass()
         assert compiled == list(suite.st_invariants) * 2
+
+
+TRIGGER = (
+    Command(OP_SELECT_PHOTON, 1),
+    Command(OP_CURSOR_UP, 3),
+    Command(OP_SELECT_ELECTRON, 4),
+)
+
+
+class TestEntryPoints:
+    """A sequence may be any iterable of commands; every witness holds a tuple."""
+
+    @pytest.mark.parametrize(
+        "make", [list, tuple, lambda commands: (c for c in commands)],
+        ids=["list", "tuple", "generator"],
+    )
+    def test_check_against_takes_any_iterable_of_commands(self, make):
+        suite = therac_suite("sequenceBug")
+
+        def check(seq):
+            return check_against(suite.model, suite.make_adapter(), suite.abstraction, seq)
+
+        want = check(TRIGGER)
+        assert isinstance(want, Fail) and want.kind is FailKind.SUT_MISMATCH
+        got = check(make(TRIGGER))
+        assert got == want and hash(got.witness) == hash(want.witness)
+        assert type(got.witness.sequence) is tuple and got.witness.sequence == TRIGGER
+
+    @pytest.mark.parametrize("make", [list, tuple], ids=["list", "tuple"])
+    def test_run_property_takes_a_generator_that_draws_any_iterable(self, make):
+        suite = therac_suite("sequenceBug")
+        drawn = gen_enabled_commands(suite.model, suite.default_weights, max_len=12)
+
+        def go(rng):
+            seq, rng = drawn.run(rng)
+            return make(seq), rng
+
+        def campaign(gen) -> RunReport:
+            report = run_property(
+                suite.model, suite.make_adapter(), suite.abstraction, gen,
+                num_tests=40, seed=7,
+            )
+            return replace(report, wall_ms=0.0)
+
+        want = campaign(drawn)
+        got = campaign(Generator(go))
+        assert got == want and want.tests_failed > 0
+        for record in got.failures:
+            for witness in (record.original, record.shrunk):
+                assert type(witness.sequence) is tuple
+                hash(witness)
 
 
 class HandingSut(ToggleSut):
@@ -1617,7 +1669,7 @@ class ReusingTherac:
 class TestAnswerMemo:
     """``check_against`` remembers an abstraction's state on the answer's Deferred."""
 
-    SEQ = CommandSequence(tuple(Command(op, 1) for op in ("turnOn", "turnOff", "turnOn")))
+    SEQ = tuple(Command(op, 1) for op in ("turnOn", "turnOff", "turnOn"))
 
     def test_an_answer_handed_out_again_is_abstracted_once(self):
         model, calls = toggle_model(), []
@@ -1636,7 +1688,7 @@ class TestAnswerMemo:
         right = counting(right_calls)
         wrong = counting(wrong_calls, lambda raw: State({"on": not raw.payload}))
         sut = HandingSut(settled_toggles())
-        empty = CommandSequence(())
+        empty = ()
         assert check_against(model, sut, right, empty) == Pass()
         result = check_against(model, sut, wrong, empty)
         assert result.kind is FailKind.INIT_MISMATCH
@@ -1681,9 +1733,7 @@ class TestAnswerMemo:
 
     def test_a_reused_observation_is_read_afresh_in_a_fresh_deferred(self):
         suite = therac_suite()
-        seq = CommandSequence(
-            (Command(OP_SELECT_PHOTON, 1), Command(OP_SELECT_ELECTRON, 1))
-        )
+        seq = (Command(OP_SELECT_PHOTON, 1), Command(OP_SELECT_ELECTRON, 1))
         adapter = ReusingTherac()
         assert check_against(suite.model, adapter, suite.abstraction, seq) == Pass()
         assert adapter.raw.payload == {"mode": MODE_ELECTRON, "beam": BEAM_ELECTRON}
@@ -1706,7 +1756,7 @@ class TestResetOccupancy:
             suite.model,
             suite.make_adapter(),
             suite.abstraction,
-            CommandSequence(()),
+            (),
             suite.st_invariants,
         )
         assert isinstance(result, Fail)
@@ -1725,7 +1775,7 @@ class TestResetOccupancy:
         for record in report.failures:
             assert record.kind == FailKind.SPATIAL_VIOLATION
             assert record.shrunk.fail_index is None
-            assert record.shrunk.sequence == CommandSequence(())
+            assert record.shrunk.sequence == ()
             assert record.shrunk.expected_states == suite.model.init
 
 
@@ -1801,7 +1851,7 @@ class TestMalformedOccupancy:
                 consistent, call = suite.model.init, "reset"
             else:
                 assert original.fail_index == 0
-                op = original.sequence.commands[0].op
+                op = original.sequence[0].op
                 consistent = tuple(successors(suite.model, suite.model.init, op))
                 call = f"apply {op!r}"
             assert original.expected_states == consistent
@@ -1969,7 +2019,7 @@ class TestShrunkWitness:
         report = suite_campaign(suite, seed, num_tests=300, max_len=30)
         adapter = suite.make_adapter()
 
-        def same_kind(seq: CommandSequence) -> bool:
+        def same_kind(seq: tuple[Command, ...]) -> bool:
             result = check_against(suite.model, adapter, suite.abstraction, seq)
             return isinstance(result, Fail) and result.kind == FailKind.SUT_MISMATCH
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from collections import Counter
+from itertools import accumulate
 
 import pytest
 from hypothesis import assume, given, settings
@@ -14,18 +15,18 @@ from helpers import (
     reference_enabled_commands,
     reference_shrink,
     weighted,
+    with_delay,
     without,
 )
 from stpt import (
     Command,
-    CommandSequence,
     Rng,
     gen_enabled_commands,
     shrink_sequence,
 )
 from stpt import genrand
-from stpt.conformance import Witness
 from stpt.genrand import _GOLDEN_GAMMA, _MASK64, _MAX_LANES, InvalidRange, _extend, _mix64
+from stpt.reports import format_sequence
 from stpt.statemodel import enabled_actions, step
 from stpt.suts import OP_CURSOR_UP, OP_SELECT_PHOTON, robot_suite, therac_suite
 
@@ -176,40 +177,41 @@ class TestCommands:
         with pytest.raises(TypeError, match="need a string op and an integer delay"):
             Command(op, delay)
 
-    def test_timestamps_are_prefix_sums(self):
-        seq = CommandSequence((Command("a", 2), Command("b", 3), Command("c", 1)))
-        assert seq.timestamps == (2, 5, 6)
+    def test_issue_times_are_prefix_sums_of_the_delays(self):
+        seq = (Command("a", 2), Command("b", 3), Command("c", 1))
+        assert format_sequence(seq) == "a@2 b@5 c@6"
 
-    def test_with_delay(self):
-        seq = CommandSequence((Command("a", 2), Command("b", 3)))
-        assert seq.with_delay(1, 9) == CommandSequence(
-            (Command("a", 2), Command("b", 9))
-        )
+    def test_the_delay_halving_pass_halves_one_delay_at_a_time(self):
+        seq = (Command("a", 2), Command("b", 9))
+        offered = []
+
+        def fails(s: tuple[Command, ...]):
+            offered.append(s)
+            return 2 if len(s) == 2 and s[1].delay >= 3 else None
+
+        assert shrink_sequence(seq, fails) == (Command("a", 1), Command("b", 4))
+        # the opening all-ones cut, the one deletion that leaves no prefix,
+        # then each halving is its predecessor with one delay replaced
+        assert offered[:5] == [
+            (Command("a", 1), Command("b", 1)),
+            (Command("b", 9),),
+            with_delay(seq, 0, 1),
+            with_delay(with_delay(seq, 0, 1), 1, 4),
+            with_delay(with_delay(seq, 0, 1), 1, 2),
+        ]
         with pytest.raises(IndexError):
-            seq.with_delay(-1, 1)
+            with_delay(seq, 2, 1)
 
     def test_reference_without_drops_one_command(self):
-        seq = CommandSequence((Command("a", 2), Command("b", 3)))
-        assert without(seq, 0) == CommandSequence((Command("b", 3),))
+        seq = (Command("a", 2), Command("b", 3))
+        assert without(seq, 0) == (Command("b", 3),)
         with pytest.raises(IndexError):
             without(seq, 2)
         with pytest.raises(IndexError):
             without(seq, -1)
 
     def test_empty_sequence_is_legal(self):
-        seq = CommandSequence()
-        assert len(seq) == 0 and seq.timestamps == ()
-
-    def test_commands_are_kept_as_a_tuple_whatever_iterable_is_given(self):
-        commands = [Command("CursorUp", 1), Command("OtherKindOfOperation", 3)]
-        given = [CommandSequence(commands), CommandSequence(tuple(commands)),
-                 CommandSequence(c for c in commands)]
-        for seq in given:
-            assert seq.commands == tuple(commands)
-            assert seq == given[0] and hash(seq) == hash(given[0])
-        witnesses = [Witness(seq, 1) for seq in given]
-        for witness in witnesses:
-            assert witness == witnesses[0] and hash(witness) == hash(witnesses[0])
+        assert format_sequence(()) == "(empty)"
 
 
 class TestGenEnabledCommands:
@@ -266,7 +268,7 @@ class TestGenEnabledCommands:
                 nexts.extend(n for n in outcome if n not in nexts)
             current = nexts
 
-        assert gen.run(rng) == (CommandSequence(tuple(expected)), expected_rng)
+        assert gen.run(rng) == (tuple(expected), expected_rng)
 
     def test_always_enabled_model_fills_drawn_length(self):
         suite = therac_suite("none")
@@ -303,8 +305,8 @@ class TestGenEnabledCommands:
         gen = gen_enabled_commands(suite.model, weights, max_len=5)
         seqs = [gen.run(Rng.from_seed(s))[0] for s in range(20)]
         # the other weights sum to 7, so nearly every pick is the cursor
-        assert all(c.op == OP_CURSOR_UP for seq in seqs for c in seq.commands)
-        assert seqs[0].commands
+        assert all(c.op == OP_CURSOR_UP for seq in seqs for c in seq)
+        assert seqs[0]
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -443,20 +445,18 @@ def whole(pred):
     ``pred(s[:k])``, as ``check_against`` stops at the first divergence.
     """
 
-    def fails(s: CommandSequence):
+    def fails(s: tuple[Command, ...]):
         for k in range(len(s) + 1):
-            if pred(CommandSequence(s.commands[:k])):
+            if pred(s[:k]):
                 return k
         return None
 
     return fails
 
 
-def seq_of(spec: str) -> CommandSequence:
+def seq_of(spec: str) -> tuple[Command, ...]:
     """``"a4 b1"`` is op ``a`` after 4 ticks, then op ``b`` after 1."""
-    return CommandSequence(
-        tuple(Command(word[0], int(word[1:])) for word in spec.split())
-    )
+    return tuple(Command(word[0], int(word[1:])) for word in spec.split())
 
 
 def first_completion(pattern: str, window: int):
@@ -467,8 +467,8 @@ def first_completion(pattern: str, window: int):
     ``window`` ticks apart; the predicate reports that prefix.
     """
 
-    def fails(s: CommandSequence):
-        ops, stamps = [c.op for c in s], s.timestamps
+    def fails(s: tuple[Command, ...]):
+        ops, stamps = [c.op for c in s], list(accumulate(c.delay for c in s))
         for end in range(len(ops)):
             if ops[end] != pattern[-1]:
                 continue
@@ -499,31 +499,29 @@ FIRST_COMPLETION_CASES = dict(
 
 class TestShrinkSequence:
     def test_length_predicate_shrinks_to_exact_bound(self):
-        seq = CommandSequence(tuple(Command(op, 5) for op in "yyxxxyx"))
-        seq = CommandSequence(seq.commands + seq.commands)  # make it long
+        seq = tuple(Command(op, 5) for op in "yyxxxyx")
+        seq = seq + seq  # make it long
         shrunk = shrink_sequence(seq, whole(lambda s: len(s) >= 4))
         assert len(shrunk) == 4
         assert all(c.delay == 1 for c in shrunk)
 
     def test_result_is_one_minimal(self):
-        def fails(s: CommandSequence) -> bool:
+        def fails(s: tuple[Command, ...]) -> bool:
             return sum(c.delay for c in s) >= 10
 
-        start = CommandSequence(tuple(Command("tick", 4) for _ in range(6)))
+        start = tuple(Command("tick", 4) for _ in range(6))
         shrunk = shrink_sequence(start, whole(fails))
         assert fails(shrunk)
         for i in range(len(shrunk)):
             assert not fails(without(shrunk, i))
-            delay = shrunk.commands[i].delay
+            delay = shrunk[i].delay
             if delay > 1:
-                assert not fails(shrunk.with_delay(i, delay // 2))
+                assert not fails(with_delay(shrunk, i, delay // 2))
 
     def test_preserves_order_of_survivors(self):
-        seq = CommandSequence(
-            (Command("a", 1), Command("b", 1), Command("c", 1), Command("b", 1))
-        )
+        seq = (Command("a", 1), Command("b", 1), Command("c", 1), Command("b", 1))
 
-        def fails(s: CommandSequence) -> bool:
+        def fails(s: tuple[Command, ...]) -> bool:
             ops = [c.op for c in s]
             return "b" in ops and "c" in ops and ops.index("b") < ops.index("c")
 
@@ -534,7 +532,7 @@ class TestShrinkSequence:
         seen = []
 
         # an "x" fails unless the command before it is a "b"
-        def fails(s: CommandSequence):
+        def fails(s: tuple[Command, ...]):
             seen.append(s)
             ops = [c.op for c in s]
             for index, op in enumerate(ops):
@@ -552,19 +550,19 @@ class TestShrinkSequence:
     def test_reset_level_failure_shrinks_to_nothing(self):
         calls = []
 
-        def fails(s: CommandSequence):
+        def fails(s: tuple[Command, ...]):
             calls.append(s)
             return 0
 
         # a reset-level failure is cut to nothing before it is shrunk, and
         # nothing is left to delete or halve
-        assert shrink_sequence(CommandSequence(), fails) == CommandSequence()
+        assert shrink_sequence((), fails) == ()
         assert calls == []
 
     def test_halving_that_moves_the_failure_earlier_cuts_safely(self):
         # "b" fails where it follows an "a"; an "a" issued one tick after
         # its predecessor fails at once, before any "b"
-        def fails(s: CommandSequence):
+        def fails(s: tuple[Command, ...]):
             seen_a = False
             for index, command in enumerate(s):
                 if command.op == "a" and command.delay == 1:
@@ -579,7 +577,7 @@ class TestShrinkSequence:
         assert shrink_sequence(seq_of("a2 b1"), fails) == seq_of("a1")
 
     def test_chunk_deletion_beats_single_steps_on_a_long_sequence(self):
-        def contains_x(s: CommandSequence) -> bool:
+        def contains_x(s: tuple[Command, ...]) -> bool:
             return any(c.op == "x" for c in s)
 
         seq = seq_of(" ".join(["a1"] * 17 + ["x1"] + ["a1"] * 6))
@@ -602,17 +600,17 @@ class TestShrinkSequence:
     @given(**FIRST_COMPLETION_CASES)
     def test_result_fails_is_cut_and_is_one_minimal(self, pattern, window, commands):
         fails = first_completion(pattern, window)
-        seq = CommandSequence(tuple(Command(op, delay) for op, delay in commands))
+        seq = tuple(Command(op, delay) for op, delay in commands)
         kept = fails(seq)
         assume(kept is not None)
         # the shrinker takes a cut input, as a replay hands it over
-        shrunk = shrink_sequence(CommandSequence(seq.commands[:kept]), fails)
+        shrunk = shrink_sequence(seq[:kept], fails)
         assert fails(shrunk) == len(shrunk)
         for i in range(len(shrunk)):
             assert fails(without(shrunk, i)) is None
-            delay = shrunk.commands[i].delay
+            delay = shrunk[i].delay
             if delay > 1:
-                assert fails(shrunk.with_delay(i, delay // 2)) is None
+                assert fails(with_delay(shrunk, i, delay // 2)) is None
 
     @staticmethod
     def logged(fails, cut, log):
@@ -620,21 +618,21 @@ class TestShrinkSequence:
         a proper prefix of the cut the shrinker holds when it is offered."""
         current = cut
 
-        def wrapped(candidate: CommandSequence):
+        def wrapped(candidate: tuple[Command, ...]):
             nonlocal current
             n = len(candidate)
-            prefix = n < len(current) and candidate.commands == current.commands[:n]
+            prefix = n < len(current) and candidate == current[:n]
             log.append((candidate, prefix))
             k = fails(candidate)
             if k is not None:
-                current = CommandSequence(candidate.commands[:k])
+                current = candidate[:k]
             return k
 
         return wrapped
 
     @staticmethod
-    def all_ones(seq: CommandSequence) -> CommandSequence:
-        return CommandSequence(tuple(Command(c.op, 1) for c in seq))
+    def all_ones(seq: tuple[Command, ...]) -> tuple[Command, ...]:
+        return tuple(Command(c.op, 1) for c in seq)
 
     @settings(max_examples=200, deadline=None)
     @given(**FIRST_COMPLETION_CASES)
@@ -642,10 +640,10 @@ class TestShrinkSequence:
         self, pattern, window, commands
     ):
         fails = first_completion(pattern, window)
-        seq = CommandSequence(tuple(Command(op, delay) for op, delay in commands))
+        seq = tuple(Command(op, delay) for op, delay in commands)
         kept = fails(seq)
         assume(kept is not None)
-        cut = CommandSequence(seq.commands[:kept])
+        cut = seq[:kept]
 
         offered = []
         shrunk = shrink_sequence(cut, self.logged(fails, cut, offered))
@@ -658,7 +656,7 @@ class TestShrinkSequence:
             offered = offered[1:]
             kept = fails(ones)
             if kept is not None:
-                opened = CommandSequence(ones.commands[:kept])
+                opened = ones[:kept]
         reference_offered = []
         reference = reference_shrink(opened, self.logged(fails, opened, reference_offered))
         assert shrunk == reference
@@ -675,10 +673,10 @@ class TestShrinkSequence:
         # fails once the delays add up to ``bound``, so setting every delay
         # of a cut shorter than ``bound`` to one tick passes
         fails = whole(lambda s: sum(c.delay for c in s) >= bound)
-        seq = CommandSequence(tuple(Command("t", delay) for delay in delays))
+        seq = tuple(Command("t", delay) for delay in delays)
         kept = fails(seq)
         assume(kept is not None and kept < bound)
-        cut = CommandSequence(seq.commands[:kept])
+        cut = seq[:kept]
 
         offered, reference_offered = [], []
         shrunk = shrink_sequence(cut, self.logged(fails, cut, offered))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import copy
 import gc
 import pickle
@@ -792,6 +793,28 @@ class TestFormatting:
             "  actions: inc\n"
             "  states: x=0 | x=1\n"
         )
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(), st.text())
+    def test_every_record_stays_one_line_whatever_the_strings(self, start, end):
+        model = StateModel(
+            ["s"],
+            [State({"s": start})],
+            [ActionSpec("go", lambda s: s["s"] == start, lambda s: s.assign(s=end))],
+        )
+        behaviours = correct_behaviours(model, 1)
+        lines = format_behaviours(behaviours).splitlines()
+        assert len(lines) == 1 + 4 * len(behaviours)
+        for line in lines:
+            assert line.isprintable()
+        # the escapes are a Python string literal's, so the text reads back
+        for value in (start, end):
+            rendered = format_state(State({"s": value}))
+            assert rendered.startswith("s=") and ast.literal_eval(rendered[2:]) == value
+
+    def test_characters_that_break_a_line_are_escaped(self):
+        s = State({"s": 'a\nb\tc\rd\u2028e\x00f"g\\h\U000e0001é'})
+        assert format_state(s) == 's="a\\nb\\tc\\rd\\u2028e\\u0000f\\"g\\\\h\\U000e0001é"'
 
     def test_document_is_deterministic(self):
         model = random_model(11)

@@ -17,7 +17,6 @@ from stpt import (
     And,
     Box,
     Command,
-    CommandSequence,
     Deferred,
     Fail,
     FailKind,
@@ -243,12 +242,10 @@ class TestTheracSuite:
 
     def test_bug_surfaces_as_sut_mismatch(self):
         suite = therac_suite(FAULT_SEQUENCE_BUG)
-        seq = CommandSequence(
-            (
-                Command(OP_SELECT_PHOTON, 1),
-                Command(OP_CURSOR_UP, 3),
-                Command(OP_SELECT_ELECTRON, 4),
-            )
+        seq = (
+            Command(OP_SELECT_PHOTON, 1),
+            Command(OP_CURSOR_UP, 3),
+            Command(OP_SELECT_ELECTRON, 4),
         )
         result = check_against(
             suite.model, suite.make_adapter(), suite.abstraction, seq
@@ -309,7 +306,7 @@ class FixedAnswers:
         return self._hand(self._apply, PHOTON)
 
 
-PHOTON_ONCE = CommandSequence((Command(OP_SELECT_PHOTON, 1),))
+PHOTON_ONCE = (Command(OP_SELECT_PHOTON, 1),)
 INIT = {"mode": MODE_NONE, "beam": BEAM_OFF}
 PHOTON = {"mode": MODE_PHOTON, "beam": BEAM_PHOTON}
 # a state the therac model never reaches
@@ -932,7 +929,7 @@ class TestTableRows:
 
     def run_row(self, fault, init, ops):
         suite = robot_suite(fault, config=RobotConfig(init=init))
-        seq = CommandSequence(tuple(Command(op, 1) for op in ops))
+        seq = tuple(Command(op, 1) for op in ops)
         return check_against(
             suite.model,
             suite.make_adapter(),
@@ -1003,7 +1000,7 @@ class TestRobotProperties:
                 assert compile_invariant(inv) is always_true
         assert compile_invariant(obligation) not in (always_true, always_false)
 
-        seq = CommandSequence((Command("moveToB", 1),))
+        seq = (Command("moveToB", 1),)
         result = check_against(
             suite.model,
             suite.make_adapter(),
