@@ -18,7 +18,7 @@ So checking a trace against formula text loads only ``spatial`` and
 _HOME = {
     name: module
     for module, names in (
-        ("conformance", """AlreadyCompleted CheckResult Deferred Fail FailKind FailureRecord
+        ("conformance", """CheckResult Deferred Fail FailKind FailureRecord
             NotAFailure Pass RawObservation RunReport Witness check_against classify
             run_property"""),
         ("formula_text", "FormulaParseError format_invariant parse_invariant"),

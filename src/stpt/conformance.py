@@ -1,8 +1,8 @@
 """Conformance checking of a running system against a state model.
 
 A command sequence is replayed against both the model and the system
-under test (SUT). The SUT side is asynchronous: every applied command
-yields a :class:`Deferred` that completes with a raw observation. An
+under test (SUT). Each SUT call answers with a raw observation: settled,
+in a :class:`Deferred`, or late, in a :class:`concurrent.futures.Future`. An
 abstraction function maps raw observations back into model states, and
 the replay tracks the model state consistent with what it saw. Spatial
 obligations are evaluated against the occupancy facts each observation
@@ -17,7 +17,9 @@ import time
 from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import chain
-from typing import Any, Callable, Generic, Iterable, Optional, Protocol, TypeVar, Union
+from typing import (
+    TYPE_CHECKING, Any, Callable, Generic, Iterable, Optional, Protocol, TypeVar, Union,
+)
 
 from .genrand import Command, Generator, Rng, shrink_sequence
 from .spatial import (
@@ -31,11 +33,10 @@ from .spatial import (
 )
 from .statemodel import State, StateModel, _row
 
+if TYPE_CHECKING:
+    from concurrent.futures import Future
+
 A = TypeVar("A")
-
-
-class AlreadyCompleted(RuntimeError):
-    """A deferred result can be resolved exactly once."""
 
 
 class NotAFailure(ValueError):
@@ -43,73 +44,32 @@ class NotAFailure(ValueError):
 
 
 class Deferred(Generic[A]):
-    """Single-assignment asynchronous result.
+    """A settled answer, built by :meth:`successful` or :meth:`failed`.
 
-    Resolve once with :meth:`complete` or :meth:`fail`; a second
-    resolution, from any thread, raises :class:`AlreadyCompleted`.
-    Consume with :meth:`wait`, which blocks until the outcome is set or
-    the timeout passes. :meth:`successful` and :meth:`failed` build one
-    that is resolved from the start: an outcome is never unset, so it
-    needs no lock, and each builds it in one frame. A replay can make one
-    per step, so the four fields are slots; ``_abstracted`` is the memo
-    of :func:`check_against`. A resolved one never changes, so an adapter
-    may hand the same one out for several calls, as the suites'
-    simulators do for an answer they have built before.
+    A late answer is a :class:`concurrent.futures.Future` instead. A replay
+    can make one per step, so the fields are slots; ``_abstracted`` is the
+    memo of :func:`check_against`. One never changes, so an adapter may
+    hand the same one out for several calls, as the suites' simulators do.
     """
 
-    __slots__ = ("_lock", "_pending", "_outcome", "_abstracted")
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        # Held while unresolved; each waiter that gets it passes it on.
-        self._pending = threading.Lock()
-        self._pending.acquire()
-        self._outcome: Optional[tuple[str, Any]] = None
-        self._abstracted: Optional[tuple[Abstraction, State]] = None
+    __slots__ = ("_outcome", "_abstracted")
 
     @classmethod
     def successful(cls, value: A) -> Deferred[A]:
         d: Deferred[A] = cls.__new__(cls)
-        d._lock = d._pending = d._abstracted = None
         d._outcome = ("ok", value)
+        d._abstracted = None
         return d
 
     @classmethod
     def failed(cls, error: BaseException) -> Deferred[A]:
         d: Deferred[A] = cls.__new__(cls)
-        d._lock = d._pending = d._abstracted = None
         d._outcome = ("failed", error)
+        d._abstracted = None
         return d
 
-    def complete(self, value: A) -> None:
-        self._resolve(("ok", value))
-
-    def fail(self, error: BaseException) -> None:
-        self._resolve(("failed", error))
-
-    def _resolve(self, outcome: tuple[str, Any]) -> None:
-        if self._outcome is None:
-            with self._lock:
-                if self._outcome is None:
-                    self._outcome = outcome
-                    self._pending.release()
-                    return
-        raise AlreadyCompleted("deferred already resolved")
-
-    def wait(self, timeout: Optional[float] = None) -> Optional[tuple[str, Any]]:
-        """Outcome tuple ("ok", value) / ("failed", error), or None on timeout.
-
-        A timeout of zero or less polls without blocking, and one above
-        ``threading.TIMEOUT_MAX``, infinity included, waits without limit.
-        """
-        if self._outcome is None:
-            # Lock.acquire reads -1 as "forever", so a negative timeout polls
-            unlimited = timeout is None or timeout > threading.TIMEOUT_MAX
-            limit = -1 if unlimited else max(timeout, 0)
-            if self._pending.acquire(timeout=limit):
-                self._pending.release()
-        # None only on timeout: a poll that lost the lock to another waiter
-        # still finds the outcome, which is set before the lock is released
+    def wait(self, timeout: Optional[float] = None) -> tuple[str, Any]:
+        """The outcome: ("ok", value) or ("failed", error). It never waits."""
         return self._outcome
 
 
@@ -127,9 +87,13 @@ class RawObservation:
 
 
 class SutAdapter(Protocol):
-    def reset(self) -> Deferred[RawObservation]: ...
+    """Each call answers with a :class:`Deferred`, or a late one with a Future."""
 
-    def apply(self, command: Command, at_time: int) -> Deferred[RawObservation]: ...
+    def reset(self) -> Deferred[RawObservation] | Future[RawObservation]: ...
+
+    def apply(
+        self, command: Command, at_time: int
+    ) -> Deferred[RawObservation] | Future[RawObservation]: ...
 
 
 Abstraction = Callable[[RawObservation], State]
@@ -244,10 +208,10 @@ def check_against(
     The replay is one loop: the reset is its first step and each command
     one more. A command step asks the model first, so an operation it
     rejects (unknown, or disabled in the consistent state) never reaches
-    the SUT. Then every step runs the same body: the SUT call
-    (``Timeout`` if it does not settle, ``SutError`` if it raises, answers
-    with anything but a :class:`Deferred`, or its Deferred fails or
-    raises from ``wait``), the abstraction (``AbstractionError`` if it raises),
+    the SUT. Then every step runs the same body: the SUT call (``SutError``
+    if it raises, answers with neither a :class:`Deferred` nor a Future, or
+    its answer fails, is cancelled or raises from ``wait``; ``Timeout`` if
+    a Future is not done in time), the abstraction (``AbstractionError``),
     the match (``InitMismatch`` at the reset, ``SutMismatch`` after it)
     and the invariants, judged as given on the step's occupancy
     (``SpatialViolation``, or ``SutError`` if the occupancy cannot be
@@ -265,14 +229,14 @@ def check_against(
     answer of type :class:`Deferred` (no subclass) keeps ``(abstraction,
     state)`` in its ``_abstracted`` slot, unless the abstraction raised, so
     a step that gets it back with the same abstraction skips the call. The
-    key is the Deferred, which never changes once resolved and lives as
-    long as its memo, not the observation, which an adapter may rewrite
-    for a fresh Deferred. The issue time of each command is kept as a
-    running clock.
+    key is the Deferred, which never changes and lives as long as its
+    memo, not the observation, which an adapter may rewrite for a fresh
+    Deferred. A Future is abstracted at every step. The issue time of each
+    command is kept as a running clock.
     A ``timeout`` is seconds: ``inf`` waits without limit and zero or less
     polls. One that is not an ``int`` or ``float``, is a ``bool`` or is
     NaN raises ValueError before the reset, as in :func:`run_property`,
-    rather than failing the first ``wait`` as if the SUT had.
+    rather than failing the first wait as if the SUT had.
     """
     _check_timeout(timeout)
     seq = tuple(seq)
@@ -301,14 +265,25 @@ def check_against(
                 return _fail(FailKind.DISABLED_ACTION, seq, at, (state,), note=note)
         try:
             answer = adapter.reset() if command is None else adapter.apply(command, at_time)
-            # a resolved Deferred is read in place; any other is waited on
-            if type(answer) is Deferred and answer._outcome is not None:
+            # a Deferred is settled: an exact one is read in place, a
+            # subclass through its wait; a Future is waited on
+            if type(answer) is Deferred:
                 settled = answer._outcome
             elif isinstance(answer, Deferred):
                 settled = answer.wait(timeout)
             else:
-                note = f"SUT {_call(command)} returned {answer!r}, not a Deferred"
-                return _fail(FailKind.SUT_ERROR, seq, at, expected, note=note)
+                # imported on first use: at the top it adds about 6 ms to set-up
+                from concurrent.futures import Future, TimeoutError as FutureTimeout
+                if not isinstance(answer, Future):
+                    got = type(answer).__name__
+                    note = f"SUT {_call(command)} returned {got}, not a Deferred or a Future"
+                    return _fail(FailKind.SUT_ERROR, seq, at, expected, note=note)
+                try:
+                    error = answer.exception(None if timeout > threading.TIMEOUT_MAX else timeout)
+                except FutureTimeout:
+                    settled = None
+                else:
+                    settled = ("ok", answer.result()) if error is None else ("failed", error)
         except Exception as err:
             settled = ("failed", err)
         if settled is None:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate
 from struct import Struct
-from typing import Callable, Generic, Mapping, Optional, TypeVar
+from typing import Callable, Generic, Mapping, Optional, Sequence, TypeVar
 
 from .spatial import is_int
 from .statemodel import State, StateModel, enabled_actions, successors
@@ -332,7 +332,7 @@ def gen_enabled_commands(
 
 
 def shrink_sequence(
-    seq: tuple[Command, ...],
+    seq: Sequence[Command],
     fails: Callable[[tuple[Command, ...]], Optional[int]],
 ) -> tuple[Command, ...]:
     """Minimize ``seq`` while ``fails`` still reports a failure.
@@ -341,9 +341,9 @@ def shrink_sequence(
     leading commands its failure needed (0 for a failure before the first
     command): ``fails(c) == k`` means ``c[:k]`` fails and no shorter
     prefix of ``c`` does. A replay that stops at its first divergence
-    meets this. ``seq`` already fails, and is already cut after the
-    command its failure needed, so ``fails`` is never called on it. Every
-    failing candidate is cut to that prefix, which costs no further call.
+    meets this. ``seq``, read into a tuple, already fails and is cut after
+    the command its failure needed, so ``fails`` is never called on it.
+    Every failing candidate is cut to that prefix at no further call.
 
     Time shrinks first: when some delay is above 1, the cut with every
     delay set to one tick is offered before anything else, as an integer
@@ -362,7 +362,7 @@ def shrink_sequence(
     For a ``fails`` that is not deterministic, only the verdict on such a
     deletion rests on the contract instead of a call.
     """
-    current = seq
+    current = tuple(seq)
 
     def accept(candidate: tuple[Command, ...]) -> bool:
         nonlocal current

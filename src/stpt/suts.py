@@ -81,7 +81,7 @@ class _Simulator:
 
     An answer is keyed by all it depends on, the clock last: mode, beam and
     clock for the terminal, position and clock for the arm. ``_observe(key)``
-    builds it on a miss; a hit gets the resolved
+    builds it on a miss; a hit gets the settled
     :class:`~stpt.conformance.Deferred` built before, which never changes,
     so it equals a fresh build. Replays reset the clock to 0 and issue with
     delays of 1 to 5, so keys come back replay after replay. A simulator
@@ -377,7 +377,7 @@ def robot_config_from_json(data: object) -> RobotConfig:
 class RobotSim(_Simulator):
     """Arm travelling between waypoints on a plane.
 
-    Moves take ``motion_duration`` ticks; the deferred completes carrying
+    Moves take ``motion_duration`` ticks; each answer carries
     the arrival clock. While parked on a documented waypoint the arm
     reports an occupancy fact for that waypoint's footprint; on an
     undocumented position it reports nothing. The footprints, init position

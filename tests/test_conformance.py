@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import random
+import re
 import threading
 import time
+from concurrent.futures import Future
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -20,7 +23,6 @@ from helpers import (
 )
 from stpt import (
     ActionSpec,
-    AlreadyCompleted,
     And,
     Box,
     Command,
@@ -52,6 +54,7 @@ from stpt import (
     therac_suite,
 )
 from stpt import conformance
+from stpt.reports import config_echo, report_to_json
 from stpt.statemodel import step, successors
 from stpt.suts import BEAM_ELECTRON, MODE_ELECTRON, OP_CURSOR_UP, OP_OTHER
 from stpt.suts import OP_SELECT_ELECTRON, OP_SELECT_PHOTON
@@ -141,26 +144,29 @@ class RandomSut(ToggleSut):
         return reply
 
 
-class TestDeferred:
-    def test_complete_then_wait(self):
-        d: Deferred[int] = Deferred()
-        d.complete(5)
-        assert d.wait(0) == ("ok", 5)
+def later(answer: Deferred[RawObservation], delay: float = 0.01) -> Future:
+    """A Future that a timer thread settles with ``answer``'s outcome ``delay`` s later."""
+    future: Future = Future()
+    status, value = answer.wait()
+    settle = future.set_result if status == "ok" else future.set_exception
+    threading.Timer(delay, settle, args=(value,)).start()
+    return future
 
+
+class LateToggle(ToggleSut):
+    """A toggle whose every answer is a Future that settles 10 ms later."""
+
+    def reset(self) -> Future:
+        return later(super().reset())
+
+    def apply(self, command: Command, at_time: int) -> Future:
+        return later(super().apply(command, at_time))
+
+
+class TestDeferred:
     def test_fail_then_wait(self):
         boom = RuntimeError("boom")
         assert Deferred.failed(boom).wait(0) == ("failed", boom)
-
-    def test_wait_times_out_with_none(self):
-        assert Deferred().wait(0.01) is None
-
-    def test_resolution_is_exactly_once(self):
-        d: Deferred[int] = Deferred()
-        d.complete(1)
-        with pytest.raises(AlreadyCompleted):
-            d.complete(2)
-        with pytest.raises(AlreadyCompleted):
-            d.fail(RuntimeError())
 
     @pytest.mark.parametrize(
         "made, outcome",
@@ -181,80 +187,7 @@ class TestDeferred:
                 assert value == outcome[1]
             else:
                 assert isinstance(value, outcome[1])
-        with pytest.raises(AlreadyCompleted):
-            d.complete(6)
-        with pytest.raises(AlreadyCompleted):
-            d.fail(RuntimeError())
         assert d.wait(0)[0] == outcome[0]
-
-    def test_racing_resolutions_have_one_winner(self):
-        d: Deferred[int] = Deferred()
-        start = threading.Barrier(4)
-        winners = []
-
-        def resolve(value: int) -> None:
-            start.wait()
-            try:
-                d.complete(value)
-                winners.append(value)
-            except AlreadyCompleted:
-                pass
-
-        threads = [threading.Thread(target=resolve, args=(v,)) for v in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert len(winners) == 1
-        assert d.wait(0) == ("ok", winners[0])
-
-    def test_wait_blocks_until_cross_thread_completion(self):
-        d: Deferred[int] = Deferred()
-        threading.Timer(0.01, lambda: d.complete(7)).start()
-        assert d.wait(2) == ("ok", 7)
-
-    @pytest.mark.parametrize(
-        "timeout", [float("inf"), threading.TIMEOUT_MAX * 2], ids=["inf", "twice-max"]
-    )
-    def test_timeout_beyond_the_platform_limit_waits_without_limit(self, timeout):
-        d: Deferred[int] = Deferred()
-        threading.Timer(0.01, lambda: d.complete(7)).start()
-        assert d.wait(timeout) == ("ok", 7)
-
-    @pytest.mark.parametrize("timeout", [0, -1, -0.5])
-    def test_pending_poll_returns_none_at_once(self, timeout):
-        d: Deferred[int] = Deferred()
-        started = time.monotonic()
-        assert d.wait(timeout) is None
-        assert time.monotonic() - started < 0.5
-
-    def test_every_blocked_waiter_gets_the_outcome(self):
-        d: Deferred[int] = Deferred()
-        waiters = 4
-        start = threading.Barrier(waiters + 1)
-        got = []
-
-        def wait(timeout) -> None:
-            start.wait()
-            got.append(d.wait(timeout))
-
-        threads = [
-            threading.Thread(target=wait, args=(t,), daemon=True)
-            for t in [None, 10.0] * (waiters // 2)
-        ]
-        for t in threads:
-            t.start()
-        start.wait()
-        time.sleep(0.05)  # let the waiters block
-        resolver = threading.Thread(target=d.complete, args=(7,))
-        resolver.start()
-        resolver.join(5)
-        for t in threads:
-            t.join(5)
-        assert not resolver.is_alive()
-        assert not any(t.is_alive() for t in threads)
-        assert got == [("ok", 7)] * waiters
-        assert d.wait(0) == ("ok", 7)
 
 
 class TestCheckAgainst:
@@ -357,28 +290,57 @@ class TestCheckAgainst:
     def test_apply_timeout(self):
         class Hanging(ToggleSut):
             def apply(self, command, at_time):
-                return Deferred()
+                return Future()
 
         result = self.run_toggle(Hanging(), ["turnOn"], timeout=0.05)
         assert isinstance(result, Fail)
         assert result.kind == FailKind.TIMEOUT
         assert result.witness.fail_index == 0
 
-    def test_infinite_timeout_waits_for_a_late_completion(self):
-        class LateSut(ToggleSut):
-            def apply(self, command, at_time):
-                d: Deferred[RawObservation] = Deferred()
-                _, raw = super().apply(command, at_time).wait(0)
-                threading.Timer(0.01, d.complete, args=(raw,)).start()
-                return d
-
-        result = self.run_toggle(LateSut(), ["turnOn", "turnOff"], timeout=float("inf"))
+    @pytest.mark.parametrize(
+        "timeout", [2.0, float("inf"), threading.TIMEOUT_MAX * 2],
+        ids=["in-time", "inf", "twice-max"],
+    )
+    def test_a_future_completed_late_within_the_timeout_passes(self, timeout):
+        # beyond threading.TIMEOUT_MAX the wait has no limit
+        result = self.run_toggle(LateToggle(), ["turnOn", "turnOff"], timeout=timeout)
         assert result == Pass()
+
+    @pytest.mark.parametrize("when", ["at-once", "late"])
+    @pytest.mark.parametrize(
+        "settle, raised",
+        [
+            (lambda f: f.set_exception(RuntimeError("boom")), "RuntimeError('boom')"),
+            (lambda f: f.set_exception(TimeoutError("sut gave up")),
+             "TimeoutError('sut gave up')"),
+            (lambda f: f.cancel(), "CancelledError()"),
+        ],
+        ids=["runtime-error", "timeout-error", "cancelled"],
+    )
+    def test_a_future_settled_with_an_error_is_a_sut_error(self, settle, raised, when):
+        # a SUT's own TimeoutError is its error, not the harness's Timeout
+        class Erring(ToggleSut):
+            def apply(self, command, at_time):
+                answer: Future = Future()
+                if when == "at-once":
+                    settle(answer)
+                else:
+                    threading.Timer(0.01, settle, args=(answer,)).start()
+                return answer
+
+        result = self.run_toggle(Erring(), ["turnOn"], timeout=2.0)
+        assert result == Fail(
+            FailKind.SUT_ERROR,
+            Witness(
+                (Command("turnOn", 1),), 0, (State({"on": True}),),
+                note=f"SUT apply 'turnOn' raised {raised}",
+            ),
+        )
 
     def test_reset_timeout(self):
         class HangingReset(ToggleSut):
             def reset(self):
-                return Deferred()
+                return Future()
 
         result = self.run_toggle(HangingReset(), [], timeout=0.05)
         assert isinstance(result, Fail)
@@ -386,16 +348,16 @@ class TestCheckAgainst:
         assert result.witness.fail_index is None
 
     def test_rejects_a_nan_timeout_before_the_reset(self):
-        # a pending Deferred's wait raises on NaN, which must not be
-        # reported as the SUT's error
+        # a pending Future would be polled under NaN, and its SUT blamed
+        # for a Timeout
         class Pending(ToggleSut):
             def reset(self):
                 self.resets += 1
-                return Deferred()
+                return Future()
 
             def apply(self, command, at_time):
                 self.applied.append((command.op, at_time))
-                return Deferred()
+                return Future()
 
         sut = Pending()
         with pytest.raises(ValueError, match="timeout must not be NaN"):
@@ -409,10 +371,7 @@ class TestCheckAgainst:
         # taken as one second (True)
         class LateReset(ToggleSut):
             def reset(self):
-                _, raw = super().reset().wait(0)
-                d: Deferred[RawObservation] = Deferred()
-                threading.Timer(0.01, d.complete, args=(raw,)).start()
-                return d
+                return later(super().reset())
 
         sut = LateReset()
         with pytest.raises(ValueError) as refused:
@@ -426,9 +385,11 @@ class TestCheckAgainst:
     def test_a_timeout_of_zero_or_less_polls(self, timeout):
         class HangingReset(ToggleSut):
             def reset(self):
-                return Deferred()
+                return Future()
 
+        started = time.monotonic()
         result = self.run_toggle(HangingReset(), [], timeout=timeout)
+        assert time.monotonic() - started < 0.5
         assert isinstance(result, Fail) and result.kind == FailKind.TIMEOUT
         # a resolved answer is read whatever the timeout
         assert self.run_toggle(ToggleSut(), ["turnOn"], timeout=timeout) == Pass()
@@ -554,7 +515,7 @@ class ScriptedSut:
 
     An entry is ``(how, payload)``: "ok" completes with the payload, "arm"
     also reports ``ARM_FACT``, "raise" raises from the call, "fail"
-    returns a failed Deferred and "hang" one that never completes.
+    returns a failed Deferred and "hang" a Future that never completes.
     """
 
     ARM_FACT = OccupancyFact("arm", TimeWindow(0, 100), Box(0, 0, 4, 4))
@@ -569,7 +530,7 @@ class ScriptedSut:
         if how == "fail":
             return Deferred.failed(RuntimeError(f"{call} failed"))
         if how == "hang":
-            return Deferred()
+            return Future()
         facts = (self.ARM_FACT,) if how == "arm" else ()
         return Deferred.successful(RawObservation(payload, facts, clock))
 
@@ -690,6 +651,25 @@ class TestWitnessTable:
         # the replay stops at the failure: no call after it was made
         assert sut.script == []
 
+    def test_no_note_holds_an_address(self):
+        # an object's repr holds its address, which differs between runs
+        notes = []
+        for seq, script, _ in WITNESS_TABLE.values():
+            result = check_against(
+                fork_model(), ScriptedSut(script), fork_abstraction, seq, (WANT_BIG,),
+                timeout=0.01,
+            )
+            notes.append(result.witness.note)
+        for made, _ in ODD_ANSWERS.values():
+            for call in ("reset", "apply"):
+                result = check_against(
+                    toggle_model(), OddSut(made, call), toggle_abstraction,
+                    (Command("turnOn", 1),),
+                )
+                notes.append(result.witness.note)
+        assert len(notes) == len(WITNESS_TABLE) + 2 * len(ODD_ANSWERS)
+        assert [note for note in notes if re.search("0x[0-9a-f]", note)] == []
+
 
 class TestSerialization:
     def test_apply_waits_for_the_previous_completion(self):
@@ -718,15 +698,15 @@ class TestSerialization:
                     self.pending += 1
                     self.count += 1
                     value = self.count
-                d: Deferred[RawObservation] = Deferred()
+                answer: Future = Future()
 
                 def finish():
                     with self.lock:
                         self.pending -= 1
-                    d.complete(RawObservation(value))
+                    answer.set_result(RawObservation(value))
 
                 threading.Timer(0.002, finish).start()
-                return d
+                return answer
 
         sut = AsyncCounter()
         seq = tuple(Command("inc", 1) for _ in range(20))
@@ -999,6 +979,41 @@ class TestPassImpliesConformance:
                     FailKind.SPATIAL_VIOLATION,
                     FailKind.UNKNOWN_OPERATION,
                 )
+
+
+class RaisingWait(Deferred):
+    """A settled answer whose wait raises."""
+
+    def wait(self, timeout=None):
+        raise RuntimeError("wait broke")
+
+
+# an odd answer: how to make it, and the note of the SutError it gives
+ODD_ANSWERS = {
+    "none": (lambda: None, "SUT {} returned NoneType, not a Deferred or a Future"),
+    "object": (lambda: 7, "SUT {} returned int, not a Deferred or a Future"),
+    "bare-object": (object, "SUT {} returned object, not a Deferred or a Future"),
+    "raising-wait": (
+        lambda: RaisingWait.successful(RawObservation(False)),
+        "SUT {} raised RuntimeError('wait broke')",
+    ),
+}
+
+
+class OddSut(ToggleSut):
+    """A toggle that answers its reset, or every apply, with ``made()``."""
+
+    def __init__(self, made, call: str) -> None:
+        super().__init__()
+        self.made, self.call = made, call
+
+    def reset(self):
+        answer = super().reset()
+        return self.made() if self.call == "reset" else answer
+
+    def apply(self, command, at_time):
+        answer = super().apply(command, at_time)
+        return self.made() if self.call == "apply" else answer
 
 
 class TestRunProperty:
@@ -1332,41 +1347,19 @@ class TestRunProperty:
             assert record.shrunk.sequence == ()
 
     @pytest.mark.parametrize("call", ["reset", "apply"])
-    @pytest.mark.parametrize("answer", ["none", "object", "raising-wait"])
+    @pytest.mark.parametrize("answer", sorted(ODD_ANSWERS))
     def test_an_answer_that_is_no_deferred_becomes_a_sut_error(self, answer, call):
-        class RaisingWait(Deferred):
-            def wait(self, timeout=None):
-                raise RuntimeError("wait broke")
-
-        made = {
-            "none": lambda: None,
-            "object": lambda: 7,
-            "raising-wait": lambda: RaisingWait.successful(RawObservation(False)),
-        }[answer]
-        want = {
-            "none": "SUT {} returned None, not a Deferred",
-            "object": "SUT {} returned 7, not a Deferred",
-            "raising-wait": "SUT {} raised RuntimeError('wait broke')",
-        }[answer]
-
-        class OddSut(ToggleSut):
-            def reset(self):
-                answer = super().reset()
-                return made() if call == "reset" else answer
-
-            def apply(self, command, at_time):
-                answer = super().apply(command, at_time)
-                return made() if call == "apply" else answer
-
+        made, want = ODD_ANSWERS[answer]
+        sut = OddSut(made, call)
         seq = (Command("turnOn", 1), Command("turnOff", 1))
-        result = check_against(toggle_model(), OddSut(), toggle_abstraction, seq)
+        result = check_against(toggle_model(), sut, toggle_abstraction, seq)
         assert isinstance(result, Fail) and result.kind is FailKind.SUT_ERROR
         assert result.witness.fail_index == (None if call == "reset" else 0)
         named = "reset" if call == "reset" else "apply 'turnOn'"
         assert result.witness.note == want.format(named)
 
         report = run_property(
-            toggle_model(), OddSut(), toggle_abstraction, self.GEN, num_tests=5
+            toggle_model(), OddSut(made, call), toggle_abstraction, self.GEN, num_tests=5
         )
         assert report.tests_failed == 5
         for record in report.failures:
@@ -1443,16 +1436,16 @@ class TestRunProperty:
             def apply(self, command, at_time):
                 if command.op != "turnOn" or at_time < 6:
                     return super().apply(command, at_time)
-                d: Deferred[RawObservation] = Deferred()
+                answer: Future = Future()
 
                 def complete_late():
                     self.gave_up.wait(5)
                     self.init_value = True
-                    d.complete(RawObservation(True, (), at_time))
+                    answer.set_result(RawObservation(True, (), at_time))
 
                 late_threads.append(threading.Thread(target=complete_late))
                 late_threads[-1].start()
-                return d
+                return answer
 
         def factory():
             built.append(LateSut())
@@ -1495,13 +1488,41 @@ class TestRunProperty:
         assert len(built) == 1 + sum(timeouts[:-1]) > 2
         assert reused_after_timeout == []
 
+    def test_a_future_that_never_completes_is_a_timeout_and_its_adapter_is_dropped(self):
+        built = []
+
+        class Hanging(ToggleSut):
+            """A late turnOn answers with a Future that never completes."""
+
+            hung = 0
+
+            def apply(self, command, at_time):
+                if command.op == "turnOn" and at_time >= 6:
+                    self.hung += 1
+                    return Future()
+                return super().apply(command, at_time)
+
+        def factory():
+            built.append(Hanging())
+            return built[-1]
+
+        report = run_property(
+            toggle_model(), None, toggle_abstraction, self.GEN,
+            num_tests=12, seed=2, timeout=0.01, adapter_factory=factory,
+        )
+        assert {r.kind for r in report.failures} == {FailKind.TIMEOUT}
+        # each adapter is dropped after the one replay that timed out on it
+        assert len(built) > 2
+        assert [sut.hung for sut in built[:-1]] == [1] * (len(built) - 1)
+        assert built[-1].hung <= 1
+
     def test_timeout_resets_the_lone_adapter_for_the_next_replay(self, monkeypatch):
         class HangingSut(ToggleSut):
             """A late turnOn never completes."""
 
             def apply(self, command, at_time):
                 if command.op == "turnOn" and at_time >= 6:
-                    return Deferred()
+                    return Future()
                 return super().apply(command, at_time)
 
         sut = HangingSut()
@@ -1881,7 +1902,7 @@ class HostileSut:
     """A suite's SUT that misbehaves on drawn triggers.
 
     ``triggers`` maps an operation and its issue time modulo 5 to a
-    fault: "raise" raises from ``apply``, "never" returns a Deferred
+    fault: "raise" raises from ``apply``, "never" returns a Future
     that never completes, and "late" one that the next call through any
     adapter sharing ``late`` completes, after the harness gave up on it.
     ``reset_fault``, if set, does the same to every ``reset``. A trigger
@@ -1897,12 +1918,12 @@ class HostileSut:
 
     def _complete_late(self) -> None:
         while self.late:
-            self.late.pop().complete(RawObservation({"mode": "late", "beam": "late"}))
+            self.late.pop().set_result(RawObservation({"mode": "late", "beam": "late"}))
 
-    def _misbehave(self, fault: str, call: str) -> Deferred[RawObservation]:
+    def _misbehave(self, fault: str, call: str) -> Future:
         if fault == "raise":
             raise RuntimeError(f"hostile {call}")
-        pending: Deferred[RawObservation] = Deferred()
+        pending: Future = Future()
         if fault == "late":
             self.late.append(pending)
         return pending
@@ -1976,6 +1997,110 @@ class TestHostileSut:
                 record.kind,
                 record.shrunk.fail_index,
             )
+
+
+def settle(answer: Deferred[RawObservation]) -> RawObservation:
+    """What a blocking call returns, or raises, for a settled answer."""
+    status, value = answer.wait()
+    if status != "ok":
+        raise value
+    return value
+
+
+class BlockingSim:
+    """A suite's simulator as a client whose calls block: each returns
+    its observation or raises its error. ``slow`` names an operation whose
+    apply first waits for ``wake``, for at most 5 s."""
+
+    def __init__(self, sim, slow=None, wake=None) -> None:
+        self.sim, self.slow, self.wake = sim, slow, wake
+
+    def reset(self) -> RawObservation:
+        return settle(self.sim.reset())
+
+    def apply(self, command: Command, at_time: int) -> RawObservation:
+        if command.op == self.slow:
+            self.wake.wait(5)
+        return settle(self.sim.apply(command, at_time))
+
+
+def readme_executor_adapter():
+    """README's ``ExecutorAdapter``, run as written there."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    (block,) = [
+        block.split("```", 1)[0]
+        for block in readme.split("```python\n")[1:]
+        if "class ExecutorAdapter" in block.split("```", 1)[0]
+    ]
+    scope: dict = {}
+    exec(block, scope)
+    return scope["ExecutorAdapter"]
+
+
+class TestExecutorAdapter:
+    """A SUT whose blocking calls run on one worker thread, answering with Futures."""
+
+    @pytest.mark.parametrize(
+        "make_suite, fault",
+        [(therac_suite, "sequenceBug"), (robot_suite, "wrongMove")],
+        ids=["therac25-sequenceBug", "robot-wrongMove"],
+    )
+    def test_report_is_the_plain_suites_byte_for_byte(self, make_suite, fault):
+        suite = make_suite(fault)
+        adapter_class = readme_executor_adapter()
+        built = []
+
+        def executor_adapter():
+            built.append(adapter_class(BlockingSim(suite.make_adapter())))
+            return built[-1]
+
+        # the CLI's defaults, at seed 7 with 200 tests
+        weights, max_len, timeout_ms = suite.default_weights, 12, 5000
+        config = config_echo(suite.name, fault, 200, max_len, timeout_ms, weights)
+        reports = []
+        for factory in (suite.make_adapter, executor_adapter):
+            report = run_property(
+                suite.model, None, suite.abstraction,
+                gen_enabled_commands(suite.model, weights, max_len),
+                st_invariants=suite.st_invariants, num_tests=200, seed=7,
+                timeout=timeout_ms / 1000, adapter_factory=factory,
+            )
+            reports.append(report_to_json(report, config))
+        for adapter in built:
+            adapter.pool.shutdown()
+        assert len(built) == 1
+        assert reports[1] == reports[0]
+        assert '"kind": "' in reports[0]
+
+    def test_an_apply_that_sleeps_past_the_timeout_is_a_timeout(self):
+        adapter_class = readme_executor_adapter()
+        suite = therac_suite()
+        wake = threading.Event()
+        built = []
+
+        def factory():
+            built.append(adapter_class(BlockingSim(suite.make_adapter(), OP_CURSOR_UP, wake)))
+            return built[-1]
+
+        started = time.monotonic()
+        try:
+            report = run_property(
+                suite.model, None, suite.abstraction,
+                gen_enabled_commands(suite.model, suite.default_weights, max_len=8),
+                num_tests=10, seed=7, timeout=0.005, adapter_factory=factory,
+            )
+        finally:
+            wake.set()
+            for adapter in built:
+                adapter.pool.shutdown()
+        # no replay waited for a sleeping apply
+        assert time.monotonic() - started < 4
+        assert report.failures
+        assert {r.kind for r in report.failures} == {FailKind.TIMEOUT}
+        for record in report.failures:
+            witness = record.shrunk
+            assert witness.sequence[witness.fail_index].op == OP_CURSOR_UP
+        assert len(built) > 1
 
 
 SHRINK_SEEDS = [0, 7, 42]

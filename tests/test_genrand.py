@@ -505,6 +505,14 @@ class TestShrinkSequence:
         assert len(shrunk) == 4
         assert all(c.delay == 1 for c in shrunk)
 
+    def test_a_list_is_shrunk_as_a_tuple(self):
+        # the all-ones cut passes, so the halving pass edits the input itself
+        def fails(s: tuple[Command, ...]):
+            return len(s) if any(c.delay >= 2 for c in s) else None
+
+        shrunk = shrink_sequence([Command("a", 4), Command("b", 1)], fails)
+        assert shrunk == (Command("a", 2), Command("b", 1))
+
     def test_result_is_one_minimal(self):
         def fails(s: tuple[Command, ...]) -> bool:
             return sum(c.delay for c in s) >= 10
