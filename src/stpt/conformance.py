@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import chain
 from typing import (
@@ -27,6 +26,7 @@ from .spatial import (
     Observation,
     OccupancyFact,
     Predicate,
+    _Record,
     always_true,
     compile_invariant,
     is_int,
@@ -73,17 +73,21 @@ class Deferred(Generic[A]):
         return self._outcome
 
 
-@dataclass(frozen=True)
-class RawObservation:
+class RawObservation(_Record):
     """What the SUT reports after a step: payload, occupancy claims, clock.
 
     The harness remembers what it made of one on its :class:`Deferred`, so
     an adapter may rewrite an observation and hand it out in a fresh one.
     """
 
-    payload: Any
-    occupancy: tuple[OccupancyFact, ...] = ()
-    clock: int = 0
+    __slots__ = _fields = ("payload", "occupancy", "clock")
+
+    def __init__(
+        self, payload: Any, occupancy: tuple[OccupancyFact, ...] = (), clock: int = 0
+    ) -> None:
+        object.__setattr__(self, "payload", payload)
+        object.__setattr__(self, "occupancy", occupancy)
+        object.__setattr__(self, "clock", clock)
 
 
 class SutAdapter(Protocol):
@@ -110,29 +114,59 @@ class FailKind(str, Enum):
     ABSTRACTION_ERROR = "AbstractionError"
 
 
-@dataclass(frozen=True)
-class Witness:
-    """Everything needed to understand (and replay) one failure."""
+class Witness(_Record):
+    """Everything needed to understand (and replay) one failure.
 
-    sequence: tuple[Command, ...]
-    fail_index: Optional[int]  # None when the initial state already diverges
-    expected_states: tuple[State, ...] = ()
-    observed_state: Optional[State] = None
-    invariant: Optional[Invariant] = None
-    observation: Optional[Observation] = None
-    note: str = ""
+    ``fail_index`` is None when the initial state already diverges.
+    """
+
+    __slots__ = _fields = (
+        "sequence", "fail_index", "expected_states", "observed_state", "invariant",
+        "observation", "note",
+    )
+
+    def __init__(
+        self,
+        sequence: tuple[Command, ...],
+        fail_index: Optional[int],
+        expected_states: tuple[State, ...] = (),
+        observed_state: Optional[State] = None,
+        invariant: Optional[Invariant] = None,
+        observation: Optional[Observation] = None,
+        note: str = "",
+    ) -> None:
+        _set_sequence(self, sequence)
+        _set_fail_index(self, fail_index)
+        _set_expected_states(self, expected_states)
+        _set_observed_state(self, observed_state)
+        _set_invariant(self, invariant)
+        _set_observation(self, observation)
+        _set_note(self, note)
 
 
-@dataclass(frozen=True)
-class Pass:
-    pass
+class Pass(_Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Fail:
-    kind: FailKind
-    witness: Witness
+class Fail(_Record):
+    __slots__ = _fields = ("kind", "witness")
 
+    def __init__(self, kind: FailKind, witness: Witness) -> None:
+        _set_kind(self, kind)
+        _set_witness(self, witness)
+
+
+# a replay builds a failure for every failing candidate, so these records
+# are built through their slots' own descriptors
+_set_sequence = Witness.sequence.__set__
+_set_fail_index = Witness.fail_index.__set__
+_set_expected_states = Witness.expected_states.__set__
+_set_observed_state = Witness.observed_state.__set__
+_set_invariant = Witness.invariant.__set__
+_set_observation = Witness.observation.__set__
+_set_note = Witness.note.__set__
+_set_kind = Fail.kind.__set__
+_set_witness = Fail.witness.__set__
 
 CheckResult = Union[Pass, Fail]
 
@@ -275,7 +309,10 @@ def check_against(
                 # imported on first use: at the top it adds about 6 ms to set-up
                 from concurrent.futures import Future, TimeoutError as FutureTimeout
                 if not isinstance(answer, Future):
-                    got = type(answer).__name__
+                    got = type(answer).__qualname__
+                    # the module tells, say, an asyncio Future from a Future
+                    if type(answer).__module__ != "builtins":
+                        got = f"{type(answer).__module__}.{got}"
                     note = f"SUT {_call(command)} returned {got}, not a Deferred or a Future"
                     return _fail(FailKind.SUT_ERROR, seq, at, expected, note=note)
                 try:
@@ -366,22 +403,40 @@ def classify(result) -> str:
     raise TypeError(f"expected a check result, got {result!r}")
 
 
-@dataclass(frozen=True)
-class FailureRecord:
-    test_index: int
-    kind: FailKind
-    classification: str
-    original: Witness
-    shrunk: Witness
+class FailureRecord(_Record):
+    __slots__ = _fields = ("test_index", "kind", "classification", "original", "shrunk")
+
+    def __init__(
+        self,
+        test_index: int,
+        kind: FailKind,
+        classification: str,
+        original: Witness,
+        shrunk: Witness,
+    ) -> None:
+        object.__setattr__(self, "test_index", test_index)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "classification", classification)
+        object.__setattr__(self, "original", original)
+        object.__setattr__(self, "shrunk", shrunk)
 
 
-@dataclass(frozen=True)
-class RunReport:
-    seed: int
-    tests_run: int
-    tests_failed: int
-    failures: tuple[FailureRecord, ...]
-    wall_ms: float
+class RunReport(_Record):
+    __slots__ = _fields = ("seed", "tests_run", "tests_failed", "failures", "wall_ms")
+
+    def __init__(
+        self,
+        seed: int,
+        tests_run: int,
+        tests_failed: int,
+        failures: tuple[FailureRecord, ...],
+        wall_ms: float,
+    ) -> None:
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "tests_run", tests_run)
+        object.__setattr__(self, "tests_failed", tests_failed)
+        object.__setattr__(self, "failures", failures)
+        object.__setattr__(self, "wall_ms", wall_ms)
 
 
 def run_property(
@@ -472,11 +527,13 @@ def run_property(
         cut = shrink_sequence(failing, still_fails)
         # ``cut`` ends where the last accepted replay diverged (or the
         # original failure, if none was), and that replay never ran the
-        # commands behind it, so a replay of the cut fails the same way;
-        # ``replace`` rebuilds the frozen witness field by field
+        # commands behind it, so a replay of the cut fails the same way
         witness = shrunk.witness
         if witness.sequence != cut:
-            witness = replace(witness, sequence=cut)
+            witness = Witness(
+                cut, witness.fail_index, witness.expected_states, witness.observed_state,
+                witness.invariant, witness.observation, witness.note,
+            )
         return FailureRecord(
             test_index=test_index,
             kind=kind,

@@ -15,13 +15,12 @@ produced here is identical across runs and platforms.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate
 from struct import Struct
 from typing import Callable, Generic, Mapping, Optional, Sequence, TypeVar
 
-from .spatial import is_int
+from .spatial import _Record, is_int
 from .statemodel import State, StateModel, enabled_actions, successors
 
 A = TypeVar("A")
@@ -51,12 +50,14 @@ def _mix_gamma(z: int) -> int:
     return z & _MASK64
 
 
-@dataclass(frozen=True)
-class Rng:
+class Rng(_Record):
     """Immutable splittable random source. Every draw returns the next Rng."""
 
-    state: int
-    gamma: int = _GOLDEN_GAMMA
+    __slots__ = _fields = ("state", "gamma")
+
+    def __init__(self, state: int, gamma: int = _GOLDEN_GAMMA) -> None:
+        _set_state(self, state)
+        _set_gamma(self, gamma)
 
     @classmethod
     def from_seed(cls, seed: int) -> Rng:
@@ -64,35 +65,35 @@ class Rng:
 
     def split(self) -> tuple[Rng, Rng]:
         """(advanced self, independent child) pair."""
-        s1 = (self.state + self.gamma) & _MASK64
-        s2 = (s1 + self.gamma) & _MASK64
-        return Rng(s2, self.gamma), Rng(_mix64(s1), _mix_gamma(s2))
+        gamma = self.gamma
+        s1 = (self.state + gamma) & _MASK64
+        s2 = (s1 + gamma) & _MASK64
+        return Rng(s2, gamma), Rng(_mix64(s1), _mix_gamma(s2))
 
 
-@dataclass(frozen=True)
-class Generator(Generic[A]):
+class Generator(_Record, Generic[A]):
     """Pure ``Rng -> (value, Rng)``."""
 
-    run: Callable[[Rng], tuple[A, Rng]]
+    __slots__ = _fields = ("run",)
+
+    def __init__(self, run: Callable[[Rng], tuple[A, Rng]]) -> None:
+        object.__setattr__(self, "run", run)
 
 
 # ---------------------------------------------------------------------------
 # Timed commands
 
 
-@dataclass(frozen=True)
-class Command:
+class Command(_Record):
     """One operation call, issued ``delay`` ticks after the previous one.
 
     ``op`` must be a ``str`` and ``delay`` an integer, not a bool
     (``TypeError``), of at least 1 (``ValueError``).
     """
 
-    op: str
-    delay: int
+    __slots__ = _fields = ("op", "delay")
 
-    def __post_init__(self) -> None:
-        op, delay = self.op, self.delay
+    def __init__(self, op: str, delay: int) -> None:
         # the type test lets a plain int skip the is_int call: the shrinker
         # builds a Command for every candidate delay
         if not isinstance(op, str) or type(delay) is not int and not is_int(delay):
@@ -101,6 +102,16 @@ class Command:
             )
         if delay < 1:
             raise ValueError("delay must be >= 1")
+        _set_op(self, op)
+        _set_delay(self, delay)
+
+
+# the hot records are built through their slots' own descriptors, which
+# skip the name lookup of object.__setattr__
+_set_state = Rng.state.__set__
+_set_gamma = Rng.gamma.__set__
+_set_op = Command.op.__set__
+_set_delay = Command.delay.__set__
 
 
 def _rejection(span: int) -> tuple[int, int]:

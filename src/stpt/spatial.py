@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import total_ordering
 from math import inf
 from operator import attrgetter
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
@@ -76,20 +77,76 @@ class Box:
         return (self.x1, self.y1, self.x2, self.y2)
 
 
-@dataclass(frozen=True, order=True)
-class TimeWindow:
-    """Closed interval of discrete time ticks, stored with ``start <= end``."""
+class _Record:
+    """An immutable record, with the methods a frozen ``dataclass`` has.
 
-    start: int
-    end: int
+    A subclass names its fields, in constructor order, in ``_fields``,
+    holds them in ``__slots__`` and sets each once in its own
+    ``__init__``, through ``object.__setattr__`` or its slot's
+    descriptor. Equality holds field by field between instances of one
+    class only, the hash is that of the fields' tuple, ``repr`` is
+    ``Name(field=value, ...)``, assigning or deleting an attribute raises
+    ``AttributeError``, and pickle and copies rebuild an instance through
+    its constructor. A record takes weak references. It writes these
+    once, where ``dataclass`` compiles them for every class at import.
+    """
 
-    def __post_init__(self) -> None:
-        start, end = self.start, self.end
+    __slots__ = ("__weakref__",)
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        fields = cls._fields
+        # the fields' tuple, read by one C call when there are several
+        if len(fields) > 1:
+            values = attrgetter(*fields)
+        else:
+            values = lambda record: tuple([getattr(record, name) for name in fields])
+        cls._values = staticmethod(values)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({inner})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values(self)
+
+
+@total_ordering
+class TimeWindow(_Record):
+    """Closed interval of discrete time ticks, stored with ``start <= end``.
+
+    Windows order as their ``(start, end)`` pairs.
+    """
+
+    __slots__ = _fields = ("start", "end")
+
+    def __init__(self, start: int, end: int) -> None:
         if not (is_int(start) and is_int(end)):
             raise TypeError(f"time window bounds must be integers, got {(start, end)}")
         if start > end:
-            object.__setattr__(self, "start", end)
-            object.__setattr__(self, "end", start)
+            start, end = end, start
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "end", end)
+
+    def __lt__(self, other: TimeWindow) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.start, self.end) < (other.start, other.end)
 
     def contains(self, t: int) -> bool:
         return self.start <= t <= self.end
@@ -123,27 +180,24 @@ def window_intersection(a: TimeWindow, b: TimeWindow) -> Optional[TimeWindow]:
 # Formula terms
 
 
-class Invariant:
+class Invariant(_Record):
     """Base class for spatio-temporal formula terms. Terms are immutable."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class TrueAtom(Invariant):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class FalseAtom(Invariant):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Junction(Invariant):
     """A connective over one or more terms: :class:`And` or :class:`Or`."""
 
-    terms: tuple[Invariant, ...]
+    __slots__ = _fields = ("terms",)
 
     def __init__(self, terms: Iterable[Invariant]):
         terms = tuple(terms)
@@ -155,69 +209,76 @@ class Junction(Invariant):
 class And(Junction):
     """True when every term holds."""
 
+    __slots__ = ()
+
 
 class Or(Junction):
     """True when some term holds."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
 class Not(Invariant):
-    term: Invariant
+    __slots__ = _fields = ("term",)
+
+    def __init__(self, term: Invariant):
+        object.__setattr__(self, "term", term)
 
 
-@dataclass(frozen=True)
 class Implies(Invariant):
-    antecedent: Invariant
-    consequent: Invariant
+    __slots__ = _fields = ("antecedent", "consequent")
+
+    def __init__(self, antecedent: Invariant, consequent: Invariant):
+        object.__setattr__(self, "antecedent", antecedent)
+        object.__setattr__(self, "consequent", consequent)
 
 
-@dataclass(frozen=True)
 class TimeInterval(Invariant):
     """True when the observation's time lies inside the window."""
 
-    window: TimeWindow
+    __slots__ = _fields = ("window",)
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.window, TimeWindow):
-            raise TypeError(f"time interval must hold a TimeWindow, got {self.window!r}")
+    def __init__(self, window: TimeWindow):
+        if not isinstance(window, TimeWindow):
+            raise TypeError(f"time interval must hold a TimeWindow, got {window!r}")
+        object.__setattr__(self, "window", window)
 
 
-@dataclass(frozen=True)
 class Owner(Invariant):
     """True when the observation belongs to the named component."""
 
-    name: str
+    __slots__ = _fields = ("name",)
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.name, str):
-            raise TypeError(f"owner name must be a string, got {self.name!r}")
+    def __init__(self, name: str):
+        if not isinstance(name, str):
+            raise TypeError(f"owner name must be a string, got {name!r}")
+        object.__setattr__(self, "name", name)
 
 
-@dataclass(frozen=True)
 class OccupyBox(Invariant):
     """True when the box is covered by the observation's occupied space."""
 
-    box: Box
+    __slots__ = _fields = ("box",)
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.box, Box):
-            raise TypeError(f"occupied box must be a Box, got {self.box!r}")
+    def __init__(self, box: Box):
+        if not isinstance(box, Box):
+            raise TypeError(f"occupied box must be a Box, got {box!r}")
+        object.__setattr__(self, "box", box)
 
 
-@dataclass(frozen=True)
 class OccupyPoint(Invariant):
     """True when the point lies inside some occupied box."""
 
-    x: int
-    y: int
+    __slots__ = _fields = ("x", "y")
 
-    def __post_init__(self) -> None:
-        if not (is_int(self.x) and is_int(self.y)):
-            raise TypeError(f"point coordinates must be integers, got {(self.x, self.y)}")
+    def __init__(self, x: int, y: int):
+        if not (is_int(x) and is_int(y)):
+            raise TypeError(f"point coordinates must be integers, got {(x, y)}")
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
 
 
-@dataclass(frozen=True)
-class Observation:
+class Observation(_Record):
     """One owner's occupied space at one instant of discrete time.
 
     A multi-component scene at time t is a list of Observations sharing t,
@@ -225,13 +286,13 @@ class Observation:
     deduplicated. The same boxes are also kept as ``(x1, y1, x2, y2)``
     tuples in ``_corners``, which the compiled ``OccupyBox`` and
     ``OccupyPoint`` predicates unpack; it is not a field, so equality,
-    hashing and ``repr`` see only the three above. ``time`` must be an
-    integer, not a bool, and ``owner`` a ``str`` (``TypeError``).
+    hashing, ``repr`` and the constructor see only the three above.
+    ``time`` must be an integer, not a bool, and ``owner`` a ``str``
+    (``TypeError``).
     """
 
-    time: int
-    owner: str
-    occupied: tuple[Box, ...] = ()
+    _fields = ("time", "owner", "occupied")
+    __slots__ = _fields + ("_corners",)
 
     def __init__(self, time: int, owner: str, occupied: Iterable[Box] = ()):
         # the type test lets a plain int skip the is_int call: a campaign
@@ -247,35 +308,39 @@ class Observation:
         object.__setattr__(self, "_corners", tuple(box.as_tuple() for box in boxes))
 
 
-@dataclass(frozen=True)
-class OccupancyFact:
+class OccupancyFact(_Record):
     """Claim that an owner occupies a box throughout a time window."""
 
-    owner: str
-    window: TimeWindow
-    box: Box
+    __slots__ = _fields = ("owner", "window", "box")
+
+    def __init__(self, owner: str, window: TimeWindow, box: Box):
+        object.__setattr__(self, "owner", owner)
+        object.__setattr__(self, "window", window)
+        object.__setattr__(self, "box", box)
 
 
-@dataclass(frozen=True)
-class CollisionWitness:
+class CollisionWitness(_Record):
     """Two distinct owners sharing space during a shared time window."""
 
-    owner_a: str
-    owner_b: str
-    overlap_window: TimeWindow
-    overlap_box: Box
+    __slots__ = _fields = ("owner_a", "owner_b", "overlap_window", "overlap_box")
 
-    def __post_init__(self) -> None:
-        if self.owner_a == self.owner_b:
+    def __init__(self, owner_a: str, owner_b: str, overlap_window: TimeWindow, overlap_box: Box):
+        if owner_a == owner_b:
             raise ValueError("collision witnesses require distinct owners")
+        object.__setattr__(self, "owner_a", owner_a)
+        object.__setattr__(self, "owner_b", owner_b)
+        object.__setattr__(self, "overlap_window", overlap_window)
+        object.__setattr__(self, "overlap_box", overlap_box)
 
 
-@dataclass(frozen=True)
-class TraceVerdict:
+class TraceVerdict(_Record):
     """Outcome of checking one formula against a trace."""
 
-    holds: bool
-    first_violation: Optional[int] = None
+    __slots__ = _fields = ("holds", "first_violation")
+
+    def __init__(self, holds: bool, first_violation: Optional[int] = None):
+        object.__setattr__(self, "holds", holds)
+        object.__setattr__(self, "first_violation", first_violation)
 
 
 # ---------------------------------------------------------------------------

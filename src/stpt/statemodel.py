@@ -10,10 +10,9 @@ up to a depth; a consistency scan flags suspicious specifications.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
-from .spatial import is_int
+from .spatial import _Record, is_int
 
 Value = Union[bool, int, str]
 
@@ -126,31 +125,40 @@ class State:
         return f"State({inner})"
 
 
-@dataclass(frozen=True, eq=False)
-class ActionSpec:
-    """Named guarded transition. Guard and effect must be pure."""
+class ActionSpec(_Record):
+    """Named guarded transition. Guard and effect must be pure.
 
-    name: str
-    guard: Callable[[State], bool]
-    effect: Callable[[State], State]
+    Two specs are equal only if they are one object, as guards and
+    effects are functions.
+    """
+
+    __slots__ = _fields = ("name", "guard", "effect")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(
+        self, name: str, guard: Callable[[State], bool], effect: Callable[[State], State]
+    ):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "guard", guard)
+        object.__setattr__(self, "effect", effect)
 
 
-@dataclass(frozen=True)
-class Behaviour:
+class Behaviour(_Record):
     """A legal run: states starting in init, one action name per step."""
 
-    states: tuple[State, ...]
-    actions: tuple[str, ...] = ()
+    __slots__ = _fields = ("states", "actions")
 
-    def __post_init__(self) -> None:
-        if not self.states:
+    def __init__(self, states: tuple[State, ...], actions: tuple[str, ...] = ()):
+        if not states:
             raise ValueError("a behaviour has at least one state")
-        if len(self.actions) != len(self.states) - 1:
+        if len(actions) != len(states) - 1:
             raise ValueError("need exactly one action name per transition")
+        object.__setattr__(self, "states", states)
+        object.__setattr__(self, "actions", actions)
 
 
-@dataclass(frozen=True)
-class StateModel:
+class StateModel(_Record):
     """Declared variables, finite init set, and guarded named actions.
 
     Init is stored deduplicated in a canonical order so every derived
@@ -165,9 +173,8 @@ class StateModel:
     once with the model.
     """
 
-    variables: tuple[str, ...]
-    init: tuple[State, ...]
-    actions: tuple[ActionSpec, ...] = ()
+    _fields = ("variables", "init", "actions")
+    __slots__ = _fields + ("action_names", "_names", "_rows")
 
     def __init__(
         self,
@@ -205,24 +212,26 @@ class StateModel:
 # Warnings from the consistency scan
 
 
-@dataclass(frozen=True)
-class SpecWarning:
-    pass
+class SpecWarning(_Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class EmptyInit(SpecWarning):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class NeverEnabled(SpecWarning):
-    action: str
+    __slots__ = _fields = ("action",)
+
+    def __init__(self, action: str):
+        object.__setattr__(self, "action", action)
 
 
-@dataclass(frozen=True)
 class NoOpEffect(SpecWarning):
-    action: str
+    __slots__ = _fields = ("action",)
+
+    def __init__(self, action: str):
+        object.__setattr__(self, "action", action)
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,9 @@ operation weights, and an adapter factory for one named scenario.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_right, insort
 from copy import deepcopy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, Optional
 
 from .conformance import Abstraction, Deferred, RawObservation, SutAdapter
@@ -36,6 +35,7 @@ from .spatial import (
     TimeInterval,
     TimeWindow,
     TrueAtom,
+    _Record,
     is_int,
 )
 from .statemodel import ActionSpec, State, StateModel
@@ -59,21 +59,35 @@ def _check_fault(fault: str, faults: tuple[str, ...]) -> None:
         raise ValueError(f"unknown fault {fault!r}; choose one of {faults}")
 
 
-@dataclass(frozen=True)
-class Suite:
+class Suite(_Record):
     """One named test scenario, ready for the property runner and CLI.
 
     ``make_adapter`` builds a fresh simulator on each call, and every
     simulator it builds answers through the suite's one answer table.
     """
 
-    name: str
-    model: StateModel
-    abstraction: Abstraction
-    st_invariants: tuple[Invariant, ...]
-    default_weights: Mapping[str, int]
-    intended_noops: frozenset[str]
-    make_adapter: Callable[[], SutAdapter]
+    __slots__ = _fields = (
+        "name", "model", "abstraction", "st_invariants", "default_weights", "intended_noops",
+        "make_adapter",
+    )
+
+    def __init__(
+        self,
+        name: str,
+        model: StateModel,
+        abstraction: Abstraction,
+        st_invariants: tuple[Invariant, ...],
+        default_weights: Mapping[str, int],
+        intended_noops: frozenset[str],
+        make_adapter: Callable[[], SutAdapter],
+    ) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "model", model)
+        object.__setattr__(self, "abstraction", abstraction)
+        object.__setattr__(self, "st_invariants", st_invariants)
+        object.__setattr__(self, "default_weights", default_weights)
+        object.__setattr__(self, "intended_noops", intended_noops)
+        object.__setattr__(self, "make_adapter", make_adapter)
 
 
 class _Simulator:
@@ -276,29 +290,43 @@ def _default_waypoints() -> dict[str, Waypoint]:
     }
 
 
-@dataclass
-class RobotConfig:
+class RobotConfig(_Record):
     """Workspace geometry plus the waypoint catalogue of one deployment.
 
     The arm starts at ``init``; ``initialisePosition`` always homes to the
-    fixed waypoint "Y", which every catalogue must therefore declare.
+    fixed waypoint "Y", which every catalogue must therefore declare. A
+    config is mutable, so it has no hash; ``waypoints`` defaults to a
+    fresh catalogue of four.
     """
 
-    workspace: Box = Box(0, 0, 100, 100)
-    waypoints: dict[str, Waypoint] = field(default_factory=_default_waypoints)
-    init: str = "Y"
-    motion_duration: int = 3
-    horizon: int = 1_000_000
+    __slots__ = _fields = ("workspace", "waypoints", "init", "motion_duration", "horizon")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None  # type: ignore[assignment]
 
-    def __post_init__(self) -> None:
-        if HOME_WAYPOINT not in self.waypoints:
+    def __init__(
+        self,
+        workspace: Box = Box(0, 0, 100, 100),
+        waypoints: Optional[dict[str, Waypoint]] = None,
+        init: str = "Y",
+        motion_duration: int = 3,
+        horizon: int = 1_000_000,
+    ) -> None:
+        if waypoints is None:
+            waypoints = _default_waypoints()
+        if HOME_WAYPOINT not in waypoints:
             raise ValueError(
                 f"waypoint catalogue must include the home position {HOME_WAYPOINT!r}"
             )
-        if not isinstance(self.init, str) or self.init not in self.waypoints:
-            raise ValueError(f"init position {self.init!r} is not a waypoint")
-        if not all(is_int(n) and n >= 0 for n in (self.motion_duration, self.horizon)):
+        if not isinstance(init, str) or init not in waypoints:
+            raise ValueError(f"init position {init!r} is not a waypoint")
+        if not all(is_int(n) and n >= 0 for n in (motion_duration, horizon)):
             raise ValueError("motion_duration and horizon must be integers >= 0")
+        self.workspace = workspace
+        self.waypoints = waypoints
+        self.init = init
+        self.motion_duration = motion_duration
+        self.horizon = horizon
 
 
 def load_robot_config(path: str) -> RobotConfig:
@@ -310,6 +338,9 @@ def load_robot_config(path: str) -> RobotConfig:
     both waypoint keys required, every number an integer. Other input,
     unknown keys included, raises ValueError or TypeError.
     """
+    # imported on first use: no campaign reads a file
+    import json
+
     with open(path, encoding="utf-8") as fh:
         return robot_config_from_json(json.load(fh))
 

@@ -1,11 +1,11 @@
 from __future__ import annotations
 
+import asyncio
 import random
 import re
 import threading
 import time
 from concurrent.futures import Future
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -988,11 +988,22 @@ class RaisingWait(Deferred):
         raise RuntimeError("wait broke")
 
 
+def asyncio_future() -> asyncio.Future:
+    """An asyncio Future, which is no concurrent.futures Future, on a closed loop."""
+    loop = asyncio.new_event_loop()
+    loop.close()
+    return asyncio.Future(loop=loop)
+
+
 # an odd answer: how to make it, and the note of the SutError it gives
 ODD_ANSWERS = {
     "none": (lambda: None, "SUT {} returned NoneType, not a Deferred or a Future"),
     "object": (lambda: 7, "SUT {} returned int, not a Deferred or a Future"),
     "bare-object": (object, "SUT {} returned object, not a Deferred or a Future"),
+    "asyncio-future": (
+        asyncio_future,
+        f"SUT {{}} returned {asyncio.Future.__module__}.Future, not a Deferred or a Future",
+    ),
     "raising-wait": (
         lambda: RaisingWait.successful(RawObservation(False)),
         "SUT {} raised RuntimeError('wait broke')",
@@ -1227,7 +1238,10 @@ class TestRunProperty:
         # no shrink candidate fails, so the witness is the original failure
         # cut after its failing command
         cut = original.sequence[:2]
-        assert record.shrunk == replace(original, sequence=cut)
+        assert record.shrunk == Witness(
+            cut, original.fail_index, original.expected_states, original.observed_state,
+            original.invariant, original.observation, original.note,
+        )
 
     @staticmethod
     def count_shrink_calls(monkeypatch) -> list[int]:
@@ -1621,7 +1635,9 @@ class TestEntryPoints:
                 suite.model, suite.make_adapter(), suite.abstraction, gen,
                 num_tests=40, seed=7,
             )
-            return replace(report, wall_ms=0.0)
+            return RunReport(
+                report.seed, report.tests_run, report.tests_failed, report.failures, 0.0
+            )
 
         want = campaign(drawn)
         got = campaign(Generator(go))
@@ -1801,12 +1817,13 @@ class TestResetOccupancy:
 
 
 MALFORMED_OCCUPANCY = {
-    "junk-fact": lambda raw: replace(raw, occupancy=("junk",)),
-    "tuple-box": lambda raw: replace(
-        raw,
-        occupancy=tuple(replace(f, box=f.box.as_tuple()) for f in raw.occupancy),
+    "junk-fact": lambda raw: RawObservation(raw.payload, ("junk",), raw.clock),
+    "tuple-box": lambda raw: RawObservation(
+        raw.payload,
+        tuple(OccupancyFact(f.owner, f.window, f.box.as_tuple()) for f in raw.occupancy),
+        raw.clock,
     ),
-    "string-clock": lambda raw: replace(raw, clock=str(raw.clock)),
+    "string-clock": lambda raw: RawObservation(raw.payload, raw.occupancy, str(raw.clock)),
 }
 
 

@@ -81,3 +81,19 @@ def test_an_unknown_name_is_an_attribute_error():
 def test_submodules_import_from_the_package(module):
     code = f"import json\nfrom stpt import {module}\nprint(json.dumps({module}.__name__))"
     assert fresh(code) == f"stpt.{module}"
+
+
+def test_a_campaign_set_up_loads_no_json_and_builds_two_dataclasses():
+    code = (
+        "import sys, stpt\n"
+        "suite = stpt.therac_suite('sequenceBug')\n"
+        "stpt.robot_suite()\n"
+        "stpt.gen_enabled_commands(suite.model, suite.default_weights, 30)\n"
+        "json_loaded = 'json' in sys.modules\n"
+        "import dataclasses, json\n"
+        "exported = [getattr(stpt, name) for name in stpt.__all__]\n"
+        "built = sorted(c.__name__ for c in exported\n"
+        "               if isinstance(c, type) and dataclasses.is_dataclass(c))\n"
+        "print(json.dumps([json_loaded, built]))"
+    )
+    assert fresh(code) == [False, ["Box", "Waypoint"]]
