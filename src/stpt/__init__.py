@@ -10,8 +10,10 @@ test with switchable faults.
 
 Importing the package runs none of its modules: each name below is
 imported from its home module when it is first read (PEP 562), and kept.
-So checking a trace against formula text loads only ``spatial`` and
-``formula_text``.
+So checking a trace against formula text loads only ``records``,
+``spatial`` and ``formula_text``, and a therac campaign loads ``records``,
+``statemodel``, ``genrand``, ``conformance`` and ``suts``: no formula
+layer and no robot.
 """
 
 # Each exported name and the module that defines it.
@@ -30,8 +32,8 @@ _HOME = {
         ("statemodel", """ActionSpec Behaviour EmptyInit NeverEnabled NoOpEffect State
             StateCapExceeded StateModel correct_behaviours enabled_actions format_behaviours
             format_state spec_consistency step successors"""),
-        ("suts", """RobotConfig RobotSim Suite TheracSim Waypoint load_robot_config robot_suite
-            therac_suite"""),
+        ("robot", "RobotConfig RobotSim Waypoint load_robot_config robot_suite"),
+        ("suts", "Suite TheracSim therac_suite"),
     )
     for name in names.split()
 }

@@ -10,11 +10,11 @@ import argparse
 import json
 import os
 import sys
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .conformance import Fail, FailKind, check_against, run_property
-from .formula_text import FormulaParseError, parse_invariant
 from .genrand import InvalidRange, gen_enabled_commands
+from .records import is_int
 from .reports import (
     RESET_POSITION,
     commands_from_json,
@@ -23,18 +23,14 @@ from .reports import (
     report_to_json,
     report_to_text,
 )
-from .spatial import Box, Invariant, NonMonotonicTrace, Observation, check_trace, is_int
 from .statemodel import StateCapExceeded, correct_behaviours, format_behaviours
-from .suts import (
-    FAULT_NONE,
-    RobotConfig,
-    Suite,
-    load_robot_config,
-    robot_config_from_json,
-    robot_config_to_json,
-    robot_suite,
-    therac_suite,
-)
+from .suts import FAULT_NONE, Suite, therac_suite
+
+# A mode imports what only it runs (the formula layer, the robot) in the
+# functions that use it, so a therac campaign loads neither.
+if TYPE_CHECKING:
+    from .robot import RobotConfig
+    from .spatial import Invariant, Observation
 
 
 class CliError(Exception):
@@ -154,6 +150,7 @@ def _build_suite(name: str, fault: str, deployment: Optional[RobotConfig]) -> Su
     try:
         if name == "therac25":
             return therac_suite(fault)
+        from .robot import robot_suite
         return robot_suite(fault, deployment)
     except (ValueError, KeyError, TypeError) as err:
         raise CliError(str(err))
@@ -163,6 +160,7 @@ def _load_deployment(path: Optional[str]) -> Optional[RobotConfig]:
     """The robot deployment in the file at ``path``, None for no file."""
     if path is None:
         return None
+    from .robot import load_robot_config
     try:
         return load_robot_config(path)
     except (ValueError, KeyError, TypeError, OSError) as err:
@@ -233,6 +231,7 @@ def _run_campaign(
         suite.name, args.fault, args.num_tests, args.max_len, args.timeout_ms, weights
     )
     if deployment is not None:
+        from .robot import robot_config_to_json
         # recorded only when given, so a default report keeps its bytes
         config["robotConfig"] = robot_config_to_json(deployment)
     if args.report == "json":
@@ -266,6 +265,7 @@ def _replay_deployment(recorded: object, path: Optional[str]) -> Optional[RobotC
     given = _load_deployment(path)
     if recorded is None:
         return given
+    from .robot import robot_config_from_json
     try:
         deployment = robot_config_from_json(recorded)
     except (ValueError, KeyError, TypeError) as err:
@@ -335,6 +335,7 @@ def _run_replay(args: argparse.Namespace, given: set[str]) -> int:
 
 
 def _load_invariants(path: str) -> list[tuple[int, Invariant]]:
+    from .formula_text import FormulaParseError, parse_invariant
     try:
         with open(path, encoding="utf-8") as fh:
             raw_lines = fh.read().splitlines()
@@ -357,6 +358,7 @@ def _load_invariants(path: str) -> list[tuple[int, Invariant]]:
 
 
 def _load_trace(path: str) -> list[Observation]:
+    from .spatial import Box, Observation
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
@@ -385,6 +387,7 @@ def _load_trace(path: str) -> list[Observation]:
 
 
 def _run_trace_check(args: argparse.Namespace) -> int:
+    from .spatial import NonMonotonicTrace, check_trace
     invariants = _load_invariants(args.invariants)
     trace = _load_trace(args.trace)
     lines = []

@@ -21,20 +21,13 @@ from typing import (
 )
 
 from .genrand import Command, Generator, Rng, shrink_sequence
-from .spatial import (
-    Invariant,
-    Observation,
-    OccupancyFact,
-    Predicate,
-    _Record,
-    always_true,
-    compile_invariant,
-    is_int,
-)
+from .records import _Record, is_int
 from .statemodel import State, StateModel, _row
 
 if TYPE_CHECKING:
     from concurrent.futures import Future
+
+    from .spatial import Invariant, Observation, OccupancyFact, Predicate
 
 A = TypeVar("A")
 
@@ -171,6 +164,11 @@ _set_witness = Fail.witness.__set__
 CheckResult = Union[Pass, Fail]
 
 
+# spatial's Observation, bound by _compile_obligations: facts are grouped
+# only for a replay that has compiled obligations to judge
+_Observation: Optional[type[Observation]] = None
+
+
 def _spatial_observations(raw: RawObservation) -> list[Observation]:
     """Current occupancy grouped per owner, at the observation's clock."""
     per_owner: dict[str, list] = {}
@@ -178,7 +176,7 @@ def _spatial_observations(raw: RawObservation) -> list[Observation]:
         if fact.window.contains(raw.clock):
             per_owner.setdefault(fact.owner, []).append(fact.box)
     return [
-        Observation(time=raw.clock, owner=owner, occupied=tuple(boxes))
+        _Observation(time=raw.clock, owner=owner, occupied=tuple(boxes))
         for owner, boxes in sorted(per_owner.items())
     ]
 
@@ -186,11 +184,20 @@ def _spatial_observations(raw: RawObservation) -> list[Observation]:
 def _compile_obligations(
     st_invariants: tuple[Invariant, ...],
 ) -> list[tuple[Invariant, Predicate]]:
-    """Each invariant with its compiled predicate, less those that fold to TRUE."""
+    """Each invariant with its compiled predicate, less those that fold to TRUE.
+
+    The formula layer is imported only when there is an invariant to
+    compile, so a suite without any never loads it.
+    """
+    if not st_invariants:
+        return []
+    global _Observation
+    from . import spatial
+    _Observation = spatial.Observation
     out = []
     for invariant in st_invariants:
-        holds = compile_invariant(invariant)
-        if holds is not always_true:
+        holds = spatial.compile_invariant(invariant)
+        if holds is not spatial.always_true:
             out.append((invariant, holds))
     return out
 

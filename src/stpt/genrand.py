@@ -20,7 +20,7 @@ from itertools import accumulate
 from struct import Struct
 from typing import Callable, Generic, Mapping, Optional, Sequence, TypeVar
 
-from .spatial import _Record, is_int
+from .records import _Record, is_int
 from .statemodel import State, StateModel, enabled_actions, successors
 
 A = TypeVar("A")

@@ -14,7 +14,7 @@ from typing import Any, Mapping
 
 from .conformance import FailureRecord, RunReport, Witness
 from .genrand import Command
-from .spatial import is_int
+from .records import is_int
 from .statemodel import format_state
 
 SCHEMA_VERSION = 1

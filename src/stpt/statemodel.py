@@ -12,7 +12,7 @@ from __future__ import annotations
 import weakref
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
-from .spatial import _Record, is_int
+from .records import _Record, is_int
 
 Value = Union[bool, int, str]
 

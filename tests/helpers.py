@@ -531,7 +531,7 @@ class ReferenceTheracSim:
 
 
 class ReferenceRobotSim(RobotSim):
-    """:class:`~stpt.suts.RobotSim` with every answer built fresh."""
+    """:class:`~stpt.robot.RobotSim` with every answer built fresh."""
 
     def _answer(self, key: tuple) -> Deferred:
         return Deferred.successful(self._observe(key))

@@ -11,16 +11,11 @@ import pytest
 
 import stpt
 from helpers import oracle_behaviours
-from stpt import Deferred, StateModel, cli, run_property, therac_suite
+from stpt import Deferred, StateModel, cli, run_property, spatial, therac_suite
 from stpt.genrand import InvalidRange, gen_enabled_commands
 from stpt.reports import report_to_text
-from stpt.suts import (
-    OP_CURSOR_UP,
-    OP_SELECT_ELECTRON,
-    OP_SELECT_PHOTON,
-    load_robot_config,
-    robot_config_to_json,
-)
+from stpt.robot import load_robot_config, robot_config_to_json
+from stpt.suts import OP_CURSOR_UP, OP_SELECT_ELECTRON, OP_SELECT_PHOTON
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -1136,12 +1131,12 @@ class TestFlagTable:
         assert captured.out == ""
         assert captured.err.endswith(f"; {flag} cannot be given with it\n")
 
-    # the call in cli that starts each mode's work
+    # the call that starts each mode's work, and the module it is read from
     WORK = {
-        "campaign": "run_property",
-        "dump": "correct_behaviours",
-        "trace-check": "check_trace",
-        "replay": "check_against",
+        "campaign": (cli, "run_property"),
+        "dump": (cli, "correct_behaviours"),
+        "trace-check": (spatial, "check_trace"),
+        "replay": (cli, "check_against"),
     }
 
     @pytest.mark.parametrize("mode", list(WORK))
@@ -1149,7 +1144,7 @@ class TestFlagTable:
         def work(*args, **kwargs):
             raise AssertionError(f"{mode} started its work")
 
-        monkeypatch.setattr(cli, self.WORK[mode], work)
+        monkeypatch.setattr(*self.WORK[mode], work)
         out = str(inputs / "missing" / "out.txt")
         assert cli.main(self.mode_argv(mode, inputs) + ["--out", out]) == 2
         captured = capsys.readouterr()

@@ -53,12 +53,13 @@ from stpt import (
     run_property,
     therac_suite,
 )
-from stpt import conformance
+from stpt import conformance, spatial
 from stpt.reports import config_echo, report_to_json
+from stpt.robot import RobotSim
 from stpt.statemodel import step, successors
 from stpt.suts import BEAM_ELECTRON, MODE_ELECTRON, OP_CURSOR_UP, OP_OTHER
 from stpt.suts import OP_SELECT_ELECTRON, OP_SELECT_PHOTON
-from stpt.suts import RobotSim, TheracSim, _payload_abstraction
+from stpt.suts import TheracSim, _payload_abstraction
 
 
 def unguarded_commands(vocab, max_len, rng) -> tuple[Command, ...]:
@@ -1566,13 +1567,13 @@ class TestRunProperty:
 
     def test_invariants_compile_once_per_campaign(self, monkeypatch):
         compiled = []
-        compile_invariant = conformance.compile_invariant
+        compile_invariant = spatial.compile_invariant
 
         def counting_compile(invariant):
             compiled.append(invariant)
             return compile_invariant(invariant)
 
-        monkeypatch.setattr(conformance, "compile_invariant", counting_compile)
+        monkeypatch.setattr(spatial, "compile_invariant", counting_compile)
         # a waypoint outside the workspace, so one obligation stays to judge
         waypoints = dict(RobotConfig().waypoints)
         waypoints["B"] = Waypoint(at=(200, 200), footprint=Box(199, 199, 201, 201))

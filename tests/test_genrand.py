@@ -28,7 +28,8 @@ from stpt import genrand
 from stpt.genrand import _GOLDEN_GAMMA, _MASK64, _MAX_LANES, InvalidRange, _extend, _mix64
 from stpt.reports import format_sequence
 from stpt.statemodel import enabled_actions, step
-from stpt.suts import OP_CURSOR_UP, OP_SELECT_PHOTON, robot_suite, therac_suite
+from stpt.robot import robot_suite
+from stpt.suts import OP_CURSOR_UP, OP_SELECT_PHOTON, therac_suite
 
 
 @st.composite

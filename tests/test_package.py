@@ -16,6 +16,7 @@ import pytest
 import stpt
 
 SRC = os.path.dirname(os.path.dirname(stpt.__file__))
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
 
 def fresh(code: str):
@@ -49,7 +50,55 @@ def test_a_trace_check_loads_only_spatial_and_formula_text():
         "formula = stpt.parse_invariant('IMPLIES(Owner(\"arm\"),OccupyBox(0,0,4,4))')\n"
         "trace = [stpt.Observation(1, 'arm', [stpt.Box(0, 0, 4, 4)])]"
     )
-    assert loaded_after(code) == ["stpt", "stpt.formula_text", "stpt.spatial"]
+    assert loaded_after(code) == [
+        "stpt", "stpt.formula_text", "stpt.records", "stpt.spatial",
+    ]
+
+
+def test_a_therac_campaign_loads_no_formula_layer_no_robot_and_no_dataclasses():
+    code = (
+        "import sys, stpt\n"
+        "suite = stpt.therac_suite('sequenceBug')\n"
+        "gen = stpt.gen_enabled_commands(suite.model, suite.default_weights, 30)\n"
+        "report = stpt.run_property(suite.model, None, suite.abstraction, gen,\n"
+        "    suite.st_invariants, num_tests=20, seed=7, adapter_factory=suite.make_adapter)\n"
+        "assert report.tests_failed\n"
+        "assert 'dataclasses' not in sys.modules"
+    )
+    assert loaded_after(code) == [
+        "stpt", "stpt.conformance", "stpt.genrand", "stpt.records", "stpt.statemodel",
+        "stpt.suts",
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code",
+    [
+        (["--suite", "therac25", "--fault", "sequenceBug", "--seed", "7", "--num-tests", "40"], 1),
+        (["--dump-behaviours", "--suite", "therac25", "--depth", "2"], 0),
+        (["--replay", os.path.join(DATA, "golden-therac25-sequenceBug.json")], 1),
+    ],
+    ids=["campaign", "dump-behaviours", "replay"],
+)
+def test_a_therac_cli_run_loads_no_formula_layer_no_robot_and_no_dataclasses(
+    argv, exit_code, tmp_path
+):
+    # ``python -m stpt`` run by runpy, so the modules it loaded can be read
+    argv = [*argv, "--out", str(tmp_path / "out.txt")]
+    code = (
+        "import runpy, sys\n"
+        f"sys.argv = ['stpt', *{argv!r}]\n"
+        "try:\n"
+        "    runpy.run_module('stpt', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as done:\n"
+        "    status = done.code\n"
+        "unwanted = ('stpt.spatial', 'stpt.formula_text', 'stpt.robot', 'dataclasses')\n"
+        "loaded = [name for name in unwanted if name in sys.modules]\n"
+        "import json\n"
+        "print(json.dumps([status, loaded]))"
+    )
+    assert fresh(code) == [exit_code, []]
+    assert (tmp_path / "out.txt").read_text()
 
 
 def test_every_exported_name_is_the_object_of_its_home_module():

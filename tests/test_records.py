@@ -129,7 +129,7 @@ RECORDS = [
     (Command, {"op": "a", "delay": 2}),
     (Suite, {"name": "s", "model": MODEL, "abstraction": read_payload,
              "st_invariants": (TrueAtom(),), "default_weights": {"a": 1},
-             "intended_noops": frozenset({"a"}), "make_adapter": no_adapter}),
+             "make_adapter": no_adapter}),
     (RobotConfig, {"workspace": Box(0, 0, 50, 50),
                    "waypoints": {"Y": Waypoint((1, 1), Box(0, 0, 2, 2))}, "init": "Y",
                    "motion_duration": 2, "horizon": 10}),

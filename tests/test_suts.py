@@ -50,12 +50,16 @@ from stpt import (
 )
 from stpt import suts
 from stpt.spatial import always_false, always_true
+from stpt.robot import (
+    ARM_OWNER,
+    OP_INITIALISE,
+    UnknownWaypoint,
+    robot_config_from_json,
+    robot_config_to_json,
+)
 from stpt.statemodel import _live
 from stpt.suts import (
     ANSWER_TABLE_CAP,
-    ARM_OWNER,
-    robot_config_from_json,
-    robot_config_to_json,
     BEAM_ELECTRON,
     BEAM_OFF,
     BEAM_PHOTON,
@@ -67,11 +71,9 @@ from stpt.suts import (
     MODE_NONE,
     MODE_PHOTON,
     OP_CURSOR_UP,
-    OP_INITIALISE,
     OP_OTHER,
     OP_SELECT_ELECTRON,
     OP_SELECT_PHOTON,
-    UnknownWaypoint,
     _payload_abstraction,
 )
 
@@ -225,14 +227,13 @@ class TestTheracSuite:
 
     def test_consistency_scan_is_clean(self):
         suite = therac_suite()
-        assert spec_consistency(suite.model, suppress_noop=suite.intended_noops) == []
+        assert spec_consistency(suite.model, suppress_noop={OP_CURSOR_UP, OP_OTHER}) == []
 
     def test_suite_packaging(self):
         suite = therac_suite(FAULT_SEQUENCE_BUG)
         assert suite.name == "therac25"
         assert suite.st_invariants == ()
         assert set(suite.default_weights) == set(THERAC_VOCAB)
-        assert suite.intended_noops == frozenset({OP_CURSOR_UP, OP_OTHER})
         adapter = suite.make_adapter()
         assert isinstance(adapter, TheracSim) and adapter.sequence_bug
 
@@ -886,7 +887,6 @@ class TestRobotSuite:
             "moveToS",
             "moveToY",
         }
-        assert suite.intended_noops == frozenset({OP_INITIALISE})
         assert len(suite.st_invariants) == 4
 
     def test_workspace_invariants_precompute_the_verdict(self):
@@ -909,7 +909,7 @@ class TestRobotSuite:
 
     def test_consistency_scan_is_clean(self):
         suite = robot_suite()
-        assert spec_consistency(suite.model, suppress_noop=suite.intended_noops) == []
+        assert spec_consistency(suite.model, suppress_noop={OP_INITIALISE}) == []
 
     def test_single_waypoint_catalogue_flags_the_stuck_move(self):
         from stpt import NeverEnabled
@@ -918,9 +918,7 @@ class TestRobotSuite:
             waypoints={"Y": Waypoint((1, 1), Box(0, 0, 2, 2))}
         )
         suite = robot_suite(config=config)
-        warnings = spec_consistency(
-            suite.model, suppress_noop=suite.intended_noops
-        )
+        warnings = spec_consistency(suite.model, suppress_noop={OP_INITIALISE})
         assert warnings == [NeverEnabled("moveToY")]
 
 
