@@ -174,8 +174,9 @@ def robot_config_from_json(data: object) -> RobotConfig:
 class RobotSim(_Simulator):
     """Arm travelling between waypoints on a plane.
 
-    Moves take ``motion_duration`` ticks; each answer carries
-    the arrival clock. While parked on a documented waypoint the arm
+    A command waits for the move in progress; a move arrives
+    ``motion_duration`` ticks after its start, and each answer carries
+    its clock. While parked on a documented waypoint the arm
     reports an occupancy fact for that waypoint's footprint; on an
     undocumented position it reports nothing. The footprints, init position
     and motion duration are copied from ``config`` when the simulator is
@@ -198,10 +199,10 @@ class RobotSim(_Simulator):
 
     def reset(self) -> Deferred[RawObservation]:
         self._position = self._init
+        self._arrival = 0
         return self._answer((self._position, 0))
 
     def vocabulary(self) -> tuple[str, ...]:
-        # kept only because bench/tracing.py still copies it
         return (OP_INITIALISE,) + tuple(sorted(self._moves))
 
     def _observe(self, key: tuple[str, int]) -> RawObservation:
@@ -214,12 +215,13 @@ class RobotSim(_Simulator):
 
     def apply(self, command: Command, at_time: int) -> Deferred[RawObservation]:
         op = command.op
+        start = at_time if at_time > self._arrival else self._arrival
         if op == OP_INITIALISE:
             self._position = self._home
-            return self._answer((self._position, at_time))
+            return self._answer((self._position, start))
         target = self._moves.get(op)
         if target is not None:
-            arrival = at_time + self._motion_duration
+            arrival = self._arrival = start + self._motion_duration
             if self._fault == FAULT_WRONG_MOVE:
                 self._position = WRONG_MOVE_POSITION
             else:

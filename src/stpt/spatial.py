@@ -59,7 +59,6 @@ class Box:
             object.__setattr__(self, "y2", y1)
 
     def normalized(self) -> Box:
-        # the identity, kept only because bench/run.py still calls it
         return self
 
     def contains_box(self, other: Box) -> bool:

@@ -148,7 +148,6 @@ class TheracSim(_Simulator):
         return self._answer((self._mode, self._beam, 0))
 
     def vocabulary(self) -> tuple[str, ...]:
-        # kept only because bench/tracing.py still copies it
         return (OP_SELECT_PHOTON, OP_SELECT_ELECTRON, OP_CURSOR_UP, OP_OTHER)
 
     def _observe(self, key: tuple[str, str, int]) -> RawObservation:

@@ -500,6 +500,20 @@ class TestRobotSim:
         assert fact.window == TimeWindow(13, 13)
         assert fact.box == Box(38, 8, 42, 12)
 
+    def test_a_command_waits_for_the_move_in_progress(self):
+        sim = RobotSim(RobotConfig())
+        sim.reset()
+        clocks = [
+            sim.apply(Command(op, 1), at_time).wait(0)[1].clock
+            for op, at_time in ((OP_INITIALISE, 1), ("moveToQ", 4), (OP_INITIALISE, 6),
+                                ("moveToR", 8), ("moveToS", 9))
+        ]
+        # homing issued at 6 starts when the move to Q arrives at 7
+        assert clocks == [1, 7, 7, 11, 14]
+        sim.reset()
+        _, raw = sim.apply(Command(OP_INITIALISE, 1), 1).wait(0)
+        assert raw.clock == 1  # the reset forgot the arrival at 14
+
     def test_zero_motion_duration(self):
         sim = RobotSim(RobotConfig(motion_duration=0))
         sim.reset()
@@ -1014,6 +1028,33 @@ class TestRobotProperties:
         assert result.witness.observation == Observation(
             arrival, ARM_OWNER, (Box(199, 199, 201, 201),)
         )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        motion_duration=st.integers(0, 6),
+        steps=st.lists(
+            st.tuples(st.sampled_from((OP_INITIALISE, "moveToQ", "moveToR", "moveToS",
+                                       "moveToY")), st.integers(1, 8)),
+            max_size=12,
+        ),
+    )
+    def test_honest_clocks_never_decrease_nor_precede_their_issue(self, motion_duration, steps):
+        sim = RobotSim(RobotConfig(motion_duration=motion_duration))
+
+        def run() -> list[int]:
+            _, raw = sim.reset().wait(0)
+            assert raw.clock == 0
+            clocks, at_time = [0], 0
+            for op, delay in steps:
+                at_time += delay
+                _, raw = sim.apply(Command(op, delay), at_time).wait(0)
+                assert raw.clock >= at_time
+                assert raw.clock >= clocks[-1]
+                clocks.append(raw.clock)
+            return clocks
+
+        # the second run checks that the reset forgot the last arrival
+        assert run() == run()
 
     def test_simulators_are_deterministic(self):
         def trace(fault):
