@@ -162,6 +162,7 @@ _set_kind = Fail.kind.__set__
 _set_witness = Fail.witness.__set__
 
 CheckResult = Union[Pass, Fail]
+_PASS = Pass()
 
 
 # spatial's Observation, bound by _compile_obligations: facts are grouped
@@ -277,7 +278,8 @@ def check_against(
     A ``timeout`` is seconds: ``inf`` waits without limit and zero or less
     polls. One that is not an ``int`` or ``float``, is a ``bool`` or is
     NaN raises ValueError before the reset, as in :func:`run_property`,
-    rather than failing the first wait as if the SUT had.
+    rather than failing the first wait as if the SUT had. A pass is one
+    shared :class:`Pass`.
     """
     _check_timeout(timeout)
     seq = tuple(seq)
@@ -379,7 +381,7 @@ def check_against(
         except Exception as err:
             note = f"{_call(command)} reported occupancy that cannot be judged: {err!r}"
             return _fail(FailKind.SUT_ERROR, seq, at, (state,), observed, note)
-    return Pass()
+    return _PASS
 
 
 _SPEC_SUSPECT = "suspect: specification"
@@ -421,11 +423,19 @@ class FailureRecord(_Record):
         original: Witness,
         shrunk: Witness,
     ) -> None:
-        object.__setattr__(self, "test_index", test_index)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "classification", classification)
-        object.__setattr__(self, "original", original)
-        object.__setattr__(self, "shrunk", shrunk)
+        _set_test_index(self, test_index)
+        _set_record_kind(self, kind)
+        _set_classification(self, classification)
+        _set_original(self, original)
+        _set_shrunk(self, shrunk)
+
+
+# a campaign builds one for every failing test
+_set_test_index = FailureRecord.test_index.__set__
+_set_record_kind = FailureRecord.kind.__set__
+_set_classification = FailureRecord.classification.__set__
+_set_original = FailureRecord.original.__set__
+_set_shrunk = FailureRecord.shrunk.__set__
 
 
 class RunReport(_Record):
@@ -541,13 +551,7 @@ def run_property(
                 cut, witness.fail_index, witness.expected_states, witness.observed_state,
                 witness.invariant, witness.observation, witness.note,
             )
-        return FailureRecord(
-            test_index=test_index,
-            kind=kind,
-            classification=classify(result),
-            original=result.witness,
-            shrunk=witness,
-        )
+        return FailureRecord(test_index, kind, classify(result), result.witness, witness)
 
     records = []
     for test_index in range(num_tests):

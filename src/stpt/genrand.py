@@ -68,7 +68,12 @@ class Rng(_Record):
         gamma = self.gamma
         s1 = (self.state + gamma) & _MASK64
         s2 = (s1 + gamma) & _MASK64
-        return Rng(s2, gamma), Rng(_mix64(s1), _mix_gamma(s2))
+        advanced, child = _new(Rng), _new(Rng)
+        _set_state(advanced, s2)
+        _set_gamma(advanced, gamma)
+        _set_state(child, _mix64(s1))
+        _set_gamma(child, _mix_gamma(s2))
+        return advanced, child
 
 
 class Generator(_Record, Generic[A]):
@@ -107,7 +112,8 @@ class Command(_Record):
 
 
 # the hot records are built through their slots' own descriptors, which
-# skip the name lookup of object.__setattr__
+# skip the name lookup of object.__setattr__, and each test's Rngs skip __init__
+_new = object.__new__
 _set_state = Rng.state.__set__
 _set_gamma = Rng.gamma.__set__
 _set_op = Command.op.__set__
@@ -250,8 +256,8 @@ def gen_enabled_commands(
     disabled-operation check. Generation stops early when no weighted
     operation is enabled, so sequences may be shorter than the drawn
     length (or empty). ``weights`` is read, and ``max_len`` and every
-    weight checked to be a positive integer (a ``bool`` is none), once,
-    when the generator is built.
+    weight checked to be a positive integer (a ``bool`` is none), and the
+    pick at the init states worked out, once, when the generator is built.
 
     Every draw reads whole 64-bit outputs of the ``Rng``'s stream from
     one list of lanes, which one kernel, :func:`_extend`, fills by
@@ -260,9 +266,9 @@ def gen_enabled_commands(
     length is drawn first. Each command reads two lanes, one for its pick
     and one for its delay; when fewer are left, one pass computes those
     of the commands still to come, up to ``_MAX_LANES``, so a sequence
-    that stops early computes few beyond those it reads. A pick or delay
-    whose lane is below its bound takes that lane; a rejected draw, or a
-    pick whose weights sum to 2**64 or more, goes through ``_draw``,
+    that stops early computes few beyond those it reads. A length, pick
+    or delay whose lane is below its bound takes that lane; a rejected
+    draw, or one over a span of 2**64 or more, goes through ``_draw``,
     which reads further lanes and computes more on demand. The draws,
     and their order, are those of the composed reference generator in
     ``tests/helpers.py``: a weighted pick walks the enabled operations
@@ -296,13 +302,18 @@ def gen_enabled_commands(
         pick = picks[states] = _Pick(states, items, commands) if items else None
         return pick
 
+    init_pick = pick_at(model.init)
+
     def go(rng: Rng) -> tuple[tuple[Command, ...], Rng]:
         state, gamma = rng.state, rng.gamma
         # how many lanes to compute rests on the length, so its first
         # word is the stream's first output, worked out alone
         lanes = [_mix64((state + gamma) & _MASK64)]
-        length, at = _draw(lanes, 0, state, gamma, max_len, length_limit, length_words, 0)
-        pick = pick_at(model.init)
+        if length_words == 1 and lanes[0] < length_limit:
+            length, at = lanes[0] % max_len, 1
+        else:
+            length, at = _draw(lanes, 0, state, gamma, max_len, length_limit, length_words, 0)
+        pick = init_pick
         out = []
         # ``rest`` lanes are read after this command's two if no draw is
         # rejected
@@ -333,7 +344,10 @@ def gen_enabled_commands(
                     tuple(successors(model, pick.states, pick.ops[index]))
                 )
             pick = nxt
-        return tuple(out), Rng((state + at * gamma) & _MASK64, gamma)
+        rng = _new(Rng)
+        _set_state(rng, (state + at * gamma) & _MASK64)
+        _set_gamma(rng, gamma)
+        return tuple(out), rng
 
     return Generator(go)
 
@@ -403,8 +417,10 @@ def shrink_sequence(
                 start += size
         return changed
 
-    if any(c.delay > 1 for c in current):
-        accept(tuple(Command(c.op, 1) for c in current))
+    # lists, not generator expressions: most cuts are a command or two,
+    # for which building the generator costs more than the list
+    if any([c.delay > 1 for c in current]):
+        accept(tuple([Command(c.op, 1) for c in current]))
     size = len(current) // 2
     while size >= 2:
         delete_chunks(size)

@@ -366,11 +366,17 @@ class TestGenEnabledCommands:
                 lengths.add(len(drawn[0]))
         assert max(lengths) > _MAX_LANES
 
+    @pytest.mark.parametrize(
+        "max_len", [10**9, (1 << 63) + 1, (1 << 64) + 1],
+        ids=["one-word", "rejecting", "two-word"],
+    )
     def test_a_sequence_that_stops_early_computes_a_bounded_number_of_lanes(
-        self, monkeypatch
+        self, monkeypatch, max_len
     ):
         # a robot at Q cannot move to Q, so under this weighting every
-        # sequence stops after one command, whatever length was drawn
+        # sequence stops after one command, whatever length was drawn;
+        # about half the draws of a length up to 2**63 + 1 are rejected,
+        # and a length up to 2**64 + 1 takes two words
         suite = robot_suite("none")
         computed = []
 
@@ -380,13 +386,27 @@ class TestGenEnabledCommands:
             computed[-1] += len(lanes) - before
 
         monkeypatch.setattr(genrand, "_extend", counted)
-        gen = gen_enabled_commands(suite.model, {"moveToQ": 1}, max_len=10**9)
-        rng = Rng.from_seed(3)
-        for _ in range(50):
-            computed.append(0)
-            seq, rng = gen.run(rng)
-            assert [c.op for c in seq] == ["moveToQ"]
-        assert max(computed) <= _MAX_LANES + 2
+        gen = gen_enabled_commands(suite.model, {"moveToQ": 1}, max_len)
+        reference = reference_enabled_commands(suite.model, {"moveToQ": 1}, max_len)
+        reads = []
+        for seed in range(25):
+            # a split child has a gamma other than the default one
+            for rng in (Rng.from_seed(seed), Rng.from_seed(seed).split()[1]):
+                computed.append(0)
+                drawn = gen.run(rng)
+                # the returned Rng pins how many outputs the draws read
+                assert drawn == reference.run(rng)
+                seq, after = drawn
+                assert [c.op for c in seq] == ["moveToQ"]
+                read = (after.state - rng.state) * pow(rng.gamma, -1, 1 << 64) & _MASK64
+                reads.append(read)
+                # the first output is worked out alone, the rest by _extend
+                assert computed[-1] <= read - 1 + _MAX_LANES
+        # a length, a pick and a delay, one word each unless noted above
+        if max_len == (1 << 63) + 1:
+            assert min(reads) == 3 and max(reads) > 3
+        else:
+            assert set(reads) == {3 if max_len == 10**9 else 4}
 
     # On the therac model every operation is always enabled, so a sequence
     # is as long as its drawn length.

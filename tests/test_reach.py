@@ -109,6 +109,11 @@ INVOCATIONS = [
     ("--suite therac25 --fault sequenceBug --num-tests 200 --seed 7 "
      "--report json --out {d}/therac.json", 1),
     ("--suite therac25 --fault sequenceBug --num-tests 200 --seed 7 --max-len 30", 1),
+    # weights summing past 2**64 make every pick two words, which only
+    # genrand._draw reads
+    ("--suite therac25 --fault sequenceBug --num-tests 20 --weights "
+     "Select25MevPhotonMode=18446744073709551617,Select25MevElectronMode=18446744073709551617,"
+     "CursorUp=9223372036854775808,OtherKindOfOperation=1", 1),
     ("--suite robot --num-tests 30 --weights moveToQ=2,moveToR=1,moveToS=1,moveToY=1,"
      "initialisePosition=1", 0),
     ("--suite robot --fault wrongInit --num-tests 20 --report json --out {d}/wrong-init.json", 1),
